@@ -12,7 +12,6 @@ through the ``ransomgame`` command-line tool.
 
 __version__ = "0.1.0"
 
-from ._backend import active_backend, available_backends
 from .errors import ConfigError, DomainError, NumericalError
 from .game import (AttackerStrategy, DerivedParameters, FixedValue, GameEnvironment,
                    NegotiationOutcome, OutcomeKind, PopulationMean,
@@ -31,7 +30,6 @@ from .stochastics import (LognormalEstimator, SeedSpec, lognormal_cdf, lognormal
 
 __all__ = [
     "__version__",
-    "active_backend", "available_backends",
     "ConfigError", "DomainError", "NumericalError",
     "AttackerStrategy", "DerivedParameters", "FixedValue", "GameEnvironment",
     "NegotiationOutcome", "OutcomeKind", "PopulationMean",

@@ -1,42 +1,13 @@
-"""Selects the simulation kernel at import time.
+"""Accessor for the Monte Carlo kernel module.
 
-The compiled Cython kernel is preferred when present; the pure-Python twin
-is the fallback.  ``RANSOMGAME_BACKEND=compiled|python`` forces the choice.
-Both kernels produce bit-identical output, so the selection never changes
-results, only speed.
+``simulate`` looks the kernel up here on every batch, so a caller that
+replaces ``simulate_runs`` on the returned module (a profiler, say) sees
+every call.
 """
 
-import os
-
 from . import _kernel_py
-from .errors import ConfigError
-
-try:
-    from . import _kernel as _kernel_c
-except ImportError:
-    _kernel_c = None
-
-_BACKENDS = {"python": _kernel_py}
-if _kernel_c is not None:
-    _BACKENDS["compiled"] = _kernel_c
 
 
-def available_backends() -> tuple:
-    return tuple(sorted(_BACKENDS))
-
-
-def get_kernel(name: str | None = None):
-    """Kernel module for ``name``; None resolves env override then default."""
-    if name is None:
-        name = os.environ.get("RANSOMGAME_BACKEND") or None
-    if name is None:
-        name = "compiled" if _kernel_c is not None else "python"
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown backend {name!r}; available: {', '.join(available_backends())}") from None
-
-
-def active_backend() -> str:
-    return get_kernel().BACKEND_NAME
+def get_kernel():
+    """The module whose ``simulate_runs`` plays the games."""
+    return _kernel_py

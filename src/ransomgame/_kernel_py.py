@@ -1,15 +1,8 @@
-"""Pure-Python simulation kernel.
+"""Monte Carlo simulation kernel, one array expression per game step."""
 
-Fallback twin of the compiled kernel in ``_kernel.pyx``.  Both kernels
-perform the same floating-point operations in the same order through libm,
-so their outputs are bit-identical; keep any edit synchronized.
-"""
-
-import math
+import numpy as np
 
 from .stochastics import _ppf
-
-BACKEND_NAME = "python"
 
 
 def simulate_runs(u3, a, beta, sigma, x, i_beta, i_sigma,
@@ -18,61 +11,27 @@ def simulate_runs(u3, a, beta, sigma, x, i_beta, i_sigma,
     """Play one game per row of u3 (three open-interval uniforms per run).
 
     Column 0 drives the value estimate, column 1 the aggression draw,
-    column 2 the decryption draw.  Outputs are written in place.
+    column 2 the decryption draw.  Outputs are written in place.  Each run
+    depends only on its own row, so any split of the rows into calls gives
+    the same results.
     """
-    n = u3.shape[0]
-    u0 = u3[:, 0].tolist()
-    u1 = u3[:, 1].tolist()
-    u2 = u3[:, 2].tolist()
-    out_xt = [0.0] * n
-    out_r = [0.0] * n
-    out_c = [0.0] * n
-    out_al = [0.0] * n
-    out_att = [0.0] * n
-    out_def = [0.0] * n
-    out_kind = [0] * n
-
     cost = i_beta + i_sigma
     k = a * beta / (1.0 + a)
     c_max = k * x
-    exp = math.exp
-    pow_ = math.pow
-    ppf = _ppf
 
-    for i in range(n):
-        z = ppf(u0[i])
-        xt = x * exp(sigma * z)
-        r = k * xt
-        full = r <= c_max
-        if full:
-            c = r
-            al = 0.0
-            aggressive = False
-        else:
-            c = c_max
-            al = 1.0 - pow_(c / r, a)
-            aggressive = u1[i] < al
-        out_xt[i] = xt
-        out_r[i] = r
-        out_c[i] = c
-        out_al[i] = al
-        if aggressive:
-            out_kind[i] = 0
-            out_att[i] = -cost
-            out_def[i] = -x
-        else:
-            out_att[i] = c - cost
-            if u2[i] < beta:
-                out_kind[i] = 3 if full else 1
-                out_def[i] = -c
-            else:
-                out_kind[i] = 4 if full else 2
-                out_def[i] = -x - c
+    x_tilde[:] = x * np.exp(sigma * _ppf(u3[:, 0]))
+    np.multiply(k, x_tilde, out=demand)
+    full = demand <= c_max
+    np.minimum(demand, c_max, out=counteroffer)
+    # Only demands above the cap risk aggression; full payment has alpha 0.
+    capped = ~full
+    alpha[:] = 0.0
+    alpha[capped] = 1.0 - np.power(c_max / demand[capped], a)
 
-    x_tilde[:] = out_xt
-    demand[:] = out_r
-    counteroffer[:] = out_c
-    alpha[:] = out_al
-    attacker[:] = out_att
-    defender[:] = out_def
-    kind[:] = out_kind
+    aggressive = u3[:, 1] < alpha
+    decrypted = u3[:, 2] < beta
+    attacker[:] = np.where(aggressive, -cost, counteroffer - cost)
+    defender[:] = np.where(aggressive, -x,
+                           np.where(decrypted, -counteroffer, -x - counteroffer))
+    # 0 aggressive; 1/2 negotiated, 3/4 paid in full; odd decrypted.
+    kind[:] = np.where(aggressive, 0, np.where(decrypted, 1, 2) + 2 * full)

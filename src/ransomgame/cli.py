@@ -47,12 +47,15 @@ STRATEGY_TABLE = (
 
 
 def _float_list(text):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
+    parts = text if isinstance(text, (list, tuple)) else \
+        [part for part in str(text).split(",") if part != ""]
     try:
-        return [float(part) for part in str(text).split(",") if part != ""]
-    except ValueError:
+        values = [float(v) for v in parts]
+    except (TypeError, ValueError):
         raise ConfigError(f"expected a comma-separated list of numbers, got {text!r}") from None
+    if not values:
+        raise ConfigError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _axis_list(value):
@@ -64,22 +67,22 @@ def _axis_list(value):
             if unknown:
                 raise ConfigError(f"unknown axis keys: {sorted(unknown)}")
             try:
-                axes.append(AxisSpec(name=item["name"], lo=float(item["lo"]),
-                                     hi=float(item["hi"]), n=int(item["n"]),
-                                     scale=item.get("scale", "linear")))
+                name, lo, hi, n = item["name"], item["lo"], item["hi"], item["n"]
             except KeyError as e:
                 raise ConfigError(f"axis spec missing key {e}") from None
+            scale = item.get("scale", "linear")
         else:
             parts = str(item).split(":")
             if len(parts) not in (4, 5):
                 raise ConfigError(
                     f"axis spec must be name:lo:hi:n[:scale], got {item!r}")
+            name, lo, hi, n = parts[:4]
             scale = parts[4] if len(parts) == 5 else "linear"
-            try:
-                axes.append(AxisSpec(name=parts[0], lo=float(parts[1]),
-                                     hi=float(parts[2]), n=int(parts[3]), scale=scale))
-            except ValueError:
-                raise ConfigError(f"malformed axis spec {item!r}") from None
+        try:
+            lo, hi, n = float(lo), float(hi), int(n)
+        except (TypeError, ValueError):
+            raise ConfigError(f"malformed axis spec {item!r}") from None
+        axes.append(AxisSpec(name=name, lo=lo, hi=hi, n=n, scale=scale))
     return axes
 
 
@@ -300,6 +303,8 @@ def _figure_beta_curve(params):
 
 def _figure_estimate_pdf(params):
     x, i_fifty = params["x"], params["i_fifty"]
+    if not x > 0.0:
+        raise ConfigError(f"x must be positive, got {x!r}")
     sigmas = [(isg, estimate_scale(isg, i_fifty)) for isg in params["i_sigma_values"]]
     grid = _grid_with_value(params["x_est_max"] / params["points"],
                             params["x_est_max"], params["points"], x)
@@ -415,6 +420,8 @@ def cmd_figure(args) -> int:
         raise ConfigError(f"unknown figure {name!r}; expected one of {FIGURE_NAMES}")
     if params["points"] is None:
         params["points"] = _FIGURE_POINTS[name]
+    if params["points"] < 2:
+        raise ConfigError(f"points must be at least 2, got {params['points']}")
     if params["a_values"] is None:
         params["a_values"] = _FIGURE_A_VALUES.get(name, [10.0])
 
@@ -484,7 +491,7 @@ def cmd_simulate(args) -> int:
         seed=SeedSpec(master_seed=params["master_seed"],
                       stream_index=params["stream_index"]))
     report = run_batch(config, workers=args.workers,
-                       keep_trace=args.trace_out is not None, backend=args.backend)
+                       keep_trace=args.trace_out is not None)
 
     columns = ["n_runs", "mean_attacker_profit", "std_error_attacker_profit",
                "mean_defender_utility"] + \
@@ -601,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo engine")
     _add_common(p_sim)
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--backend", choices=("compiled", "python"), default=None)
     p_sim.add_argument("--trace-out", default=None, help="also write per-run trace CSV")
     for name, (conv, _) in SCHEMAS["simulate"].items():
         p_sim.add_argument(_param_flag(name), dest=f"p_{name}", type=conv, default=None)
@@ -645,3 +651,7 @@ def main(argv=None) -> int:
 
 def run():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -104,8 +104,8 @@ def _outcome_from_arrays(trace: SimulationTrace, i: int) -> NegotiationOutcome:
 
 
 def _simulate_arrays(strategy: AttackerStrategy, env: GameEnvironment, n: int,
-                     seed: SeedSpec, workers: int, backend: str | None) -> SimulationTrace:
-    kernel = get_kernel(backend)
+                     seed: SeedSpec, workers: int) -> SimulationTrace:
+    kernel = get_kernel()
     derived = DerivedParameters.of(strategy, env)
     x = env.target_value.value
 
@@ -140,26 +140,26 @@ def _simulate_arrays(strategy: AttackerStrategy, env: GameEnvironment, n: int,
 
 
 def run_single(strategy: AttackerStrategy, env: GameEnvironment,
-               seed: SeedSpec, backend: str | None = None) -> NegotiationOutcome:
+               seed: SeedSpec) -> NegotiationOutcome:
     """Play one game on the first block of the stream identified by ``seed``."""
     if not isinstance(env.target_value, FixedValue):
         raise DomainError("simulation requires a FixedValue environment")
-    trace = _simulate_arrays(strategy, env, 1, seed, workers=1, backend=backend)
+    trace = _simulate_arrays(strategy, env, 1, seed, workers=1)
     return _outcome_from_arrays(trace, 0)
 
 
-def run_batch(config: SimulationConfig, workers: int = 1, keep_trace: bool = False,
-              backend: str | None = None) -> SimulationReport:
+def run_batch(config: SimulationConfig, workers: int = 1,
+              keep_trace: bool = False) -> SimulationReport:
     """Run n_runs independent games and aggregate payoff statistics.
 
-    The report is a pure function of ``config``: the worker count and the
-    kernel backend never change any output bit.
+    The report is a pure function of ``config``: the worker count never
+    changes any output bit.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     n = config.n_runs
     trace = _simulate_arrays(config.strategy, config.environment, n,
-                             config.seed, workers, backend)
+                             config.seed, workers)
 
     mean_att = float(trace.attacker_payoff.mean())
     mean_def = float(trace.defender_payoff.mean())

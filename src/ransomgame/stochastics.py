@@ -74,9 +74,8 @@ def uniform_blocks(seed: SeedSpec, start_block: int, n_blocks: int) -> np.ndarra
 # Standard normal CDF and inverse CDF.
 #
 # The inverse CDF uses Acklam's rational approximation refined by one Halley
-# step through erfc, giving absolute error at machine precision.  Only
-# libm-backed scalar operations are used so the compiled simulation kernel
-# reproduces these values bit for bit.
+# step through erfc, giving absolute error at machine precision.  erfc is
+# libm's, applied elementwise through a NumPy ufunc wrapper.
 # ---------------------------------------------------------------------------
 
 _PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
@@ -89,40 +88,51 @@ _PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
           3.754408661907416e+00)
 _PPF_P_LOW = 0.02425
 
-
-def _ppf_half(u: float) -> float:
-    """Inverse normal CDF on (0, 0.5], unvalidated."""
-    if u < _PPF_P_LOW:
-        q = math.sqrt(-2.0 * math.log(u))
-        z = (((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q
-              + _PPF_C[4]) * q + _PPF_C[5]) / \
-            ((((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0)
-    else:
-        q = u - 0.5
-        r = q * q
-        z = (((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r + _PPF_A[3]) * r
-              + _PPF_A[4]) * r + _PPF_A[5]) * q / \
-            (((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r + _PPF_B[3]) * r
-              + _PPF_B[4]) * r + 1.0)
-    if z > -37.5:
-        e = 0.5 * math.erfc(-z / _SQRT2) - u
-        t = e * _SQRT_2PI * math.exp(z * z / 2.0)
-        z = z - t / (1.0 + z * t / 2.0)
-    return z
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
-def _ppf(u: float) -> float:
-    """Inverse normal CDF on (0, 1), unvalidated; exploits exact symmetry."""
-    if u > 0.5:
-        return -_ppf_half(1.0 - u)
-    return _ppf_half(u)
+def _erfc(v) -> np.ndarray:
+    """libm's erfc, elementwise, as a float64 array."""
+    return np.asarray(_ERFC(v), dtype=np.float64)
+
+
+def _ppf(u: np.ndarray) -> np.ndarray:
+    """Inverse normal CDF of each element of u in (0, 1), unvalidated.
+
+    Works on the lower half p = min(u, 1 - u) and flips the sign for
+    u > 0.5, so the result is exactly antisymmetric.
+    """
+    upper = u > 0.5
+    p = np.where(upper, 1.0 - u, u)
+    z = np.empty_like(p)
+
+    tail = p < _PPF_P_LOW
+    q = np.sqrt(-2.0 * np.log(p[tail]))
+    z[tail] = (((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q
+                + _PPF_C[4]) * q + _PPF_C[5]) / \
+        ((((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0)
+    body = ~tail
+    q = p[body] - 0.5
+    r = q * q
+    z[body] = (((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r + _PPF_A[3]) * r
+                + _PPF_A[4]) * r + _PPF_A[5]) * q / \
+        (((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r + _PPF_B[3]) * r
+          + _PPF_B[4]) * r + 1.0)
+
+    # One Halley step, skipped in the far lower tail.
+    refine = z > -37.5
+    zr = z[refine]
+    e = 0.5 * _erfc(-zr / _SQRT2) - p[refine]
+    t = e * _SQRT_2PI * np.exp(zr * zr / 2.0)
+    z[refine] = zr - t / (1.0 + zr * t / 2.0)
+    return np.where(upper, -z, z)
 
 
 def std_normal_ppf(u: float) -> float:
     """Quantile z with Phi(z) = u, for u strictly inside (0, 1)."""
     if not (0.0 < u < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {u!r}")
-    return _ppf(u)
+    return float(_ppf(np.array([u], dtype=np.float64))[0])
 
 
 def std_normal_cdf(z: float) -> float:
@@ -194,8 +204,7 @@ class LognormalEstimator:
         if n < 1:
             raise DomainError(f"sample count must be >= 1, got {n}")
         u = uniform_blocks(seed, 0, n)[:, 0]
-        z = np.fromiter((_ppf(v) for v in u.tolist()), dtype=np.float64, count=n)
-        return np.exp(self.mu + self.sigma * z)
+        return np.exp(self.mu + self.sigma * _ppf(u))
 
 
 def lognormal_pdf(x_est, mu: float, sigma: float):
@@ -218,8 +227,8 @@ def lognormal_cdf(x_est, mu: float, sigma: float):
     if not np.all(np.isfinite(x_est)) or np.any(x_est <= 0.0):
         raise DomainError("CDF argument must be positive and finite")
     z = (np.log(x_est) - mu) / sigma
-    out = np.array([0.5 * math.erfc(-v / _SQRT2) for v in np.atleast_1d(z)])
-    return out.reshape(z.shape) if z.ndim else float(out[0])
+    out = 0.5 * _erfc(-z / _SQRT2)
+    return out if out.ndim else float(out)
 
 
 def sample_estimate(x: float, sigma: float, seed: SeedSpec) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,20 @@ class TestFigureCommands:
 
     def test_unknown_figure_is_config_error(self, tmp_path):
         assert main(["figure", "spiral", "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    @pytest.mark.parametrize("name", FIGURE_NAMES)
+    def test_too_few_points_is_config_error(self, tmp_path, capsys, name, points):
+        assert main(["figure", name, "--points", points,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: points must be at least 2, got {points}\n"
+
+    @pytest.mark.parametrize("name,flag", [("alpha_curve", "--a-values"),
+                                           ("profit_vs_estimate", "--a-values"),
+                                           ("estimate_pdf", "--i-sigma-values"),
+                                           ("utility_vs_demand", "--c-max-values")])
+    def test_empty_value_list_is_config_error(self, tmp_path, name, flag):
+        assert main(["figure", name, flag, "", "--out", str(tmp_path / "x.csv")]) == 2
 
 
 class TestTableCommand:
@@ -193,6 +211,10 @@ class TestSweepCommand:
     def test_missing_axes_rejected(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_axis_error_keeps_its_reason(self, tmp_path, capsys):
+        assert main(["sweep", "--axis", "a:1:2:1", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: axis a: need at least 2 points, got 1\n"
+
     def test_json_output_with_contours(self, tmp_path):
         out = tmp_path / "sweep.json"
         assert main(["sweep", "--axis", "i_beta:0.001:0.5:40:log",
@@ -267,3 +289,26 @@ class TestConfigHandling:
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["simulate"]) == 2  # --out missing
         assert main(["warp", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def _run(*args):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "ransomgame.cli", *args],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    def test_help(self):
+        proc = self._run("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: ransomgame")
+
+    def test_bad_subcommand(self):
+        assert self._run("warp").returncode == 2
+
+    def test_estimate_pdf_bad_x_prints_only_the_error(self, tmp_path):
+        proc = self._run("figure", "estimate_pdf", "--x", "0",
+                         "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: x must be positive, got 0.0\n"

@@ -6,9 +6,12 @@ import pytest
 
 from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment,
                         OutcomeKind, PopulationMean, ProfitMethod, SeedSpec,
-                        SimulationConfig, expected_profit, optimal_counteroffer,
-                        reliability, run_batch, run_single, write_trace_csv)
+                        SimulationConfig, aggression_probability, demand_factor,
+                        estimate_scale, expected_profit, optimal_counteroffer,
+                        reliability, run_batch, run_single, std_normal_ppf,
+                        write_trace_csv)
 from ransomgame.simulate import TRACE_COLUMNS
+from ransomgame.stochastics import uniform_blocks
 
 I50 = 0.02
 
@@ -55,6 +58,29 @@ class TestRunSingle:
             expected = optimal_counteroffer(float(trace.demand[i]), 1.0, 4.68, beta)
             assert trace.counteroffer[i] == expected
 
+    def test_runs_match_scalar_game_functions(self):
+        # Replay each run with the scalar game functions.  NumPy's exp may
+        # differ from libm's by an ulp, and (C/R)^a multiplies that by a.
+        a, i_beta, i_sigma = 4.68, 0.091, 0.104
+        cfg = _config(strategy=(a, i_beta, i_sigma), n=3000, seed=17)
+        trace = run_batch(cfg, keep_trace=True).trace
+        u = uniform_blocks(cfg.seed, 0, cfg.n_runs)
+        beta, sigma = reliability(i_beta, I50), estimate_scale(i_sigma, I50)
+        for i in range(cfg.n_runs):
+            x_tilde = math.exp(sigma * std_normal_ppf(float(u[i, 0])))
+            r = demand_factor(a, beta) * x_tilde
+            c = optimal_counteroffer(r, 1.0, a, beta)
+            alpha = aggression_probability(c, r, a)
+            if u[i, 1] < alpha:
+                kind = 0
+            else:
+                kind = (1 if u[i, 2] < beta else 2) + (2 if c == r else 0)
+            assert trace.x_tilde[i] == pytest.approx(x_tilde, rel=1e-15)
+            assert trace.demand[i] == pytest.approx(r, rel=1e-15)
+            assert trace.counteroffer[i] == pytest.approx(c, rel=1e-15)
+            assert trace.alpha[i] == pytest.approx(alpha, abs=1e-14)
+            assert trace.kind[i] == kind
+
     def test_rejects_population_environment(self):
         env = GameEnvironment(i_fifty=I50, target_value=PopulationMean(1.0))
         with pytest.raises(DomainError):
@@ -76,7 +102,6 @@ class TestDegenerateCases:
         # beta = 1 is unreachable through investments, so drive the kernel
         # directly to check the Bernoulli wiring.
         from ransomgame._backend import get_kernel
-        from ransomgame.stochastics import uniform_blocks
         n = 4096
         u3 = np.ascontiguousarray(uniform_blocks(SeedSpec(5), 0, n)[:, :3])
         out = [np.empty(n) for _ in range(6)]
@@ -85,6 +110,7 @@ class TestDegenerateCases:
                                    *out, kind)
         assert not np.any((kind == 2) | (kind == 4))
 
+    @pytest.mark.filterwarnings("error")
     def test_zero_reliability_investment(self):
         # beta = 0: zero demand, full payment of zero, decryption always fails.
         cfg = _config(strategy=(2.0, 0.0, 0.05), n=500, seed=2)
