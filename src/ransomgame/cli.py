@@ -212,18 +212,18 @@ def _resolve_params(command: str, cli_params: dict, config_path: str | None) -> 
     """Defaults <- config file <- explicit CLI flags, rejecting unknown keys."""
     schema = SCHEMAS[command]
     params = {name: default for name, (_, default) in schema.items()}
-    if config_path:
-        file_params = _load_config(config_path, command)
-        unknown = set(file_params) - set(schema)
-        if unknown:
-            raise ConfigError(f"unknown config params for {command}: {sorted(unknown)}")
-        for name, value in file_params.items():
-            conv = schema[name][0]
-            params[name] = conv(value) if value is not None else None
-    for name, value in cli_params.items():
-        if value is not None:
-            conv = schema[name][0]
-            params[name] = conv(value)
+    given = _load_config(config_path, command) if config_path else {}
+    unknown = set(given) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown config params for {command}: {sorted(unknown)}")
+    given.update((name, value) for name, value in cli_params.items() if value is not None)
+    for name, value in given.items():
+        try:
+            params[name] = None if value is None else schema[name][0](value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError):
+            raise ConfigError(f"invalid value for {name}: {value!r}") from None
     return params
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from ._contour import zero_contours
 from .errors import ConfigError
 from .game import AttackerStrategy, GameEnvironment
-from .profit import ProfitMethod, expected_profit
+from .profit import profit_grid
 
 _PARAM_NAMES = ("a", "i_beta", "i_sigma")
 
@@ -169,13 +169,6 @@ def nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
     return points[best], values[best], n_evals, converged, history
 
 
-def _profit_func(env: GameEnvironment) -> Callable[[float, float, float], float]:
-    def value(a: float, i_beta: float, i_sigma: float) -> float:
-        strat = AttackerStrategy(a=a, i_beta=i_beta, i_sigma=i_sigma)
-        return expected_profit(strat, env, ProfitMethod.CLOSED_FORM).value
-    return value
-
-
 def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
                     grid_points: int = DEFAULT_GRID_POINTS,
                     diameter_tol: float = 1e-5, keep_trace: bool = False) -> StrategyOptimum:
@@ -197,34 +190,24 @@ def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
     if grid_points < 2:
         raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
 
-    profit = _profit_func(env)
     axes = [np.geomspace(box[name][0], box[name][1], grid_points) for name in _PARAM_NAMES]
-
-    best_val = -math.inf
-    best_point = None
-    n_evals = 0
-    for a in axes[0]:
-        for ib in axes[1]:
-            for isg in axes[2]:
-                v = profit(a, ib, isg)
-                n_evals += 1
-                if v > best_val or (v == best_val and (a, ib, isg) < best_point):
-                    best_val = v
-                    best_point = (a, ib, isg)
+    cube = profit_grid(*axes, env)
+    # Axes ascend: the first maximum in C order is the lexicographically smallest.
+    best = np.unravel_index(int(np.argmax(cube)), cube.shape)
+    best_point = np.array([axis[k] for axis, k in zip(axes, best)])
 
     # Refinement steps: half the local grid spacing in each coordinate.
     steps = []
-    for axis, coord in zip(axes, best_point):
-        idx = int(np.searchsorted(axis, coord))
-        idx = min(max(idx, 0), len(axis) - 2)
+    for axis, k in zip(axes, best):
+        idx = min(int(k), len(axis) - 2)
         steps.append(0.5 * (axis[idx + 1] - axis[idx]))
 
     lo = np.array([box[name][0] for name in _PARAM_NAMES])
     hi = np.array([box[name][1] for name in _PARAM_NAMES])
     x_best, f_best, nm_evals, converged, history = nelder_mead(
-        lambda p: -profit(p[0], p[1], p[2]), np.asarray(best_point),
-        np.asarray(steps), lo, hi, diameter_tol=diameter_tol)
-    n_evals += nm_evals
+        lambda p: -float(profit_grid(p[0:1], p[1:2], p[2:3], env)[0, 0, 0]),
+        best_point, np.asarray(steps), lo, hi, diameter_tol=diameter_tol)
+    n_evals = cube.size + nm_evals
 
     strategy = AttackerStrategy(a=float(x_best[0]), i_beta=float(x_best[1]),
                                 i_sigma=float(x_best[2]))
@@ -241,33 +224,24 @@ def profit_surface(env: GameEnvironment, grid: SweepGrid) -> SurfaceResult:
     the argmax node; ties break toward the lexicographically smallest
     (a, i_beta, i_sigma).
     """
-    profit = _profit_func(env)
-    axis_values = tuple(ax.values() for ax in grid.axes)
-    shape = tuple(len(v) for v in axis_values)
-    values = np.empty(shape)
-    params = dict(grid.fixed)
     names = [ax.name for ax in grid.axes]
-    for idx in np.ndindex(*shape):
-        for name, axis, k in zip(names, axis_values, idx):
-            params[name] = float(axis[k])
-        values[idx] = profit(params["a"], params["i_beta"], params["i_sigma"])
-
-    peak = np.max(values)
-    candidates = np.argwhere(values == peak)
-    strategies = []
-    for cand in candidates:
-        params = dict(grid.fixed)
-        for name, axis, k in zip(names, axis_values, cand):
-            params[name] = float(axis[k])
-        strategies.append(((params["a"], params["i_beta"], params["i_sigma"]), tuple(cand)))
-    (best_params, best_idx) = min(strategies)
-    argmax_strategy = AttackerStrategy(a=best_params[0], i_beta=best_params[1],
-                                       i_sigma=best_params[2])
+    axis_values = tuple(ax.values() for ax in grid.axes)
+    canonical = [axis_values[names.index(name)] if name in names
+                 else np.array([grid.fixed[name]], dtype=np.float64)
+                 for name in _PARAM_NAMES]
+    cube = profit_grid(*canonical, env)
+    # As in maximize_profit: fixed parameters are length-1 axes of the cube.
+    best = np.unravel_index(int(np.argmax(cube)), cube.shape)
+    order = [_PARAM_NAMES.index(name) for name in names]
+    order += [d for d in range(3) if d not in order]
+    values = cube.transpose(order).reshape(tuple(len(v) for v in axis_values))
+    argmax_index = tuple(int(best[d]) for d in order[:len(names)])
+    argmax_strategy = AttackerStrategy(*(float(axis[k]) for axis, k in zip(canonical, best)))
 
     contours = []
     if len(grid.axes) == 2:
         contours = zero_contours(axis_values[0], axis_values[1], values)
 
     return SurfaceResult(grid=grid, axis_values=axis_values, values=values,
-                         argmax_index=best_idx, argmax_strategy=argmax_strategy,
-                         argmax_profit=float(peak), contours=contours)
+                         argmax_index=argmax_index, argmax_strategy=argmax_strategy,
+                         argmax_profit=float(cube[best]), contours=contours)

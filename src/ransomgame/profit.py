@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import adaptive_quadrature
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .game import AttackerStrategy, DerivedParameters, GameEnvironment, demand_factor
 from .stochastics import _SQRT_2PI, log_std_normal_cdf, std_normal_cdf
 
@@ -92,12 +92,37 @@ def gross_multiplier_quadrature(a: float, sigma: float, rel_tol: float = 1e-9) -
     return _quadrature_multiplier(a, sigma, rel_tol)[0]
 
 
-def _closed_form_profit(a: float, beta: float, sigma: float, m: float) -> float:
-    """Profit for raw parameters; the one expression shared by every caller.
+def profit_grid(a, i_beta, i_sigma, env: GameEnvironment) -> np.ndarray:
+    """Closed-form profit P[j, k, l] of (a[j], i_beta[k], i_sigma[l]) for three 1-D axes.
 
-    The grouping ((k * G) * M) keeps the result exactly linear in M.
+    G is evaluated with libm once per (a, i_sigma) pair and broadcast; the
+    grouping ((k * G) * M) - (i_beta + i_sigma) keeps P exactly linear in M.
+    Raises DomainError for an axis value outside the strategy domain and
+    NumericalError naming a node where P is not finite.
     """
-    return demand_factor(a, beta) * gross_multiplier_closed_form(a, sigma) * m
+    a, i_beta, i_sigma = (np.asarray(v, dtype=np.float64) for v in (a, i_beta, i_sigma))
+    # Every bound is monotone, so a node fails iff an axis extreme does.
+    for pick in (np.min, np.max):
+        AttackerStrategy(a=pick(a), i_beta=pick(i_beta), i_sigma=pick(i_sigma))
+    sigma = (env.i_fifty / (env.i_fifty + i_sigma)).tolist()
+    g = np.empty((len(a), len(sigma)))
+    try:
+        for ja, x in enumerate(a.tolist()):
+            for js, s in enumerate(sigma):
+                g[ja, js] = gross_multiplier_closed_form(x, s)
+    except OverflowError:
+        raise NumericalError(f"closed-form profit overflows at a={x!r}, "
+                             f"i_sigma={float(i_sigma[js])!r}") from None
+    beta = i_beta / (i_beta + env.i_fifty)
+    profit = demand_factor(a[:, None], beta[None, :])[:, :, None] * g[:, None, :]
+    profit *= env.mean_target_value
+    profit -= i_beta[:, None] + i_sigma[None, :]
+    finite = np.isfinite(profit)
+    if not finite.all():
+        ja, jb, js = np.unravel_index(int(np.argmin(finite)), profit.shape)
+        raise NumericalError(f"closed-form profit is not finite at a={float(a[ja])!r}, "
+                             f"i_beta={float(i_beta[jb])!r}, i_sigma={float(i_sigma[js])!r}")
+    return profit
 
 
 def expected_profit(strat: AttackerStrategy, env: GameEnvironment,
@@ -108,15 +133,15 @@ def expected_profit(strat: AttackerStrategy, env: GameEnvironment,
     ``method`` selects how the gross multiplier is evaluated.  Monte Carlo
     estimates come from the simulation module, not from here.
     """
-    derived = DerivedParameters.of(strat, env)
-    m = env.mean_target_value
     cost = strat.i_beta + strat.i_sigma
     if method is ProfitMethod.CLOSED_FORM:
-        gross = _closed_form_profit(strat.a, derived.beta, derived.sigma, m)
+        value = float(profit_grid([strat.a], [strat.i_beta], [strat.i_sigma], env)[0, 0, 0])
         # A few ulps of the gross term; the closed form is exact up to libm.
-        return ProfitEstimate(value=gross - cost, method=method,
-                              abs_uncertainty=5e-15 * abs(gross))
+        return ProfitEstimate(value=value, method=method,
+                              abs_uncertainty=5e-15 * abs(value + cost))
     if method is ProfitMethod.QUADRATURE:
+        derived = DerivedParameters.of(strat, env)
+        m = env.mean_target_value
         g, err = _quadrature_multiplier(strat.a, derived.sigma, rel_tol)
         scale = demand_factor(strat.a, derived.beta) * m
         return ProfitEstimate(value=scale * g - cost, method=method,

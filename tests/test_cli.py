@@ -215,6 +215,26 @@ class TestSweepCommand:
         assert main(["sweep", "--axis", "a:1:2:1", "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == "error: axis a: need at least 2 points, got 1\n"
 
+    @pytest.mark.parametrize("args,message", [
+        (["--axis", "i_beta:0.01:0.5:4", "--fix", "a=nan", "--fix", "i_sigma=0.1"],
+         "a must be finite, got nan"),
+        (["--axis", "i_beta:-0.1:0.5:4", "--fix", "a=4.68", "--fix", "i_sigma=0.1"],
+         "i_beta must be >= 0, got -0.1"),
+    ])
+    def test_out_of_domain_strategy_is_config_error(self, tmp_path, capsys, args, message):
+        assert main(["sweep", *args, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--axis", "a:1:1e300:3", "--fix", "i_beta=0.09", "--fix", "i_sigma=0.1"],
+        ["optimize", "--a-hi", "1e300", "--grid-points", "8"],
+    ])
+    def test_non_finite_profit_is_numerical_failure(self, tmp_path, capsys, args):
+        assert main([*args, "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: closed-form profit ")
+        assert err.count("\n") == 1
+
     def test_json_output_with_contours(self, tmp_path):
         out = tmp_path / "sweep.json"
         assert main(["sweep", "--axis", "i_beta:0.001:0.5:40:log",
@@ -274,6 +294,21 @@ class TestConfigHandling:
     def test_unwritable_path_is_error(self):
         assert main(["table", "strategies",
                      "--out", "/nonexistent-dir/deep/x.csv"]) == 2
+
+    @pytest.mark.parametrize("command,params", [
+        ("simulate", {"n_runs": "abc"}),
+        ("sweep", {"axes": 5}),
+        ("sweep", {"axes": ["i_beta:0.01:0.5:4"], "fixed": {"i_beta": "x", "a": 4.68}}),
+        ("figure", {"name": "beta_curve", "points": "many"}),
+    ])
+    def test_unconvertible_param_is_config_error(self, tmp_path, capsys, command, params):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"version": 1, "command": command, "params": params}))
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid value for ")
+        assert err.count("\n") == 1
 
     def test_cli_flag_overrides_config(self, tmp_path):
         config = tmp_path / "c.json"

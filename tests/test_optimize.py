@@ -83,8 +83,8 @@ class TestMaximizeProfit:
         assert opt.profit < 0.304
 
     def test_restart_stability(self, mean_env, rng):
-        from ransomgame.optimize import _profit_func
-        profit = _profit_func(mean_env)
+        from ransomgame.profit import profit_grid
+        profit = lambda a, ib, isg: profit_grid([a], [ib], [isg], mean_env)[0, 0, 0]
         lo = np.array([0.1, 0.001, 0.001])
         hi = np.array([20.0, 0.5, 0.5])
         steps = 0.25 * (hi - lo)
@@ -122,17 +122,35 @@ class TestMaximizeProfit:
 
 
 class TestProfitSurface:
-    def test_values_match_direct_calls(self, mean_env, rng):
-        grid = SweepGrid(axes=[AxisSpec("i_beta", 0.01, 0.4, 24, "log"),
-                               AxisSpec("i_sigma", 0.01, 0.4, 24, "log")],
-                         fixed={"a": 4.68})
+    @pytest.mark.parametrize("axes,fixed", [
+        ([AxisSpec("a", 0.5, 10.0, 9, "log")], {"i_beta": 0.091, "i_sigma": 0.104}),
+        ([AxisSpec("i_beta", 0.01, 0.4, 24, "log"), AxisSpec("i_sigma", 0.01, 0.4, 24, "log")],
+         {"a": 4.68}),
+        ([AxisSpec("i_sigma", 0.001, 0.5, 7, "log"), AxisSpec("a", 0.1, 20.0, 6, "log")],
+         {"i_beta": 0.09}),
+        # i_beta = 0 makes profit -i_sigma at every a: the tie breaks to the smallest a.
+        ([AxisSpec("i_sigma", 0.0, 0.2, 5), AxisSpec("a", 0.5, 8.0, 6)], {"i_beta": 0.0}),
+        ([AxisSpec("i_sigma", 0.001, 0.5, 5, "log"), AxisSpec("a", 0.1, 20.0, 4, "log"),
+          AxisSpec("i_beta", 0.01, 0.3, 6)], {}),
+    ], ids=["1d", "i_beta-i_sigma", "i_sigma-a", "tied", "3d"])
+    def test_values_match_direct_calls(self, mean_env, axes, fixed):
+        grid = SweepGrid(axes=axes, fixed=fixed)
         surface = profit_surface(mean_env, grid)
-        for _ in range(100):
-            i = int(rng.integers(0, 24))
-            j = int(rng.integers(0, 24))
-            strat = AttackerStrategy(4.68, float(surface.axis_values[0][i]),
-                                     float(surface.axis_values[1][j]))
-            assert surface.values[i, j] == expected_profit(strat, mean_env).value
+        assert surface.values.shape == tuple(ax.n for ax in axes)
+        nodes = []
+        for idx in np.ndindex(*surface.values.shape):
+            params = dict(fixed)
+            params.update((ax.name, float(v[k]))
+                          for ax, v, k in zip(axes, surface.axis_values, idx))
+            strat = AttackerStrategy(**params)
+            assert surface.values[idx] == expected_profit(strat, mean_env).value
+            nodes.append((surface.values[idx], (strat.a, strat.i_beta, strat.i_sigma), idx))
+        # Brute force: the lexicographically smallest maximizer.
+        peak = max(v for v, _, _ in nodes)
+        best_params, best_idx = min((p, idx) for v, p, idx in nodes if v == peak)
+        assert surface.argmax_index == best_idx
+        assert surface.argmax_strategy == AttackerStrategy(*best_params)
+        assert surface.argmax_profit == surface.values[best_idx]
 
     def test_argmax_and_zero_contour(self, mean_env):
         grid = SweepGrid(axes=[AxisSpec("i_beta", 0.001, 0.5, 60, "log"),
