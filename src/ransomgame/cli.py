@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,13 @@ def _float_list(text):
     return values
 
 
+def integer(value):
+    """An int from an int or an integral string; never truncates a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _axis_list(value):
     """Axis specs from config entries or name:lo:hi:n[:scale] CLI strings."""
     axes = []
@@ -79,7 +87,7 @@ def _axis_list(value):
             name, lo, hi, n = parts[:4]
             scale = parts[4] if len(parts) == 5 else "linear"
         try:
-            lo, hi, n = float(lo), float(hi), int(n)
+            lo, hi, n = float(lo), float(hi), integer(n)
         except (TypeError, ValueError):
             raise ConfigError(f"malformed axis spec {item!r}") from None
         axes.append(AxisSpec(name=name, lo=lo, hi=hi, n=n, scale=scale))
@@ -112,7 +120,7 @@ SCHEMAS = {
         "i_sigma": (float, 0.1),
         "a": (float, 10.0),
         "m": (float, 1.0),
-        "points": (int, None),
+        "points": (integer, None),
         "i_beta_max": (float, 0.5),
         "x_est_max": (float, 3.0),
         "r_max": (float, 2.0),
@@ -135,9 +143,9 @@ SCHEMAS = {
         "i_sigma": (float, 0.104),
         "i_fifty": (float, 0.02),
         "x": (float, 1.0),
-        "n_runs": (int, 10000),
-        "master_seed": (int, 0),
-        "stream_index": (int, 0),
+        "n_runs": (integer, 10000),
+        "master_seed": (integer, 0),
+        "stream_index": (integer, 0),
     },
     "optimize": {
         "i_fifty": (float, 0.02),
@@ -148,7 +156,7 @@ SCHEMAS = {
         "i_beta_hi": (float, DEFAULT_BOUNDS["i_beta"][1]),
         "i_sigma_lo": (float, DEFAULT_BOUNDS["i_sigma"][0]),
         "i_sigma_hi": (float, DEFAULT_BOUNDS["i_sigma"][1]),
-        "grid_points": (int, DEFAULT_GRID_POINTS),
+        "grid_points": (integer, DEFAULT_GRID_POINTS),
     },
     "sweep": {
         "i_fifty": (float, 0.02),
@@ -490,20 +498,21 @@ def cmd_simulate(args) -> int:
         n_runs=params["n_runs"],
         seed=SeedSpec(master_seed=params["master_seed"],
                       stream_index=params["stream_index"]))
-    report = run_batch(config, workers=args.workers,
-                       keep_trace=args.trace_out is not None)
+    # Open the trace first, so an unwritable path fails before the batch runs.
+    trace_out = nullcontext() if args.trace_out is None else _open_out(args.trace_out)
+    with trace_out as trace_file:
+        report = run_batch(config, workers=args.workers, keep_trace=trace_file is not None)
 
-    columns = ["n_runs", "mean_attacker_profit", "std_error_attacker_profit",
-               "mean_defender_utility"] + \
-              [f"count_{k.value}" for k in report.outcome_counts]
-    row = [report.n_runs, report.mean_attacker_profit,
-           report.std_error_attacker_profit, report.mean_defender_utility] + \
-          list(report.outcome_counts.values())
-    _emit_table(args.out, args.format, "simulate", params, columns, [row])
+        columns = ["n_runs", "mean_attacker_profit", "std_error_attacker_profit",
+                   "mean_defender_utility"] + \
+                  [f"count_{k.value}" for k in report.outcome_counts]
+        row = [report.n_runs, report.mean_attacker_profit,
+               report.std_error_attacker_profit, report.mean_defender_utility] + \
+              list(report.outcome_counts.values())
+        _emit_table(args.out, args.format, "simulate", params, columns, [row])
 
-    if args.trace_out is not None:
-        with _open_out(args.trace_out) as f:
-            write_trace_csv(report.trace, f,
+        if trace_file is not None:
+            write_trace_csv(report.trace, trace_file,
                             header_lines=(f"config: {_config_json('simulate', params)}",))
     return 0
 

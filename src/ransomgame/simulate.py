@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Optional
 
 import numpy as np
@@ -29,6 +30,10 @@ from .stochastics import SeedSpec, uniform_blocks
 # Runs are generated and simulated in fixed-size blocks so that chunk
 # boundaries do not depend on the worker count.
 _CHUNK = 65536
+
+# Trace rows formatted per write.  Larger blocks are no faster and raise the
+# peak memory of a traced run.
+_TRACE_BLOCK = 1024
 
 _KIND_ORDER = (OutcomeKind.AGGRESSIVE_REJECTION,
                OutcomeKind.DECRYPTION_SUCCESS,
@@ -104,39 +109,50 @@ def _outcome_from_arrays(trace: SimulationTrace, i: int) -> NegotiationOutcome:
 
 
 def _simulate_arrays(strategy: AttackerStrategy, env: GameEnvironment, n: int,
-                     seed: SeedSpec, workers: int) -> SimulationTrace:
+                     seed: SeedSpec, workers: int, keep_trace: bool):
+    """Play n runs; return (attacker, defender, kind, trace).
+
+    The payoff and outcome arrays always have length n.  The per-run
+    estimate, demand, counteroffer and aggression are kept at length n only
+    with ``keep_trace``; otherwise each worker writes them to one set of
+    chunk-sized scratch arrays, reused for all its chunks (a fresh set per
+    chunk would fault its pages in every time), and ``trace`` is None.
+    """
     kernel = get_kernel()
     derived = DerivedParameters.of(strategy, env)
     x = env.target_value.value
 
-    x_tilde = np.empty(n)
-    demand = np.empty(n)
-    counteroffer = np.empty(n)
-    alpha = np.empty(n)
+    # x_tilde, demand, counteroffer, alpha: the order of both the kernel's
+    # outputs and SimulationTrace's fields.
+    steps = [np.empty(n) for _ in range(4)] if keep_trace else None
     attacker = np.empty(n)
     defender = np.empty(n)
     kind = np.empty(n, dtype=np.uint8)
 
-    def do_chunk(lo: int):
-        hi = min(lo + _CHUNK, n)
-        u3 = np.ascontiguousarray(uniform_blocks(seed, lo, hi - lo)[:, :3])
-        kernel.simulate_runs(u3, strategy.a, derived.beta, derived.sigma, x,
-                             strategy.i_beta, strategy.i_sigma,
-                             x_tilde[lo:hi], demand[lo:hi], counteroffer[lo:hi],
-                             alpha[lo:hi], attacker[lo:hi], defender[lo:hi],
-                             kind[lo:hi])
+    def do_chunks(starts):
+        scratch = None if keep_trace else [np.empty(min(n, _CHUNK)) for _ in range(4)]
+        for lo in starts:
+            hi = min(lo + _CHUNK, n)
+            u3 = np.ascontiguousarray(uniform_blocks(seed, lo, hi - lo)[:, :3])
+            chunk_steps = ([a[lo:hi] for a in steps] if keep_trace
+                           else [a[:hi - lo] for a in scratch])
+            kernel.simulate_runs(u3, strategy.a, derived.beta, derived.sigma, x,
+                                 strategy.i_beta, strategy.i_sigma, *chunk_steps,
+                                 attacker[lo:hi], defender[lo:hi], kind[lo:hi])
 
     starts = range(0, n, _CHUNK)
-    if workers <= 1 or len(starts) <= 1:
-        for lo in starts:
-            do_chunk(lo)
+    workers = min(workers, len(starts))
+    if workers <= 1:
+        do_chunks(starts)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(do_chunk, starts))
+            list(pool.map(do_chunks, [starts[k::workers] for k in range(workers)]))
 
-    return SimulationTrace(x=x, x_tilde=x_tilde, demand=demand,
-                           counteroffer=counteroffer, alpha=alpha, kind=kind,
-                           attacker_payoff=attacker, defender_payoff=defender)
+    trace = None
+    if keep_trace:
+        trace = SimulationTrace(x, *steps, kind=kind, attacker_payoff=attacker,
+                                defender_payoff=defender)
+    return attacker, defender, kind, trace
 
 
 def run_single(strategy: AttackerStrategy, env: GameEnvironment,
@@ -144,7 +160,7 @@ def run_single(strategy: AttackerStrategy, env: GameEnvironment,
     """Play one game on the first block of the stream identified by ``seed``."""
     if not isinstance(env.target_value, FixedValue):
         raise DomainError("simulation requires a FixedValue environment")
-    trace = _simulate_arrays(strategy, env, 1, seed, workers=1)
+    *_, trace = _simulate_arrays(strategy, env, 1, seed, workers=1, keep_trace=True)
     return _outcome_from_arrays(trace, 0)
 
 
@@ -158,17 +174,19 @@ def run_batch(config: SimulationConfig, workers: int = 1,
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     n = config.n_runs
-    trace = _simulate_arrays(config.strategy, config.environment, n,
-                             config.seed, workers)
+    attacker, defender, kind, trace = _simulate_arrays(
+        config.strategy, config.environment, n, config.seed, workers, keep_trace)
 
-    mean_att = float(trace.attacker_payoff.mean())
-    mean_def = float(trace.defender_payoff.mean())
+    mean_att = float(attacker.mean())
+    mean_def = float(defender.mean())
     if n > 1:
-        var = float(np.square(trace.attacker_payoff - mean_att).sum()) / (n - 1)
+        # One temporary, squared in place: the same bits as squaring a copy.
+        d = attacker - mean_att
+        var = float(np.square(d, out=d).sum()) / (n - 1)
         std_err = math.sqrt(var / n)
     else:
         std_err = None
-    counts = np.bincount(trace.kind, minlength=len(_KIND_ORDER))
+    counts = np.bincount(kind, minlength=len(_KIND_ORDER))
     outcome_counts = {k: int(c) for k, c in zip(_KIND_ORDER, counts)}
 
     return SimulationReport(n_runs=n,
@@ -176,20 +194,24 @@ def run_batch(config: SimulationConfig, workers: int = 1,
                             std_error_attacker_profit=std_err,
                             mean_defender_utility=mean_def,
                             outcome_counts=outcome_counts,
-                            trace=trace if keep_trace else None)
+                            trace=trace)
 
 
 def write_trace_csv(trace: SimulationTrace, f: IO[str], header_lines: tuple = ()):
-    """Write per-run records as CSV, one row per run."""
+    """Write per-run records as CSV, one row per run.
+
+    Rows are formatted a block at a time by one ``%`` call on a repeated row
+    template; ``%.9g`` and ``format(v, ".9g")`` give the same bytes.
+    """
     for line in header_lines:
         f.write(f"# {line}\n")
     f.write(",".join(TRACE_COLUMNS) + "\n")
-    aggressive = trace.aggressive
-    decrypted = trace.decrypted
-    for i in range(len(trace.kind)):
-        row = (str(i), f"{trace.x:.9g}", f"{trace.x_tilde[i]:.9g}",
-               f"{trace.demand[i]:.9g}", f"{trace.counteroffer[i]:.9g}",
-               f"{trace.alpha[i]:.9g}", str(int(aggressive[i])),
-               str(int(decrypted[i])), f"{trace.attacker_payoff[i]:.9g}",
-               f"{trace.defender_payoff[i]:.9g}")
-        f.write(",".join(row) + "\n")
+    row = f"%d,{trace.x:.9g},%.9g,%.9g,%.9g,%.9g,%d,%d,%.9g,%.9g\n"
+    columns = (trace.x_tilde, trace.demand, trace.counteroffer, trace.alpha,
+               trace.aggressive, trace.decrypted, trace.attacker_payoff,
+               trace.defender_payoff)
+    n = len(trace.kind)
+    for lo in range(0, n, _TRACE_BLOCK):
+        hi = min(lo + _TRACE_BLOCK, n)
+        block = zip(range(lo, hi), *(c[lo:hi].tolist() for c in columns))
+        f.write((row * (hi - lo)) % tuple(chain.from_iterable(block)))

@@ -166,6 +166,15 @@ class TestSimulateCommand:
                             "decrypted,attacker_payoff,defender_payoff")
         assert len(lines) == 102
 
+    def test_unwritable_trace_fails_before_simulating(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--n-runs", "100", "--out", str(out),
+                     "--trace-out", str(tmp_path / "missing" / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output file ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_roundtrip(self, tmp_path):
         first = tmp_path / "first.csv"
         main(["simulate", "--n-runs", "2000", "--seed", "99", "--out", str(first)])
@@ -214,6 +223,15 @@ class TestSweepCommand:
     def test_axis_error_keeps_its_reason(self, tmp_path, capsys):
         assert main(["sweep", "--axis", "a:1:2:1", "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == "error: axis a: need at least 2 points, got 1\n"
+
+    def test_fractional_axis_count_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        axis = {"name": "a", "lo": 1, "hi": 2, "n": 3.5}
+        config.write_text(json.dumps({"version": 1, "command": "sweep",
+                                      "params": {"axes": [axis]}}))
+        assert main(["sweep", "--config", str(config),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed axis spec ")
 
     @pytest.mark.parametrize("args,message", [
         (["--axis", "i_beta:0.01:0.5:4", "--fix", "a=nan", "--fix", "i_sigma=0.1"],
@@ -300,6 +318,13 @@ class TestConfigHandling:
         ("sweep", {"axes": 5}),
         ("sweep", {"axes": ["i_beta:0.01:0.5:4"], "fixed": {"i_beta": "x", "a": 4.68}}),
         ("figure", {"name": "beta_curve", "points": "many"}),
+        ("simulate", {"n_runs": 2.7}),
+        ("simulate", {"n_runs": True}),
+        ("simulate", {"master_seed": 1.5}),
+        ("simulate", {"stream_index": False}),
+        ("optimize", {"grid_points": True}),
+        ("optimize", {"grid_points": 8.0}),
+        ("figure", {"name": "beta_curve", "points": 2.5}),
     ])
     def test_unconvertible_param_is_config_error(self, tmp_path, capsys, command, params):
         config = tmp_path / "c.json"
@@ -309,6 +334,16 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid value for ")
         assert err.count("\n") == 1
+
+    def test_integral_string_is_an_integer(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"version": 1, "command": "simulate",
+                                      "params": {"n_runs": "12"}}))
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        parsed, _, columns, rows = read_csv(out)
+        assert parsed["params"]["n_runs"] == 12
+        assert rows[0][columns.index("n_runs")] == "12"
 
     def test_cli_flag_overrides_config(self, tmp_path):
         config = tmp_path / "c.json"

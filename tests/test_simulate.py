@@ -1,15 +1,16 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment,
                         OutcomeKind, PopulationMean, ProfitMethod, SeedSpec,
-                        SimulationConfig, aggression_probability, demand_factor,
-                        estimate_scale, expected_profit, optimal_counteroffer,
-                        reliability, run_batch, run_single, std_normal_ppf,
-                        write_trace_csv)
+                        SimulationConfig, SimulationTrace, aggression_probability,
+                        demand_factor, estimate_scale, expected_profit,
+                        optimal_counteroffer, reliability, run_batch, run_single,
+                        std_normal_ppf, write_trace_csv)
 from ransomgame.simulate import TRACE_COLUMNS
 from ransomgame.stochastics import uniform_blocks
 
@@ -140,14 +141,23 @@ class TestRunBatch:
         assert a.mean_attacker_profit != b.mean_attacker_profit
 
     def test_worker_count_invariance(self):
-        reports = [run_batch(_config(n=150_000, seed=5), workers=w, keep_trace=True)
-                   for w in (1, 4, 16)]
-        for other in reports[1:]:
-            assert other.mean_attacker_profit == reports[0].mean_attacker_profit
-            assert other.std_error_attacker_profit == reports[0].std_error_attacker_profit
-            assert other.outcome_counts == reports[0].outcome_counts
-            assert np.array_equal(other.trace.attacker_payoff,
-                                  reports[0].trace.attacker_payoff)
+        # The summary keeps its bits for any worker count, with or without a trace.
+        def summary(report):
+            return (report.mean_attacker_profit.hex(),
+                    report.std_error_attacker_profit.hex(),
+                    report.mean_defender_utility.hex(), report.outcome_counts)
+
+        cfg = _config(n=150_000, seed=5)
+        reference = run_batch(cfg, keep_trace=True)
+        for workers in (1, 4, 16):
+            for keep_trace in (False, True):
+                report = run_batch(cfg, workers=workers, keep_trace=keep_trace)
+                assert summary(report) == summary(reference)
+                if keep_trace:
+                    assert np.array_equal(report.trace.attacker_payoff,
+                                          reference.trace.attacker_payoff)
+                else:
+                    assert report.trace is None
 
     def test_outcome_counts_sum_to_runs(self):
         report = run_batch(_config(n=12345, seed=4))
@@ -161,6 +171,21 @@ class TestRunBatch:
         var = float(np.square(report.trace.attacker_payoff
                               - report.mean_attacker_profit).sum()) / (n - 1)
         assert report.std_error_attacker_profit == math.sqrt(var / n)
+
+    def test_untraced_memory_grows_by_payoffs_only(self):
+        # Without a trace only the two payoff arrays, the outcome kinds and
+        # one variance temporary scale with n_runs: 8 + 8 + 1 + 8 B per run.
+        def peak(n):
+            tracemalloc.start()
+            try:
+                run_batch(_config(n=n, seed=2))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = 200_000, 800_000
+        slope = (peak(large) - peak(small)) / (large - small)
+        assert slope < 28.0
 
     def test_profit_estimate_tag(self):
         report = run_batch(_config(n=1000, seed=6))
@@ -201,7 +226,56 @@ class TestAgainstAnalytics:
         assert abs(rate - beta) <= 3.0 * se
 
 
+def _reference_trace_csv(trace, header_lines=()):
+    """The trace CSV written one row at a time with f-strings."""
+    out = [f"# {line}\n" for line in header_lines]
+    out.append(",".join(TRACE_COLUMNS) + "\n")
+    aggressive = trace.aggressive
+    decrypted = trace.decrypted
+    for i in range(len(trace.kind)):
+        row = (str(i), f"{trace.x:.9g}", f"{trace.x_tilde[i]:.9g}",
+               f"{trace.demand[i]:.9g}", f"{trace.counteroffer[i]:.9g}",
+               f"{trace.alpha[i]:.9g}", str(int(aggressive[i])),
+               str(int(decrypted[i])), f"{trace.attacker_payoff[i]:.9g}",
+               f"{trace.defender_payoff[i]:.9g}")
+        out.append(",".join(row) + "\n")
+    return "".join(out)
+
+
+def _assert_same_lines(text, reference):
+    # Line by line, so a mismatch reports one line rather than diffing megabytes.
+    got, want = text.splitlines(keepends=True), reference.splitlines(keepends=True)
+    for i, (line, expected) in enumerate(zip(got, want)):
+        assert line == expected, f"line {i} differs"
+    assert len(got) == len(want)
+
+
+def _hand_built_trace():
+    values = np.array([0.0, -0.0, 1e-05, 1e+16, 123456789.5, 5e-324, -2.5])
+    n = len(values)
+    return SimulationTrace(x=-3.25, x_tilde=values, demand=values[::-1].copy(),
+                           counteroffer=-values, alpha=np.roll(values, 3),
+                           kind=np.arange(n, dtype=np.uint8) % 5,
+                           attacker_payoff=np.roll(values, 1),
+                           defender_payoff=np.roll(-values, 5))
+
+
 class TestTraceExport:
+    @pytest.mark.parametrize("n,workers", [(70_001, 1), (70_001, 3), (1, 1)])
+    def test_bytes_match_row_by_row_reference(self, n, workers):
+        # 70,001 runs cross both the 65,536-run chunk and a 1,024-row block.
+        trace = run_batch(_config(n=n, seed=9), workers=workers, keep_trace=True).trace
+        buf = io.StringIO()
+        write_trace_csv(trace, buf, header_lines=("config: {}",))
+        _assert_same_lines(buf.getvalue(), _reference_trace_csv(trace, ("config: {}",)))
+
+    def test_hand_built_values_match_reference(self):
+        trace = _hand_built_trace()
+        buf = io.StringIO()
+        write_trace_csv(trace, buf)
+        _assert_same_lines(buf.getvalue(), _reference_trace_csv(trace))
+        assert buf.getvalue().splitlines()[2].startswith("1,-3.25,-0,")
+
     def test_csv_columns_and_shape(self):
         report = run_batch(_config(n=50, seed=14), keep_trace=True)
         buf = io.StringIO()
