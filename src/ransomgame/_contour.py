@@ -94,8 +94,13 @@ def zero_contours(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> list:
     if values.shape != (len(xs), len(ys)):
         raise ValueError(f"field shape {values.shape} does not match axes "
                          f"({len(xs)}, {len(ys)})")
+    # Only cells whose corners lie on both sides of zero yield segments;
+    # argwhere lists them in the same row-major order as a full scan.
+    inside = values >= 0.0
+    first = inside[:-1, :-1]
+    crossed = ((first != inside[1:, :-1]) | (first != inside[1:, 1:])
+               | (first != inside[:-1, 1:]))
     segments = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            segments.extend(_cell_segments(xs, ys, values, i, j))
+    for i, j in np.argwhere(crossed).tolist():
+        segments.extend(_cell_segments(xs, ys, values, i, j))
     return _chain(segments)

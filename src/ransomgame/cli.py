@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._rows import write_rows
 from .errors import ConfigError, DomainError, NumericalError
 from .game import (AttackerStrategy, FixedValue, GameEnvironment, PopulationMean,
                    aggression_probability, defender_utility, demand_factor,
@@ -242,14 +243,30 @@ def _open_out(path: str):
         raise ConfigError(f"cannot write output file {path}: {e}") from None
 
 
-def _write_csv(path: str, config_line: str, meta: list, columns: list, rows):
+def _write_csv(path: str, config_line: str, meta: list, names: list, *columns):
+    """Write a table given as one sequence per column.
+
+    Float arrays are written with ``%.9g`` and integer and boolean arrays
+    with ``%d``, which give the same bytes as ``_cell``; other columns go
+    cell by cell through ``_cell``.
+    """
+    formats, cells = [], []
+    for column in columns:
+        kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+        if kind == "f":
+            formats.append("%.9g")
+        elif kind in "iub":
+            formats.append("%d")
+        else:
+            formats.append("%s")
+            column = [_cell(v) for v in column]
+        cells.append(column)
     with _open_out(path) as f:
         f.write(f"# config: {config_line}\n")
         for line in meta:
             f.write(f"# {line}\n")
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(_cell(v) for v in row) + "\n")
+        f.write(",".join(names) + "\n")
+        write_rows(f, ",".join(formats) + "\n", cells)
 
 
 def _cell(v) -> str:
@@ -285,7 +302,7 @@ def _emit_table(out: str, fmt: str, command: str, params: dict, columns: list,
         _write_json(out, _table_payload(command, params, columns, rows, meta))
     else:
         meta_lines = [f"{k}: {_cell(v)}" for k, v in (meta or {}).items()]
-        _write_csv(out, _config_json(command, params), meta_lines, columns, rows)
+        _write_csv(out, _config_json(command, params), meta_lines, columns, *zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +378,12 @@ def _figure_profit_vs_estimate(params):
     return columns, rows, {"x": x, "i_beta": params["i_beta"], "i_sigma": params["i_sigma"]}
 
 
+def _surface_columns(surface) -> list:
+    """One column per swept axis plus the profit, one row per node in C order."""
+    grids = np.meshgrid(*surface.axis_values, indexing="ij")
+    return [g.ravel() for g in grids] + [surface.values.ravel()]
+
+
 _HEATMAP_PANELS = (("i_beta", "i_sigma", "a"),
                    ("a", "i_sigma", "i_beta"),
                    ("a", "i_beta", "i_sigma"))
@@ -389,20 +412,17 @@ def _figure_profit_heatmaps(params, args, config_line, command_params):
                 f"argmax_{p1}": getattr(argmax, p1),
                 f"argmax_{p2}": getattr(argmax, p2),
                 "argmax_profit": surface.argmax_profit}
-        rows = [(surface.axis_values[0][i], surface.axis_values[1][j],
-                 surface.values[i, j])
-                for i in range(n) for j in range(n)]
-        contours = [[[float(px), float(py)] for px, py in line]
-                    for line in surface.contours]
-        panels[f"{p1}__{p2}"] = {"columns": [p1, p2, "profit"], "rows": rows,
-                                 "meta": meta, "contours": contours}
+        panels[f"{p1}__{p2}"] = {"names": [p1, p2, "profit"],
+                                 "columns": _surface_columns(surface),
+                                 "meta": meta, "contours": surface.contours}
 
     if args.format == "json":
         payload = {"version": CONFIG_VERSION, "command": "figure",
                    "params": command_params,
-                   "panels": {name: {"columns": p["columns"],
-                                     "rows": [list(r) for r in p["rows"]],
-                                     "meta": p["meta"], "contours": p["contours"]}
+                   "panels": {name: {"columns": p["names"],
+                                     "rows": np.column_stack(p["columns"]).tolist(),
+                                     "meta": p["meta"],
+                                     "contours": [line.tolist() for line in p["contours"]]}
                               for name, p in panels.items()}}
         _write_json(args.out, payload)
         return
@@ -410,13 +430,12 @@ def _figure_profit_heatmaps(params, args, config_line, command_params):
     for name, panel in panels.items():
         meta_lines = [f"{k}: {_cell(v)}" for k, v in panel["meta"].items()]
         _write_csv(f"{stem}.{name}.csv", config_line, meta_lines,
-                   panel["columns"], panel["rows"])
-        contour_rows = [(li, px, py)
-                        for li, line in enumerate(panel["contours"])
-                        for px, py in line]
+                   panel["names"], *panel["columns"])
+        lines = panel["contours"]
+        polyline = np.repeat(np.arange(len(lines)), [len(line) for line in lines])
+        points = np.concatenate(lines) if lines else np.empty((0, 2))
         _write_csv(f"{stem}.{name}.contour.csv", config_line, [],
-                   ["polyline", panel["columns"][0], panel["columns"][1]],
-                   contour_rows)
+                   ["polyline", *panel["names"][:2]], polyline, points[:, 0], points[:, 1])
 
 
 def cmd_figure(args) -> int:
@@ -498,7 +517,10 @@ def cmd_simulate(args) -> int:
         n_runs=params["n_runs"],
         seed=SeedSpec(master_seed=params["master_seed"],
                       stream_index=params["stream_index"]))
-    # Open the trace first, so an unwritable path fails before the batch runs.
+    # Check the workers and open the trace before the batch runs, so a bad
+    # worker count leaves no trace file and an unwritable path fails early.
+    if args.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {args.workers}")
     trace_out = nullcontext() if args.trace_out is None else _open_out(args.trace_out)
     with trace_out as trace_file:
         report = run_batch(config, workers=args.workers, keep_trace=trace_file is not None)
@@ -553,25 +575,21 @@ def cmd_sweep(args) -> int:
                   "scale": ax.scale} for ax in grid.axes],
         "fixed": dict(sorted(grid.fixed.items())),
     }
-    names = [ax.name for ax in grid.axes]
-    columns = names + ["profit"]
-    rows = []
-    for idx in np.ndindex(*surface.values.shape):
-        rows.append(tuple(surface.axis_values[d][k] for d, k in enumerate(idx))
-                    + (surface.values[idx],))
+    names = [ax.name for ax in grid.axes] + ["profit"]
+    columns = _surface_columns(surface)
     meta = {"argmax_a": surface.argmax_strategy.a,
             "argmax_i_beta": surface.argmax_strategy.i_beta,
             "argmax_i_sigma": surface.argmax_strategy.i_sigma,
             "argmax_profit": surface.argmax_profit}
     if args.format == "json":
-        payload = _table_payload("sweep", command_params, columns, rows, meta)
-        payload["contours"] = [[[float(px), float(py)] for px, py in line]
-                               for line in surface.contours]
+        payload = _table_payload("sweep", command_params, names,
+                                 np.column_stack(columns).tolist(), meta)
+        payload["contours"] = [line.tolist() for line in surface.contours]
         _write_json(args.out, payload)
     else:
         meta_lines = [f"{k}: {_cell(v)}" for k, v in meta.items()]
         _write_csv(args.out, _config_json("sweep", command_params), meta_lines,
-                   columns, rows)
+                   names, *columns)
     return 0
 
 

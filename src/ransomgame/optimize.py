@@ -25,6 +25,10 @@ _PARAM_NAMES = ("a", "i_beta", "i_sigma")
 DEFAULT_BOUNDS = {"a": (0.1, 20.0), "i_beta": (0.001, 0.5), "i_sigma": (0.001, 0.5)}
 DEFAULT_GRID_POINTS = 64
 
+# Most grid nodes evaluated at once by the scan; the default 64^3 grid is
+# one slab.
+_SLAB_NODES = 1 << 20
+
 # Standard simplex coefficients: reflection, expansion, contraction, shrink.
 NM_COEFFICIENTS = (1.0, 2.0, 0.5, 0.5)
 
@@ -169,6 +173,28 @@ def nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
     return points[best], values[best], n_evals, converged, history
 
 
+def _grid_argmax(axes, env: GameEnvironment) -> tuple:
+    """Index of the first maximum in C order of profit_grid(*axes, env).
+
+    The cube is evaluated a slab of a-planes at a time, at most _SLAB_NODES
+    nodes (or one plane) per slab, so memory does not grow with len(axes[0]).
+    A later slab replaces the best node only with a strictly greater profit.
+    """
+    plane = len(axes[1]) * len(axes[2])
+    step = max(1, _SLAB_NODES // plane)
+    best, best_value = None, -math.inf
+    for lo in range(0, len(axes[0]), step):
+        # profit_grid raises on a non-finite node, so the first slab always wins.
+        slab = profit_grid(axes[0][lo:lo + step], axes[1], axes[2], env)
+        k = int(np.argmax(slab))
+        if slab.flat[k] > best_value:
+            best_value = slab.flat[k]
+            j, *rest = np.unravel_index(k, slab.shape)
+            best = (lo + int(j), *(int(r) for r in rest))
+        del slab  # so that only one slab is alive while the next is built
+    return best
+
+
 def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
                     grid_points: int = DEFAULT_GRID_POINTS,
                     diameter_tol: float = 1e-5, keep_trace: bool = False) -> StrategyOptimum:
@@ -191,9 +217,8 @@ def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
         raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
 
     axes = [np.geomspace(box[name][0], box[name][1], grid_points) for name in _PARAM_NAMES]
-    cube = profit_grid(*axes, env)
     # Axes ascend: the first maximum in C order is the lexicographically smallest.
-    best = np.unravel_index(int(np.argmax(cube)), cube.shape)
+    best = _grid_argmax(axes, env)
     best_point = np.array([axis[k] for axis, k in zip(axes, best)])
 
     # Refinement steps: half the local grid spacing in each coordinate.
@@ -207,7 +232,7 @@ def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
     x_best, f_best, nm_evals, converged, history = nelder_mead(
         lambda p: -float(profit_grid(p[0:1], p[1:2], p[2:3], env)[0, 0, 0]),
         best_point, np.asarray(steps), lo, hi, diameter_tol=diameter_tol)
-    n_evals = cube.size + nm_evals
+    n_evals = grid_points ** 3 + nm_evals
 
     strategy = AttackerStrategy(a=float(x_best[0]), i_beta=float(x_best[1]),
                                 i_sigma=float(x_best[2]))

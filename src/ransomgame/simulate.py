@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import IO, Optional
 
 import numpy as np
 
 from ._backend import get_kernel
+from ._rows import write_rows
 from .errors import DomainError
 from .game import (AttackerStrategy, DerivedParameters, FixedValue, GameEnvironment,
                    NegotiationOutcome, OutcomeKind)
@@ -30,10 +30,6 @@ from .stochastics import SeedSpec, uniform_blocks
 # Runs are generated and simulated in fixed-size blocks so that chunk
 # boundaries do not depend on the worker count.
 _CHUNK = 65536
-
-# Trace rows formatted per write.  Larger blocks are no faster and raise the
-# peak memory of a traced run.
-_TRACE_BLOCK = 1024
 
 _KIND_ORDER = (OutcomeKind.AGGRESSIVE_REJECTION,
                OutcomeKind.DECRYPTION_SUCCESS,
@@ -53,7 +49,8 @@ class SimulationConfig:
     seed: SeedSpec
 
     def __post_init__(self):
-        if not isinstance(self.n_runs, int) or self.n_runs < 1:
+        if (isinstance(self.n_runs, bool) or not isinstance(self.n_runs, int)
+                or self.n_runs < 1):
             raise DomainError(f"n_runs must be a positive integer, got {self.n_runs!r}")
         if not isinstance(self.environment.target_value, FixedValue):
             raise DomainError(
@@ -207,11 +204,6 @@ def write_trace_csv(trace: SimulationTrace, f: IO[str], header_lines: tuple = ()
         f.write(f"# {line}\n")
     f.write(",".join(TRACE_COLUMNS) + "\n")
     row = f"%d,{trace.x:.9g},%.9g,%.9g,%.9g,%.9g,%d,%d,%.9g,%.9g\n"
-    columns = (trace.x_tilde, trace.demand, trace.counteroffer, trace.alpha,
-               trace.aggressive, trace.decrypted, trace.attacker_payoff,
-               trace.defender_payoff)
-    n = len(trace.kind)
-    for lo in range(0, n, _TRACE_BLOCK):
-        hi = min(lo + _TRACE_BLOCK, n)
-        block = zip(range(lo, hi), *(c[lo:hi].tolist() for c in columns))
-        f.write((row * (hi - lo)) % tuple(chain.from_iterable(block)))
+    write_rows(f, row, (range(len(trace.kind)), trace.x_tilde, trace.demand,
+                        trace.counteroffer, trace.alpha, trace.aggressive,
+                        trace.decrypted, trace.attacker_payoff, trace.defender_payoff))

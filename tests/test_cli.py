@@ -9,7 +9,8 @@ import pytest
 
 from ransomgame import (AttackerStrategy, GameEnvironment, PopulationMean,
                         demand_factor, expected_profit, reliability)
-from ransomgame.cli import FIGURE_NAMES, SCHEMAS, main
+from ransomgame.cli import FIGURE_NAMES, SCHEMAS, _cell, _write_csv, main
+from ransomgame.optimize import AxisSpec, SweepGrid, profit_surface
 
 
 def read_csv(path):
@@ -175,6 +176,13 @@ class TestSimulateCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_bad_worker_count_leaves_no_trace(self, tmp_path, capsys):
+        out, trace = tmp_path / "r.csv", tmp_path / "t.csv"
+        assert main(["simulate", "--n-runs", "10", "--workers", "0", "--out", str(out),
+                     "--trace-out", str(trace)]) == 2
+        assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
+        assert not trace.exists() and not out.exists()
+
     def test_config_roundtrip(self, tmp_path):
         first = tmp_path / "first.csv"
         main(["simulate", "--n-runs", "2000", "--seed", "99", "--out", str(first)])
@@ -263,6 +271,62 @@ class TestSweepCommand:
         assert payload["command"] == "sweep"
         assert len(payload["rows"]) == 1600
         assert payload["contours"]
+
+
+def _reference_write_csv(path, config_line, meta, names, rows):
+    """The CLI table written one row at a time, one _cell call per value."""
+    with open(path, "w", newline="\n") as f:
+        f.write(f"# config: {config_line}\n")
+        for line in meta:
+            f.write(f"# {line}\n")
+        f.write(",".join(names) + "\n")
+        for row in rows:
+            f.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def _mixed_columns(n):
+    rng = np.random.default_rng(n)
+    specials = [0.0, -0.0, 5e-324, 1e16, -1e16, 1e-05, 123456789.5, 0.1, -2.5,
+                float("nan"), float("inf"), float("-inf")]
+    return {
+        "special": np.resize(np.array(specials), n),
+        "normal": rng.normal(scale=1e3, size=n),
+        "int": np.arange(n, dtype=np.int64) * 7919 - 2 ** 40,
+        "small_uint": (np.arange(n) % 5).astype(np.uint8),
+        "bool": rng.random(n) < 0.5,
+        "label": np.resize(np.array(["optimal", "low_accuracy", "x"]), n),
+        "object": [(None, "high_reliability", 7, 2.5, True, -0.0, np.float64(1e16),
+                    np.int64(-3), np.bool_(False), 5e-324)[k % 10] for k in range(n)],
+    }
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("n", [1, 1024, 1025, 40_000])
+    def test_bytes_match_cell_by_cell_reference(self, tmp_path, n):
+        columns = _mixed_columns(n)
+        names, values = list(columns), list(columns.values())
+        meta = ["argmax_profit: 0.25", "label: NA"]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        _write_csv(str(got), "{}", meta, names, *values)
+        _reference_write_csv(want, "{}", meta, names, zip(*values))
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_sweep_matches_row_by_row_reference(self, tmp_path, mean_env):
+        axes = ["a:0.5:20:7:log", "i_beta:0.001:0.5:5", "i_sigma:0.001:0.5:6:log"]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *(arg for ax in axes for arg in ("--axis", ax)),
+                     "--out", str(out)]) == 0
+        grid = SweepGrid(axes=[AxisSpec(n, float(lo), float(hi), int(k), *scale)
+                               for n, lo, hi, k, *scale in (ax.split(":") for ax in axes)])
+        surface = profit_surface(mean_env, grid)
+        rows = [tuple(v[k] for v, k in zip(surface.axis_values, idx)) + (surface.values[idx],)
+                for idx in np.ndindex(*surface.values.shape)]
+        header = out.read_text().splitlines(keepends=True)
+        want = tmp_path / "want.csv"
+        _reference_write_csv(want, header[0][len("# config: "):-1],
+                             [line[2:-1] for line in header[1:5]],
+                             ["a", "i_beta", "i_sigma", "profit"], rows)
+        assert out.read_bytes() == want.read_bytes()
 
 
 class TestHeatmapFigure:

@@ -1,7 +1,30 @@
 import numpy as np
 import pytest
 
-from ransomgame._contour import zero_contours
+from ransomgame._contour import _cell_segments, _chain, zero_contours
+
+
+def _reference_zero_contours(xs, ys, values):
+    """Marching squares over every cell, crossed or not."""
+    values = np.asarray(values, dtype=np.float64)
+    segments = []
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            segments.extend(_cell_segments(xs, ys, values, i, j))
+    return _chain(segments)
+
+
+def _checkerboard(n):
+    return np.where(np.add.outer(np.arange(n), np.arange(n)) % 2 == 0, 1.0, -1.0)
+
+
+def _node_zeros():
+    # Zeros and negative zeros on nodes, lines through nodes and flat patches.
+    values = np.add.outer(np.arange(-4.0, 5.0), np.arange(-3.0, 4.0))
+    values[values == 0.0] = -0.0
+    values[0, :3] = 0.0
+    values[5, 5] = -0.0
+    return values
 
 
 class TestZeroContours:
@@ -70,3 +93,26 @@ class TestZeroContours:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             zero_contours(np.arange(3.0), np.arange(4.0), np.zeros((3, 3)))
+
+
+class TestMatchesFullScan:
+    @pytest.mark.parametrize("name,values", [
+        ("random", np.random.default_rng(1).normal(size=(40, 33))),
+        ("random_shifted", np.random.default_rng(2).normal(0.8, 1.0, size=(25, 60))),
+        ("checkerboard", _checkerboard(9)),
+        ("checkerboard_offset", _checkerboard(8) * 2.0 + 0.5),
+        ("node_zeros", _node_zeros()),
+        ("all_zero", np.zeros((6, 5))),
+        ("all_negative_zero", np.full((6, 5), -0.0)),
+        ("all_positive", np.full((7, 4), 3.0)),
+        ("all_negative", np.full((7, 4), -3.0)),
+        ("one_row", np.array([[1.0, -1.0, 2.0]])),
+    ])
+    def test_every_polyline_equal(self, name, values):
+        xs = np.geomspace(0.01, 1.0, values.shape[0])
+        ys = np.linspace(-1.0, 2.0, values.shape[1])
+        got = zero_contours(xs, ys, values)
+        want = _reference_zero_contours(xs, ys, values)
+        assert len(got) == len(want)
+        for line, expected in zip(got, want):
+            assert np.array_equal(line, expected)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from ransomgame import (AttackerStrategy, ConfigError, GameEnvironment,
                         PopulationMean, ProfitMethod, AxisSpec, SweepGrid,
                         expected_profit, maximize_profit, nelder_mead,
                         profit_surface)
+from ransomgame import optimize
+from ransomgame.profit import profit_grid
 
 I50 = 0.02
 
@@ -119,6 +122,32 @@ class TestMaximizeProfit:
         opt = maximize_profit(mean_env, grid_points=8, keep_trace=True)
         assert opt.trace
         assert opt.trace[-1][1] == pytest.approx(opt.profit, abs=1e-9)
+
+
+class TestGridScanSlabs:
+    def test_default_grid_is_one_slab(self):
+        assert optimize.DEFAULT_GRID_POINTS ** 3 <= optimize._SLAB_NODES
+
+    def test_memory_bounded_by_slab(self, mean_env):
+        tracemalloc.start()
+        try:
+            opt = maximize_profit(mean_env, grid_points=160)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert opt.evaluations > 160 ** 3
+        # The whole 160^3 cube alone is 31 MiB; one 2^20-node slab is 8 MiB.
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("slab_nodes", [1, 10, 20, 1 << 20])
+    def test_first_maximum_matches_whole_cube(self, mean_env, monkeypatch, slab_nodes):
+        # i_beta = 0 makes profit -i_sigma at every a, so every a-plane ties.
+        axes = [np.linspace(0.5, 8.0, 9), np.array([0.0]), np.linspace(0.0, 0.2, 5)]
+        cube = profit_grid(*axes, mean_env)
+        assert np.sum(cube == cube.max()) == 9
+        monkeypatch.setattr(optimize, "_SLAB_NODES", slab_nodes)
+        best = optimize._grid_argmax(axes, mean_env)
+        assert best == np.unravel_index(int(np.argmax(cube)), cube.shape)
 
 
 class TestProfitSurface:

@@ -292,5 +292,7 @@ class TestTraceExport:
     def test_validation(self):
         with pytest.raises(DomainError):
             _config(n=0)
+        with pytest.raises(DomainError, match="n_runs must be a positive integer, got True"):
+            _config(n=True)
         with pytest.raises(DomainError):
             run_batch(_config(n=10), workers=0)
