@@ -24,62 +24,50 @@ def _cell_segments(xs, ys, values, i, j):
     vals = (values[i, j], values[i + 1, j], values[i + 1, j + 1], values[i, j + 1])
     # Exact zeros count as positive so every node has a deterministic side.
     inside = [v > 0.0 or v == 0.0 for v in vals]
-    crossings = []
-    for e in range(4):
-        e2 = (e + 1) % 4
-        if inside[e] != inside[e2]:
-            crossings.append((e, _interp(corners[e], corners[e2], vals[e], vals[e2])))
-    if len(crossings) == 2:
-        segments = [(crossings[0][1], crossings[1][1])]
-    elif len(crossings) == 4:
-        # Saddle cell: split by the sign of the center average.
-        center_in = (vals[0] + vals[1] + vals[2] + vals[3]) / 4.0 >= 0.0
-        # Pair crossings so each segment separates the corner matching the
-        # center from its neighbours.
-        if center_in == inside[0]:
-            segments = [(crossings[0][1], crossings[1][1]),
-                        (crossings[2][1], crossings[3][1])]
-        else:
-            segments = [(crossings[3][1], crossings[0][1]),
-                        (crossings[1][1], crossings[2][1])]
-    else:
-        segments = []
-    # A contour through a grid node yields zero-length pieces; drop them.
-    return [(p, q) for p, q in segments if _key(p) != _key(q)]
+    pts = [_interp(corners[e], corners[(e + 1) % 4], vals[e], vals[(e + 1) % 4])
+           for e in range(4) if inside[e] != inside[(e + 1) % 4]]
+    if len(pts) < 4:
+        return [(pts[0], pts[1])] if pts else []
+    # Saddle cell: split by the sign of the center average, pairing crossings
+    # so each segment separates the corner matching the center from its
+    # neighbours.
+    center_in = (vals[0] + vals[1] + vals[2] + vals[3]) / 4.0 >= 0.0
+    if center_in == inside[0]:
+        return [(pts[0], pts[1]), (pts[2], pts[3])]
+    return [(pts[3], pts[0]), (pts[1], pts[2])]
 
 
 def _chain(segments):
     """Join segments sharing endpoints into polylines, deterministically."""
+    # Key each endpoint once.  A contour through a grid node yields
+    # zero-length pieces; drop them.
+    keyed = [(p, q, kp, kq) for p, q in segments
+             for kp, kq in [(_key(p), _key(q))] if kp != kq]
     adjacency = {}
-    for si, (p, q) in enumerate(segments):
-        adjacency.setdefault(_key(p), []).append((si, 0))
-        adjacency.setdefault(_key(q), []).append((si, 1))
+    for si, (_, _, kp, kq) in enumerate(keyed):
+        adjacency.setdefault(kp, []).append((si, 0))
+        adjacency.setdefault(kq, []).append((si, 1))
 
-    used = [False] * len(segments)
+    used = [False] * len(keyed)
     polylines = []
-    for start in range(len(segments)):
+    for start in range(len(keyed)):
         if used[start]:
             continue
         used[start] = True
-        p, q = segments[start]
-        line = [p, q]
+        p, q, kp, kq = keyed[start]
         # Extend forward from q, then backward from p.
-        for endpoint, append in ((q, True), (p, False)):
-            current = endpoint
+        forward, backward = [], []
+        for key, line in ((kq, forward), (kp, backward)):
             while True:
-                options = [(si, side) for si, side in adjacency.get(_key(current), [])
-                           if not used[si]]
+                options = [(si, side) for si, side in adjacency.get(key, []) if not used[si]]
                 if not options:
                     break
                 si, side = options[0]
                 used[si] = True
-                nxt = segments[si][1 - side]
-                if append:
-                    line.append(nxt)
-                else:
-                    line.insert(0, nxt)
-                current = nxt
-        polylines.append(np.asarray(line))
+                line.append(keyed[si][1 - side])
+                key = keyed[si][3 - side]
+        backward.reverse()
+        polylines.append(np.asarray(backward + [p, q] + forward))
     return polylines
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from ._quadrature import adaptive_quadrature
 from .errors import DomainError, NumericalError
 from .game import AttackerStrategy, DerivedParameters, GameEnvironment, demand_factor
-from .stochastics import _SQRT_2PI, log_std_normal_cdf, std_normal_cdf
+from .stochastics import _SQRT_2PI, std_normal_cdf
 
 
 class ProfitMethod(enum.Enum):
@@ -51,16 +51,21 @@ def gross_multiplier_closed_form(a: float, sigma: float) -> float:
     """G(a, sigma) via lognormal partial expectations.
 
     G = e^{sigma^2/2} Phi(-sigma) + e^{a^2 sigma^2/2} Phi(-a sigma).
-    The second term is evaluated in log space once its exponent could
-    overflow; the product itself never exceeds 1.
+    Once the second exponent could overflow, that term is the Mills-ratio
+    series of y = a sigma, finite for every finite a; G never exceeds 1.
     """
     _check_multiplier_args(a, sigma)
+    y = a * sigma
     under = math.exp(sigma * sigma / 2.0) * std_normal_cdf(-sigma)
     over_log_scale = a * a * sigma * sigma / 2.0
     if over_log_scale < 700.0:
-        over = math.exp(over_log_scale) * std_normal_cdf(-a * sigma)
+        over = math.exp(over_log_scale) * std_normal_cdf(-y)
     else:
-        over = math.exp(over_log_scale + log_std_normal_cdf(-a * sigma))
+        # Terms to 13!!/y^14; the first one dropped is below 1e-18 at y = 37.4.
+        w = 1.0 / (y * y)
+        series = 1.0 + w * (-1.0 + w * (3.0 + w * (-15.0 + w * (105.0 + w * (
+            -945.0 + w * (10395.0 + w * -135135.0))))))
+        over = series / (y * _SQRT_2PI)
     return under + over
 
 
@@ -105,18 +110,13 @@ def profit_grid(a, i_beta, i_sigma, env: GameEnvironment) -> np.ndarray:
     for pick in (np.min, np.max):
         AttackerStrategy(a=pick(a), i_beta=pick(i_beta), i_sigma=pick(i_sigma))
     sigma = (env.i_fifty / (env.i_fifty + i_sigma)).tolist()
-    g = np.empty((len(a), len(sigma)))
-    try:
-        for ja, x in enumerate(a.tolist()):
-            for js, s in enumerate(sigma):
-                g[ja, js] = gross_multiplier_closed_form(x, s)
-    except OverflowError:
-        raise NumericalError(f"closed-form profit overflows at a={x!r}, "
-                             f"i_sigma={float(i_sigma[js])!r}") from None
-    beta = i_beta / (i_beta + env.i_fifty)
-    profit = demand_factor(a[:, None], beta[None, :])[:, :, None] * g[:, None, :]
-    profit *= env.mean_target_value
-    profit -= i_beta[:, None] + i_sigma[None, :]
+    g = np.array([[gross_multiplier_closed_form(x, s) for s in sigma] for x in a.tolist()])
+    # Overflow shows as a non-finite P below, so numpy's warning is noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = i_beta / (i_beta + env.i_fifty)
+        profit = demand_factor(a[:, None], beta[None, :])[:, :, None] * g[:, None, :]
+        profit *= env.mean_target_value
+        profit -= i_beta[:, None] + i_sigma[None, :]
     finite = np.isfinite(profit)
     if not finite.all():
         ja, jb, js = np.unravel_index(int(np.argmin(finite)), profit.shape)

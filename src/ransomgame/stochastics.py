@@ -73,20 +73,36 @@ def uniform_blocks(seed: SeedSpec, start_block: int, n_blocks: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 # Standard normal CDF and inverse CDF.
 #
-# The inverse CDF uses Acklam's rational approximation refined by one Halley
-# step through erfc, giving absolute error at machine precision.  erfc is
-# libm's, applied elementwise through a NumPy ufunc wrapper.
+# The inverse CDF is Wichura's AS241 (Appl. Stat. 37 (1988) 477-484): one
+# rational function of q^2 in the centre and two of sqrt(-ln p) in the
+# tails, accurate to about 1 ulp from log, sqrt and arithmetic alone, so the
+# Monte Carlo kernel calls no erfc.  The coefficients and their Horner order
+# are those of CPython's statistics.NormalDist.inv_cdf.  The CDF uses libm's
+# erfc, applied elementwise through a NumPy ufunc wrapper.
 # ---------------------------------------------------------------------------
 
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_PPF_P_LOW = 0.02425
+# (numerator, denominator) coefficients, highest degree first.
+_AS241_CENTRAL = (
+    (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
+     4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+     1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
+    (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
+     2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+     4.23133_30701_60091_1252e+1, 1.0))
+_AS241_NEAR = (  # sqrt(-ln p) <= 5, shifted by 1.6
+    (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
+     1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+     4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+    (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
+     1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+     2.05319_16266_37758_82187e+0, 1.0))
+_AS241_FAR = (  # sqrt(-ln p) > 5, shifted by 5
+    (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
+     2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+     5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+    (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
+     7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+     5.99832_20655_58879_37690e-1, 1.0))
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
@@ -96,36 +112,43 @@ def _erfc(v) -> np.ndarray:
     return np.asarray(_ERFC(v), dtype=np.float64)
 
 
+def _horner(coeffs, r: np.ndarray) -> np.ndarray:
+    """Polynomial with coefficients highest degree first, in a new array."""
+    acc = coeffs[0] * r
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= r
+    acc += coeffs[-1]
+    return acc
+
+
 def _ppf(u: np.ndarray) -> np.ndarray:
-    """Inverse normal CDF of each element of u in (0, 1), unvalidated.
+    """Inverse normal CDF of each element of u in (0, 1), unvalidated (AS241).
 
     Works on the lower half p = min(u, 1 - u) and flips the sign for
-    u > 0.5, so the result is exactly antisymmetric.
+    u > 0.5, so the result is exactly antisymmetric.  The central rational
+    is evaluated on every element and overwritten where p < 0.075; the far
+    tail (p < e^-25) is evaluated only when present.
     """
     upper = u > 0.5
     p = np.where(upper, 1.0 - u, u)
-    z = np.empty_like(p)
-
-    tail = p < _PPF_P_LOW
-    q = np.sqrt(-2.0 * np.log(p[tail]))
-    z[tail] = (((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q
-                + _PPF_C[4]) * q + _PPF_C[5]) / \
-        ((((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0)
-    body = ~tail
-    q = p[body] - 0.5
-    r = q * q
-    z[body] = (((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r + _PPF_A[3]) * r
-                + _PPF_A[4]) * r + _PPF_A[5]) * q / \
-        (((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r + _PPF_B[3]) * r
-          + _PPF_B[4]) * r + 1.0)
-
-    # One Halley step, skipped in the far lower tail.
-    refine = z > -37.5
-    zr = z[refine]
-    e = 0.5 * _erfc(-zr / _SQRT2) - p[refine]
-    t = e * _SQRT_2PI * np.exp(zr * zr / 2.0)
-    z[refine] = zr - t / (1.0 + zr * t / 2.0)
-    return np.where(upper, -z, z)
+    q = p - 0.5
+    r = 0.180625 - q * q
+    z = _horner(_AS241_CENTRAL[0], r)
+    z *= q
+    z /= _horner(_AS241_CENTRAL[1], r)
+    tail = q < -0.425
+    if tail.any():
+        r = np.sqrt(-np.log(p[tail]))
+        t = r - 1.6
+        zt = _horner(_AS241_NEAR[0], t) / _horner(_AS241_NEAR[1], t)
+        far = r > 5.0
+        if far.any():
+            t = r[far] - 5.0
+            zt[far] = _horner(_AS241_FAR[0], t) / _horner(_AS241_FAR[1], t)
+        z[tail] = -zt
+    np.negative(z, out=z, where=upper)
+    return z
 
 
 def std_normal_ppf(u: float) -> float:
@@ -140,21 +163,6 @@ def std_normal_cdf(z: float) -> float:
     if not math.isfinite(z):
         raise DomainError(f"argument must be finite, got {z!r}")
     return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def log_std_normal_cdf(z: float) -> float:
-    """log Phi(z), stable far into the lower tail."""
-    if not math.isfinite(z):
-        raise DomainError(f"argument must be finite, got {z!r}")
-    if z > 8.0:
-        # Phi(z) is within 1e-15 of 1; log1p keeps the residual.
-        return math.log1p(-0.5 * math.erfc(z / _SQRT2))
-    if z > -37.0:
-        return math.log(0.5 * math.erfc(-z / _SQRT2))
-    # Asymptotic expansion of the Mills ratio for extreme lower tail.
-    zi = 1.0 / (z * z)
-    series = 1.0 + zi * (-1.0 + zi * (3.0 + zi * -15.0))
-    return -0.5 * z * z - math.log(-z * _SQRT_2PI) + math.log(series)
 
 
 # ---------------------------------------------------------------------------

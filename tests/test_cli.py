@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -252,14 +253,30 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("args", [
-        ["sweep", "--axis", "a:1:1e300:3", "--fix", "i_beta=0.09", "--fix", "i_sigma=0.1"],
-        ["optimize", "--a-hi", "1e300", "--grid-points", "8"],
+        ["sweep", "--axis", "a:1:2:3", "--fix", "i_beta=1e308", "--fix", "i_sigma=1e308"],
+        ["optimize", "--i-beta-hi", "1e308", "--i-sigma-hi", "1e308", "--grid-points", "8"],
     ])
     def test_non_finite_profit_is_numerical_failure(self, tmp_path, capsys, args):
-        assert main([*args, "--out", str(tmp_path / "x.csv")]) == 3
+        # Outside pytest a warning would print to stderr, above the error line.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*args, "--out", str(tmp_path / "x.csv")]) == 3
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: closed-form profit ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--axis", "a:1:1e300:3", "--fix", "i_beta=0.09", "--fix", "i_sigma=0.1"],
+        ["optimize", "--a-hi", "1e300", "--grid-points", "8"],
+    ])
+    def test_huge_aggression_gives_finite_profit(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        assert main([*args, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, _, columns, rows = read_csv(out)
+        profits = [float(row[columns.index("profit")]) for row in rows]
+        assert rows and all(np.isfinite(profits))
 
     def test_json_output_with_contours(self, tmp_path):
         out = tmp_path / "sweep.json"

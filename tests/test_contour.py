@@ -1,7 +1,66 @@
 import numpy as np
 import pytest
 
-from ransomgame._contour import _cell_segments, _chain, zero_contours
+from ransomgame._contour import _interp, _key, zero_contours
+
+
+def _reference_cell_segments(xs, ys, values, i, j):
+    """One cell's segments as the first marching-squares version built them."""
+    corners = ((xs[i], ys[j]), (xs[i + 1], ys[j]),
+               (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1]))
+    vals = (values[i, j], values[i + 1, j], values[i + 1, j + 1], values[i, j + 1])
+    inside = [v > 0.0 or v == 0.0 for v in vals]
+    crossings = []
+    for e in range(4):
+        e2 = (e + 1) % 4
+        if inside[e] != inside[e2]:
+            crossings.append((e, _interp(corners[e], corners[e2], vals[e], vals[e2])))
+    if len(crossings) == 2:
+        segments = [(crossings[0][1], crossings[1][1])]
+    elif len(crossings) == 4:
+        center_in = (vals[0] + vals[1] + vals[2] + vals[3]) / 4.0 >= 0.0
+        if center_in == inside[0]:
+            segments = [(crossings[0][1], crossings[1][1]),
+                        (crossings[2][1], crossings[3][1])]
+        else:
+            segments = [(crossings[3][1], crossings[0][1]),
+                        (crossings[1][1], crossings[2][1])]
+    else:
+        segments = []
+    return [(p, q) for p, q in segments if _key(p) != _key(q)]
+
+
+def _reference_chain(segments):
+    """Chaining that keys every endpoint on each lookup and prepends by insert."""
+    adjacency = {}
+    for si, (p, q) in enumerate(segments):
+        adjacency.setdefault(_key(p), []).append((si, 0))
+        adjacency.setdefault(_key(q), []).append((si, 1))
+    used = [False] * len(segments)
+    polylines = []
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        used[start] = True
+        p, q = segments[start]
+        line = [p, q]
+        for endpoint, append in ((q, True), (p, False)):
+            current = endpoint
+            while True:
+                options = [(si, side) for si, side in adjacency.get(_key(current), [])
+                           if not used[si]]
+                if not options:
+                    break
+                si, side = options[0]
+                used[si] = True
+                nxt = segments[si][1 - side]
+                if append:
+                    line.append(nxt)
+                else:
+                    line.insert(0, nxt)
+                current = nxt
+        polylines.append(np.asarray(line))
+    return polylines
 
 
 def _reference_zero_contours(xs, ys, values):
@@ -10,8 +69,8 @@ def _reference_zero_contours(xs, ys, values):
     segments = []
     for i in range(len(xs) - 1):
         for j in range(len(ys) - 1):
-            segments.extend(_cell_segments(xs, ys, values, i, j))
-    return _chain(segments)
+            segments.extend(_reference_cell_segments(xs, ys, values, i, j))
+    return _reference_chain(segments)
 
 
 def _checkerboard(n):
@@ -107,6 +166,11 @@ class TestMatchesFullScan:
         ("all_positive", np.full((7, 4), 3.0)),
         ("all_negative", np.full((7, 4), -3.0)),
         ("one_row", np.array([[1.0, -1.0, 2.0]])),
+        # Long closed and open lines, started mid-line so both chaining
+        # directions run for hundreds of steps.
+        ("circle", np.add.outer(np.linspace(-2, 2, 120) ** 2,
+                                np.linspace(-2, 2, 90) ** 2) - 1.7),
+        ("wave", np.sin(np.add.outer(np.linspace(0, 9, 150), np.linspace(0, 4, 150) ** 2))),
     ])
     def test_every_polyline_equal(self, name, values):
         xs = np.geomspace(0.01, 1.0, values.shape[0])

@@ -41,6 +41,18 @@ class TestGrossMultiplierClosedForm:
         assert gross_multiplier_quadrature(60.0, 1.0) == pytest.approx(
             gross_multiplier_closed_form(60.0, 1.0), abs=1e-9)
 
+    @pytest.mark.parametrize("a", [374.0, 500.0, 1e3])
+    def test_mills_series_branch_matches_quadrature(self, a):
+        # a * sigma from just below the series switch (37.42) to well past it.
+        assert abs(gross_multiplier_closed_form(a, 0.1)
+                   - gross_multiplier_quadrature(a, 0.1)) < 1e-12
+
+    @pytest.mark.parametrize("a", [1e154, 1e155, 1e200, 1.7e308])
+    def test_finite_for_every_finite_aggression(self, a):
+        for sigma in (0.1, 1.0):
+            g = gross_multiplier_closed_form(a, sigma)
+            assert math.isfinite(g) and 0.0 < g <= 1.0
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             gross_multiplier_closed_form(0.0, 0.5)

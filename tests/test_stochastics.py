@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from ransomgame import (DomainError, LognormalEstimator, SeedSpec, lognormal_cdf
                         lognormal_pdf, sample_estimate, sample_estimates,
                         std_normal_cdf, std_normal_ppf)
 from ransomgame._quadrature import adaptive_quadrature
-from ransomgame.stochastics import uniform_blocks
+from ransomgame.stochastics import _ppf, uniform_blocks
 
 
 def _cdf_series(z: float) -> float:
@@ -64,6 +65,55 @@ class TestStdNormalPpf:
         for bad in (0.0, 1.0, -0.5, 1.5, math.nan):
             with pytest.raises(DomainError):
                 std_normal_ppf(bad)
+
+
+def _grid(k) -> np.ndarray:
+    """The generator's uniforms (2k + 1) * 2^-53, exact for 0 <= k < 2^52."""
+    return (2.0 * np.asarray(k, dtype=np.float64) + 1.0) * 2.0 ** -53
+
+
+def _grid_around(p: float, n: int = 40_000) -> np.ndarray:
+    """n consecutive grid uniforms centred on p."""
+    k0 = int(p * 2.0 ** 52)
+    return _grid(np.arange(k0 - n // 2, k0 + n // 2))
+
+
+class TestAs241Ppf:
+    """_ppf against CPython's AS241 in each branch, and its exact symmetries."""
+
+    _inv_cdf = staticmethod(statistics.NormalDist().inv_cdf)
+
+    def _assert_within_one_ulp(self, u):
+        z = _ppf(u)
+        ref = np.array([self._inv_cdf(v) for v in u.tolist()])
+        assert np.all(np.abs(z - ref) <= np.spacing(np.abs(ref)))
+
+    def test_central_branch(self, rng):
+        self._assert_within_one_ulp(rng.uniform(0.075, 0.925, 4000))
+
+    def test_near_tail_branch(self, rng):
+        # 0.075 > p >= e^-25, i.e. sqrt(-ln p) <= 5, on both sides of 1/2.
+        p = np.exp(-rng.uniform(-math.log(0.075), 25.0, 4000))
+        self._assert_within_one_ulp(np.concatenate([p, 1.0 - p]))
+
+    def test_far_tail_branch(self, rng):
+        p = np.exp(-rng.uniform(25.0, 690.0, 4000))
+        self._assert_within_one_ulp(np.concatenate([p, 1.0 - p[p > 2.0 ** -53]]))
+
+    def test_extreme_and_centre_points(self):
+        self._assert_within_one_ulp(np.array([2.0 ** -53, 1.0 - 2.0 ** -53, 0.5]))
+        ref = self._inv_cdf(1e-300)
+        assert abs(std_normal_ppf(1e-300) - ref) <= math.ulp(ref)
+
+    def test_exact_antisymmetry_on_generator_grid(self, rng):
+        k = rng.integers(0, 2 ** 52, 100_000)
+        u = np.concatenate([_grid(k), _grid([0, 1, 2 ** 51 - 1, 2 ** 51, 2 ** 52 - 1])])
+        assert np.array_equal(_ppf(1.0 - u), -_ppf(u))
+
+    @pytest.mark.parametrize("p", [0.075, math.exp(-25.0)])
+    def test_monotone_across_branch_boundaries(self, p):
+        for u in (_grid_around(p), _grid_around(1.0 - p)):
+            assert np.all(np.diff(_ppf(u)) >= 0.0)
 
 
 class TestLognormalDensity:
