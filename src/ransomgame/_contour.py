@@ -41,8 +41,11 @@ def _chain(segments):
     """Join segments sharing endpoints into polylines, deterministically."""
     # Key each endpoint once.  A contour through a grid node yields
     # zero-length pieces; drop them.
-    keyed = [(p, q, kp, kq) for p, q in segments
-             for kp, kq in [(_key(p), _key(q))] if kp != kq]
+    keyed = []
+    for p, q in segments:
+        kp, kq = _key(p), _key(q)
+        if kp != kq:
+            keyed.append((p, q, kp, kq))
     adjacency = {}
     for si, (_, _, kp, kq) in enumerate(keyed):
         adjacency.setdefault(kp, []).append((si, 0))
