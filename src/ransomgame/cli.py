@@ -33,9 +33,6 @@ from .stochastics import SeedSpec, lognormal_pdf
 
 CONFIG_VERSION = 1
 
-FIGURE_NAMES = ("beta_curve", "estimate_pdf", "alpha_curve", "utility_vs_demand",
-                "profit_vs_estimate", "profit_heatmaps")
-
 # The seven reference strategies: label, aggression, and the two investments.
 STRATEGY_TABLE = (
     ("optimal", 4.68, 0.091, 0.104),
@@ -167,14 +164,6 @@ SCHEMAS = {
     },
 }
 
-# Per-figure defaults for the point count.
-_FIGURE_POINTS = {"beta_curve": 251, "estimate_pdf": 600, "alpha_curve": 201,
-                  "utility_vs_demand": 400, "profit_vs_estimate": 600,
-                  "profit_heatmaps": 200}
-_FIGURE_A_VALUES = {"alpha_curve": [0.5, 1.0, 2.0, 5.0, 10.0],
-                    "profit_vs_estimate": [2.0, 5.0, 10.0, 20.0]}
-
-
 def _fmt(v) -> str:
     return f"{float(v):.9g}"
 
@@ -198,7 +187,7 @@ def _config_json(command: str, params: dict) -> str:
 def _load_config(path: str, command: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also text that does not decode
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -217,18 +206,23 @@ def _load_config(path: str, command: str) -> dict:
     return params
 
 
-def _resolve_params(command: str, cli_params: dict, config_path: str | None) -> dict:
-    """Defaults <- config file <- explicit CLI flags, rejecting unknown keys."""
+def _resolve_params(command: str, flags: dict, config_path: str | None) -> dict:
+    """Defaults <- config file <- explicit CLI flags, rejecting unknown keys.
+
+    Flag and config values go through the same schema converter; a config
+    ``null``, like an absent flag, leaves the default.
+    """
     schema = SCHEMAS[command]
     params = {name: default for name, (_, default) in schema.items()}
-    given = _load_config(config_path, command) if config_path else {}
-    unknown = set(given) - set(schema)
+    config = _load_config(config_path, command) if config_path else {}
+    unknown = set(config) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config params for {command}: {sorted(unknown)}")
-    given.update((name, value) for name, value in cli_params.items() if value is not None)
+    given = {name: value for source in (config, flags)
+             for name, value in source.items() if value is not None}
     for name, value in given.items():
         try:
-            params[name] = None if value is None else schema[name][0](value)
+            params[name] = schema[name][0](value)
         except ConfigError:
             raise
         except (TypeError, ValueError):
@@ -287,22 +281,32 @@ def _write_json(path: str, payload: dict):
         f.write("\n")
 
 
-def _table_payload(command: str, params: dict, columns: list, rows,
-                   meta: dict | None = None) -> dict:
-    payload = {"version": CONFIG_VERSION, "command": command, "params": params,
-               "columns": columns, "rows": [list(r) for r in rows]}
+def _meta_lines(meta: dict | None) -> list:
+    return [f"{k}: {_cell(v)}" for k, v in (meta or {}).items()]
+
+
+def _json_table(names: list, columns: list, meta: dict | None = None,
+                contours: list | None = None) -> dict:
+    """A table given as one sequence per column, as JSON rows."""
+    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    table = {"columns": names, "rows": [list(row) for row in zip(*lists)]}
     if meta:
-        payload["meta"] = meta
-    return payload
+        table["meta"] = meta
+    if contours is not None:
+        table["contours"] = [line.tolist() for line in contours]
+    return table
 
 
-def _emit_table(out: str, fmt: str, command: str, params: dict, columns: list,
-                rows, meta: dict | None = None):
-    if fmt == "json":
-        _write_json(out, _table_payload(command, params, columns, rows, meta))
+def _emit(args, command: str, params: dict, names: list, columns: list,
+          meta: dict | None = None, contours: list | None = None):
+    """Write one table to ``args.out``; only the JSON form carries contours."""
+    if args.format == "json":
+        _write_json(args.out, {"version": CONFIG_VERSION, "command": command,
+                               "params": params,
+                               **_json_table(names, columns, meta, contours)})
     else:
-        meta_lines = [f"{k}: {_cell(v)}" for k, v in (meta or {}).items()]
-        _write_csv(out, _config_json(command, params), meta_lines, columns, *zip(*rows))
+        _write_csv(args.out, _config_json(command, params), _meta_lines(meta),
+                   names, *columns)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +326,8 @@ def _figure_beta_curve(params):
     n = params["points"]
     i_fifty = params["i_fifty"]
     grid = _grid_with_value(0.0, params["i_beta_max"], n, i_fifty)
-    rows = [(v, reliability(v, i_fifty)) for v in grid]
-    return ["i_beta", "beta"], rows, {"i_fifty": i_fifty}
+    columns = [grid, [reliability(v, i_fifty) for v in grid]]
+    return ["i_beta", "beta"], columns, {"i_fifty": i_fifty}
 
 
 def _figure_estimate_pdf(params):
@@ -334,17 +338,17 @@ def _figure_estimate_pdf(params):
     grid = _grid_with_value(params["x_est_max"] / params["points"],
                             params["x_est_max"], params["points"], x)
     mu = float(np.log(x))
-    columns = ["x_est"] + [f"pdf_i_sigma_{isg:g}" for isg, _ in sigmas]
-    rows = [[v] + [lognormal_pdf(v, mu, s) for _, s in sigmas] for v in grid]
-    return columns, rows, {"x": x, "i_fifty": i_fifty}
+    names = ["x_est"] + [f"pdf_i_sigma_{isg:g}" for isg, _ in sigmas]
+    columns = [grid] + [[lognormal_pdf(v, mu, s) for v in grid] for _, s in sigmas]
+    return names, columns, {"x": x, "i_fifty": i_fifty}
 
 
 def _figure_alpha_curve(params):
     a_values = params["a_values"]
     grid = np.linspace(0.0, 1.0, params["points"])
-    columns = ["c_over_r"] + [f"alpha_a_{a:g}" for a in a_values]
-    rows = [[v] + [aggression_probability(v, 1.0, a) for a in a_values] for v in grid]
-    return columns, rows, {}
+    names = ["c_over_r"] + [f"alpha_a_{a:g}" for a in a_values]
+    columns = [grid] + [[aggression_probability(v, 1.0, a) for v in grid] for a in a_values]
+    return names, columns, {}
 
 
 def _figure_utility_vs_demand(params):
@@ -354,15 +358,12 @@ def _figure_utility_vs_demand(params):
     grid = _grid_with_value(params["r_max"] / params["points"], params["r_max"],
                             params["points"], kink)
     c_values = params["c_max_values"]
-    columns = ["demand", "utility_optimal"] + [f"utility_cmax_{c:g}" for c in c_values]
-    rows = []
-    for r in grid:
-        row = [r, defender_utility(optimal_counteroffer(r, x, a, beta), r, x, a, beta)]
-        for c_cap in c_values:
-            c = min(r, c_cap)
-            row.append(defender_utility(c, r, x, a, beta))
-        rows.append(row)
-    return columns, rows, {"kink_demand": kink, "beta": beta}
+    names = ["demand", "utility_optimal"] + [f"utility_cmax_{c:g}" for c in c_values]
+    columns = [grid, [defender_utility(optimal_counteroffer(r, x, a, beta), r, x, a, beta)
+                      for r in grid]]
+    columns += [[defender_utility(min(r, c_cap), r, x, a, beta) for r in grid]
+                for c_cap in c_values]
+    return names, columns, {"kink_demand": kink, "beta": beta}
 
 
 def _figure_profit_vs_estimate(params):
@@ -373,9 +374,13 @@ def _figure_profit_vs_estimate(params):
                             params["x_est_max"], params["points"], x)
     strategies = [AttackerStrategy(a=a, i_beta=params["i_beta"],
                                    i_sigma=params["i_sigma"]) for a in a_values]
-    columns = ["x_est"] + [f"profit_a_{a:g}" for a in a_values]
-    rows = [[v] + [optimal_play_profit(v, x, s, env) for s in strategies] for v in grid]
-    return columns, rows, {"x": x, "i_beta": params["i_beta"], "i_sigma": params["i_sigma"]}
+    names = ["x_est"] + [f"profit_a_{a:g}" for a in a_values]
+    columns = [grid] + [[optimal_play_profit(v, x, s, env) for v in grid] for s in strategies]
+    return names, columns, {"x": x, "i_beta": params["i_beta"], "i_sigma": params["i_sigma"]}
+
+
+def _mean_env(params) -> GameEnvironment:
+    return GameEnvironment(i_fifty=params["i_fifty"], target_value=PopulationMean(params["m"]))
 
 
 def _surface_columns(surface) -> list:
@@ -389,10 +394,9 @@ _HEATMAP_PANELS = (("i_beta", "i_sigma", "a"),
                    ("a", "i_beta", "i_sigma"))
 
 
-def _figure_profit_heatmaps(params, args, config_line, command_params):
+def _figure_profit_heatmaps(params):
     """Three 2-D profit surfaces; the hidden parameter sits at its optimum."""
-    env = GameEnvironment(i_fifty=params["i_fifty"],
-                          target_value=PopulationMean(params["m"]))
+    env = _mean_env(params)
     optimum = maximize_profit(env)
     opt = {"a": optimum.strategy.a, "i_beta": optimum.strategy.i_beta,
            "i_sigma": optimum.strategy.i_sigma}
@@ -412,72 +416,65 @@ def _figure_profit_heatmaps(params, args, config_line, command_params):
                 f"argmax_{p1}": getattr(argmax, p1),
                 f"argmax_{p2}": getattr(argmax, p2),
                 "argmax_profit": surface.argmax_profit}
-        panels[f"{p1}__{p2}"] = {"names": [p1, p2, "profit"],
-                                 "columns": _surface_columns(surface),
-                                 "meta": meta, "contours": surface.contours}
+        panels[f"{p1}__{p2}"] = ([p1, p2, "profit"], _surface_columns(surface), meta,
+                                 surface.contours)
+    return panels
 
+
+def _emit_panels(args, params: dict, panels: dict):
+    """One JSON file of panels, or per panel a table CSV and a contour CSV."""
     if args.format == "json":
-        payload = {"version": CONFIG_VERSION, "command": "figure",
-                   "params": command_params,
-                   "panels": {name: {"columns": p["names"],
-                                     "rows": np.column_stack(p["columns"]).tolist(),
-                                     "meta": p["meta"],
-                                     "contours": [line.tolist() for line in p["contours"]]}
-                              for name, p in panels.items()}}
-        _write_json(args.out, payload)
+        _write_json(args.out, {"version": CONFIG_VERSION, "command": "figure",
+                               "params": params,
+                               "panels": {k: _json_table(*p) for k, p in panels.items()}})
         return
-    stem = args.out[:-4] if args.out.endswith(".csv") else args.out
-    for name, panel in panels.items():
-        meta_lines = [f"{k}: {_cell(v)}" for k, v in panel["meta"].items()]
-        _write_csv(f"{stem}.{name}.csv", config_line, meta_lines,
-                   panel["names"], *panel["columns"])
-        lines = panel["contours"]
+    config_line = _config_json("figure", params)
+    stem = args.out.removesuffix(".csv")
+    for key, (names, columns, meta, lines) in panels.items():
+        _write_csv(f"{stem}.{key}.csv", config_line, _meta_lines(meta), names, *columns)
         polyline = np.repeat(np.arange(len(lines)), [len(line) for line in lines])
         points = np.concatenate(lines) if lines else np.empty((0, 2))
-        _write_csv(f"{stem}.{name}.contour.csv", config_line, [],
-                   ["polyline", *panel["names"][:2]], polyline, points[:, 0], points[:, 1])
+        _write_csv(f"{stem}.{key}.contour.csv", config_line, [],
+                   ["polyline", *names[:2]], polyline, points[:, 0], points[:, 1])
 
 
-def cmd_figure(args) -> int:
-    cli_params = {name: getattr(args, f"p_{name}", None) for name in SCHEMAS["figure"]}
-    cli_params["name"] = args.name
-    params = _resolve_params("figure", cli_params, args.config)
+# name -> (builder, default points, default a_values, parameters in the header).
+# Builders return (column names, columns, meta), the heatmaps one per panel.
+_FIGURES = {
+    "beta_curve": (_figure_beta_curve, 251, None, ("i_fifty", "i_beta_max", "points")),
+    "estimate_pdf": (_figure_estimate_pdf, 600, None,
+                     ("x", "i_fifty", "i_sigma_values", "x_est_max", "points")),
+    "alpha_curve": (_figure_alpha_curve, 201, [0.5, 1.0, 2.0, 5.0, 10.0],
+                    ("a_values", "points")),
+    "utility_vs_demand": (_figure_utility_vs_demand, 400, None,
+                          ("x", "i_fifty", "i_beta", "a", "c_max_values", "r_max",
+                           "points")),
+    "profit_vs_estimate": (_figure_profit_vs_estimate, 600, [2.0, 5.0, 10.0, 20.0],
+                           ("x", "i_fifty", "i_beta", "i_sigma", "a_values", "x_est_max",
+                            "points")),
+    "profit_heatmaps": (_figure_profit_heatmaps, 200, None,
+                        ("i_fifty", "m", "points", "a_lo", "a_hi", "inv_lo", "inv_hi")),
+}
+FIGURE_NAMES = tuple(_FIGURES)
+
+
+def cmd_figure(args, params) -> int:
     name = params["name"]
-    if name not in FIGURE_NAMES:
+    if name not in _FIGURES:
         raise ConfigError(f"unknown figure {name!r}; expected one of {FIGURE_NAMES}")
+    builder, points, a_values, used = _FIGURES[name]
     if params["points"] is None:
-        params["points"] = _FIGURE_POINTS[name]
+        params["points"] = points
     if params["points"] < 2:
         raise ConfigError(f"points must be at least 2, got {params['points']}")
     if params["a_values"] is None:
-        params["a_values"] = _FIGURE_A_VALUES.get(name, [10.0])
-
+        params["a_values"] = a_values
     # Embed only the parameters the figure actually uses.
-    used = {
-        "beta_curve": ("name", "i_fifty", "i_beta_max", "points"),
-        "estimate_pdf": ("name", "x", "i_fifty", "i_sigma_values", "x_est_max", "points"),
-        "alpha_curve": ("name", "a_values", "points"),
-        "utility_vs_demand": ("name", "x", "i_fifty", "i_beta", "a",
-                              "c_max_values", "r_max", "points"),
-        "profit_vs_estimate": ("name", "x", "i_fifty", "i_beta", "i_sigma",
-                               "a_values", "x_est_max", "points"),
-        "profit_heatmaps": ("name", "i_fifty", "m", "points", "a_lo", "a_hi",
-                            "inv_lo", "inv_hi"),
-    }[name]
-    command_params = {k: params[k] for k in used}
-    config_line = _config_json("figure", command_params)
-
+    header = {k: params[k] for k in ("name", *used)}
     if name == "profit_heatmaps":
-        _figure_profit_heatmaps(params, args, config_line, command_params)
-        return 0
-
-    builder = {"beta_curve": _figure_beta_curve,
-               "estimate_pdf": _figure_estimate_pdf,
-               "alpha_curve": _figure_alpha_curve,
-               "utility_vs_demand": _figure_utility_vs_demand,
-               "profit_vs_estimate": _figure_profit_vs_estimate}[name]
-    columns, rows, meta = builder(params)
-    _emit_table(args.out, args.format, "figure", command_params, columns, rows, meta)
+        _emit_panels(args, header, builder(params))
+    else:
+        _emit(args, "figure", header, *builder(params))
     return 0
 
 
@@ -486,29 +483,22 @@ def cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_table(args) -> int:
-    params = _resolve_params("table", {"what": args.what}, args.config)
+def cmd_table(args, params) -> int:
     if params["what"] != "strategies":
         raise ConfigError(f"unknown table {params['what']!r}; expected 'strategies'")
-    env = GameEnvironment(i_fifty=params["i_fifty"],
-                          target_value=PopulationMean(params["m"]))
-    columns = ["strategy", "a", "i_beta", "i_sigma", "counteroffer", "expected_profit"]
-    rows = []
-    for label, a, i_beta, i_sigma in STRATEGY_TABLE:
-        strat = AttackerStrategy(a=a, i_beta=i_beta, i_sigma=i_sigma)
-        beta = reliability(i_beta, params["i_fifty"])
-        c_hat = demand_factor(a, beta) * params["m"]
-        p = expected_profit(strat, env, ProfitMethod.CLOSED_FORM).value
-        rows.append((label, a, i_beta, i_sigma, c_hat, p))
-    _emit_table(args.out, args.format, "table", params, columns, rows)
+    env, i_fifty, m = _mean_env(params), params["i_fifty"], params["m"]
+    counteroffers = [demand_factor(a, reliability(i_beta, i_fifty)) * m
+                     for _, a, i_beta, _ in STRATEGY_TABLE]
+    profits = [expected_profit(AttackerStrategy(a=a, i_beta=i_beta, i_sigma=i_sigma), env,
+                               ProfitMethod.CLOSED_FORM).value
+               for _, a, i_beta, i_sigma in STRATEGY_TABLE]
+    _emit(args, "table", params,
+          ["strategy", "a", "i_beta", "i_sigma", "counteroffer", "expected_profit"],
+          [*zip(*STRATEGY_TABLE), counteroffers, profits])
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cli_params = {name: getattr(args, f"p_{name}", None) for name in SCHEMAS["simulate"]}
-    if args.seed is not None:
-        cli_params["master_seed"] = args.seed
-    params = _resolve_params("simulate", cli_params, args.config)
+def cmd_simulate(args, params) -> int:
     config = SimulationConfig(
         strategy=AttackerStrategy(a=params["a"], i_beta=params["i_beta"],
                                   i_sigma=params["i_sigma"]),
@@ -521,75 +511,57 @@ def cmd_simulate(args) -> int:
     # worker count leaves no trace file and an unwritable path fails early.
     if args.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
-    trace_out = nullcontext() if args.trace_out is None else _open_out(args.trace_out)
-    with trace_out as trace_file:
-        report = run_batch(config, workers=args.workers, keep_trace=trace_file is not None)
-
-        columns = ["n_runs", "mean_attacker_profit", "std_error_attacker_profit",
-                   "mean_defender_utility"] + \
-                  [f"count_{k.value}" for k in report.outcome_counts]
-        row = [report.n_runs, report.mean_attacker_profit,
-               report.std_error_attacker_profit, report.mean_defender_utility] + \
-              list(report.outcome_counts.values())
-        _emit_table(args.out, args.format, "simulate", params, columns, [row])
-
-        if trace_file is not None:
-            write_trace_csv(report.trace, trace_file,
-                            header_lines=(f"config: {_config_json('simulate', params)}",))
+    trace_file = None if args.trace_out is None else _open_out(args.trace_out)
+    try:
+        with trace_file or nullcontext():
+            report = run_batch(config, workers=args.workers, keep_trace=trace_file is not None)
+            names = ["n_runs", "mean_attacker_profit", "std_error_attacker_profit",
+                     "mean_defender_utility"] + \
+                    [f"count_{k.value}" for k in report.outcome_counts]
+            row = [report.n_runs, report.mean_attacker_profit,
+                   report.std_error_attacker_profit, report.mean_defender_utility] + \
+                  list(report.outcome_counts.values())
+            _emit(args, "simulate", params, names, [[v] for v in row])
+            if trace_file is not None:
+                write_trace_csv(report.trace, trace_file,
+                                header_lines=(f"config: {_config_json('simulate', params)}",))
+    except BaseException:
+        # A failed command leaves no trace behind, not even an empty one.
+        if trace_file is not None and Path(args.trace_out).is_file():
+            Path(args.trace_out).unlink()
+        raise
     return 0
 
 
-def cmd_optimize(args) -> int:
-    cli_params = {name: getattr(args, f"p_{name}", None) for name in SCHEMAS["optimize"]}
-    params = _resolve_params("optimize", cli_params, args.config)
-    env = GameEnvironment(i_fifty=params["i_fifty"],
-                          target_value=PopulationMean(params["m"]))
-    bounds = {"a": (params["a_lo"], params["a_hi"]),
-              "i_beta": (params["i_beta_lo"], params["i_beta_hi"]),
-              "i_sigma": (params["i_sigma_lo"], params["i_sigma_hi"])}
-    optimum = maximize_profit(env, bounds=bounds, grid_points=params["grid_points"])
-    columns = ["a", "i_beta", "i_sigma", "profit", "evaluations", "converged"]
-    row = [optimum.strategy.a, optimum.strategy.i_beta, optimum.strategy.i_sigma,
-           optimum.profit, optimum.evaluations, optimum.converged]
-    _emit_table(args.out, args.format, "optimize", params, columns, [row])
+def cmd_optimize(args, params) -> int:
+    bounds = {axis: (params[f"{axis}_lo"], params[f"{axis}_hi"])
+              for axis in ("a", "i_beta", "i_sigma")}
+    optimum = maximize_profit(_mean_env(params), bounds=bounds,
+                              grid_points=params["grid_points"])
+    best = optimum.strategy
+    _emit(args, "optimize", params,
+          ["a", "i_beta", "i_sigma", "profit", "evaluations", "converged"],
+          [[best.a], [best.i_beta], [best.i_sigma], [optimum.profit],
+           [optimum.evaluations], [optimum.converged]])
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cli_params = {name: getattr(args, f"p_{name}", None) for name in SCHEMAS["sweep"]}
-    if args.axis:
-        cli_params["axes"] = args.axis
-    if args.fix:
-        cli_params["fixed"] = args.fix
-    params = _resolve_params("sweep", cli_params, args.config)
+def cmd_sweep(args, params) -> int:
     if not params["axes"]:
         raise ConfigError("sweep needs at least one --axis name:lo:hi:n[:scale]")
     grid = SweepGrid(axes=params["axes"], fixed=params["fixed"])
-    env = GameEnvironment(i_fifty=params["i_fifty"],
-                          target_value=PopulationMean(params["m"]))
-    surface = profit_surface(env, grid)
-
-    command_params = {
+    surface = profit_surface(_mean_env(params), grid)
+    header = {
         "i_fifty": params["i_fifty"], "m": params["m"],
         "axes": [{"name": ax.name, "lo": ax.lo, "hi": ax.hi, "n": ax.n,
                   "scale": ax.scale} for ax in grid.axes],
         "fixed": dict(sorted(grid.fixed.items())),
     }
-    names = [ax.name for ax in grid.axes] + ["profit"]
-    columns = _surface_columns(surface)
-    meta = {"argmax_a": surface.argmax_strategy.a,
-            "argmax_i_beta": surface.argmax_strategy.i_beta,
-            "argmax_i_sigma": surface.argmax_strategy.i_sigma,
-            "argmax_profit": surface.argmax_profit}
-    if args.format == "json":
-        payload = _table_payload("sweep", command_params, names,
-                                 np.column_stack(columns).tolist(), meta)
-        payload["contours"] = [line.tolist() for line in surface.contours]
-        _write_json(args.out, payload)
-    else:
-        meta_lines = [f"{k}: {_cell(v)}" for k, v in meta.items()]
-        _write_csv(args.out, _config_json("sweep", command_params), meta_lines,
-                   names, *columns)
+    argmax = surface.argmax_strategy
+    meta = {"argmax_a": argmax.a, "argmax_i_beta": argmax.i_beta,
+            "argmax_i_sigma": argmax.i_sigma, "argmax_profit": surface.argmax_profit}
+    _emit(args, "sweep", header, [ax.name for ax in grid.axes] + ["profit"],
+          _surface_columns(surface), meta, surface.contours)
     return 0
 
 
@@ -619,40 +591,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fig = sub.add_parser("figure", help="emit a figure's data series")
-    p_fig.add_argument("name", nargs="?", default=None,
+    p_fig.add_argument("p_name", nargs="?", metavar="name",
                        help=f"one of {', '.join(FIGURE_NAMES)}")
-    _add_common(p_fig)
-    for name, (conv, _) in SCHEMAS["figure"].items():
-        if name == "name":
-            continue
-        kind = str if conv in (_float_list,) else conv
-        p_fig.add_argument(_param_flag(name), dest=f"p_{name}", type=kind, default=None)
-
     p_table = sub.add_parser("table", help="emit the reference strategy table")
-    p_table.add_argument("what", nargs="?", default=None, help="'strategies'")
-    _add_common(p_table)
-
+    p_table.add_argument("p_what", nargs="?", metavar="what", help="'strategies'")
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo engine")
-    _add_common(p_sim)
+    p_opt = sub.add_parser("optimize", help="find the profit-maximizing strategy")
+    p_sweep = sub.add_parser("sweep", help="evaluate expected profit over a grid")
+    for p in (p_fig, p_table, p_sim, p_opt, p_sweep):
+        _add_common(p)
+
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--trace-out", default=None, help="also write per-run trace CSV")
-    for name, (conv, _) in SCHEMAS["simulate"].items():
-        p_sim.add_argument(_param_flag(name), dest=f"p_{name}", type=conv, default=None)
-
-    p_opt = sub.add_parser("optimize", help="find the profit-maximizing strategy")
-    _add_common(p_opt)
-    for name, (conv, _) in SCHEMAS["optimize"].items():
-        p_opt.add_argument(_param_flag(name), dest=f"p_{name}", type=conv, default=None)
-
-    p_sweep = sub.add_parser("sweep", help="evaluate expected profit over a grid")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--axis", action="append", default=None,
+    p_sweep.add_argument("--axis", dest="p_axes", metavar="AXIS", action="append",
                          help="name:lo:hi:n[:scale], repeatable")
-    p_sweep.add_argument("--fix", action="append", default=None,
+    p_sweep.add_argument("--fix", dest="p_fixed", metavar="FIX", action="append",
                          help="name=value for hidden parameters, repeatable")
-    for name in ("i_fifty", "m"):
-        p_sweep.add_argument(_param_flag(name), dest=f"p_{name}", type=float, default=None)
-
+    # No type=: _resolve_params converts flag values as it does config values.
+    for p, names in ((p_fig, [n for n in SCHEMAS["figure"] if n != "name"]),
+                     (p_sim, SCHEMAS["simulate"]), (p_opt, SCHEMAS["optimize"]),
+                     (p_sweep, ("i_fifty", "m"))):
+        for name in names:
+            p.add_argument(_param_flag(name), dest=f"p_{name}")
     return parser
 
 
@@ -666,10 +626,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
+    flags = {key[2:]: value for key, value in vars(args).items() if key.startswith("p_")}
+    if args.seed is not None and "master_seed" in flags:
+        flags["master_seed"] = args.seed
     try:
-        return _COMMANDS[args.command](args)
+        params = _resolve_params(args.command, flags, args.config)
+        return _COMMANDS[args.command](args, params)
     except (ConfigError, DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: not enough memory: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

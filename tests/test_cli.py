@@ -8,10 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ransomgame import (AttackerStrategy, GameEnvironment, PopulationMean,
-                        demand_factor, expected_profit, reliability)
-from ransomgame.cli import FIGURE_NAMES, SCHEMAS, _cell, _write_csv, main
-from ransomgame.optimize import AxisSpec, SweepGrid, profit_surface
+from ransomgame import (AttackerStrategy, FixedValue, GameEnvironment, PopulationMean,
+                        defender_utility, demand_factor, expected_profit,
+                        optimal_counteroffer, reliability)
+from ransomgame.cli import (FIGURE_NAMES, SCHEMAS, STRATEGY_TABLE, _cell,
+                            _grid_with_value, _write_csv, main)
+from ransomgame.optimize import DEFAULT_BOUNDS, AxisSpec, SweepGrid, maximize_profit, profit_surface
+from ransomgame.profit import ProfitMethod
+from ransomgame.simulate import SimulationConfig, run_batch
+from ransomgame.stochastics import SeedSpec
+
+# 10**18 float64s (about 7 EiB) exceed every 64-bit address space, so the
+# allocation fails at once without touching memory.
+HUGE = str(10 ** 18)
 
 
 def read_csv(path):
@@ -184,6 +193,21 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
         assert not trace.exists() and not out.exists()
 
+    def test_unwritable_output_leaves_no_trace(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        assert main(["simulate", "--n-runs", "10", "--trace-out", str(trace),
+                     "--out", str(tmp_path / "missing" / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output file ")
+        assert not trace.exists()
+
+    def test_size_too_large_for_memory_leaves_no_trace(self, tmp_path, capsys):
+        out, trace = tmp_path / "o.csv", tmp_path / "t.csv"
+        assert main(["simulate", "--n-runs", HUGE, "--trace-out", str(trace),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory: ") and err.count("\n") == 1
+        assert not trace.exists() and not out.exists()
+
     def test_config_roundtrip(self, tmp_path):
         first = tmp_path / "first.csv"
         main(["simulate", "--n-runs", "2000", "--seed", "99", "--out", str(first)])
@@ -346,6 +370,102 @@ class TestCsvWriter:
         assert out.read_bytes() == want.read_bytes()
 
 
+def _reference_json(command, params, names, rows, meta=None, contours=None):
+    """The JSON table built row by row, floats rounded to 9 significant digits."""
+    def round9(obj):
+        if isinstance(obj, float):
+            return float(f"{obj:.9g}")
+        if isinstance(obj, dict):
+            return {k: round9(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [round9(v) for v in obj]
+        return obj
+
+    payload = {"version": 1, "command": command, "params": params, "columns": names,
+               "rows": [list(row) for row in rows]}
+    if meta:
+        payload["meta"] = meta
+    if contours is not None:
+        payload["contours"] = [line.tolist() for line in contours]
+    return json.dumps(round9(payload), sort_keys=True, indent=1) + "\n"
+
+
+def _defaults(command, **overrides):
+    return {name: default for name, (_, default) in SCHEMAS[command].items()} | overrides
+
+
+class TestJsonBytes:
+    @staticmethod
+    def _json(tmp_path, *argv):
+        out = tmp_path / "out.json"
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        return out.read_text()
+
+    @pytest.mark.parametrize("axes,fixed", [
+        (["i_beta:0.001:0.5:40:log", "i_sigma:0.001:0.5:40:log"], {"a": 4.68}),
+        (["a:0.5:20:7:log", "i_beta:0.001:0.5:5", "i_sigma:0.001:0.5:6:log"], {}),
+    ])
+    def test_sweep(self, tmp_path, mean_env, axes, fixed):
+        got = self._json(tmp_path, "sweep", *(arg for ax in axes for arg in ("--axis", ax)),
+                         *(f"--fix={k}={v}" for k, v in fixed.items()))
+        specs = [AxisSpec(n, float(lo), float(hi), int(k), *scale)
+                 for n, lo, hi, k, *scale in (ax.split(":") for ax in axes)]
+        surface = profit_surface(mean_env, SweepGrid(axes=specs, fixed=fixed))
+        rows = [tuple(v[k] for v, k in zip(surface.axis_values, idx)) + (surface.values[idx],)
+                for idx in np.ndindex(*surface.values.shape)]
+        best = surface.argmax_strategy
+        meta = {"argmax_a": best.a, "argmax_i_beta": best.i_beta,
+                "argmax_i_sigma": best.i_sigma, "argmax_profit": surface.argmax_profit}
+        params = {"i_fifty": 0.02, "m": 1.0, "fixed": fixed,
+                  "axes": [{"name": ax.name, "lo": ax.lo, "hi": ax.hi, "n": ax.n,
+                            "scale": ax.scale} for ax in specs]}
+        assert fixed == {} or surface.contours
+        assert got == _reference_json("sweep", params, [ax.name for ax in specs] + ["profit"],
+                                      rows, meta, surface.contours)
+
+    def test_table(self, tmp_path, mean_env):
+        rows = [(label, a, i_beta, i_sigma, demand_factor(a, reliability(i_beta, 0.02)),
+                 expected_profit(AttackerStrategy(a, i_beta, i_sigma), mean_env,
+                                 ProfitMethod.CLOSED_FORM).value)
+                for label, a, i_beta, i_sigma in STRATEGY_TABLE]
+        names = ["strategy", "a", "i_beta", "i_sigma", "counteroffer", "expected_profit"]
+        assert self._json(tmp_path, "table", "strategies") == _reference_json(
+            "table", _defaults("table"), names, rows)
+
+    def test_optimize(self, tmp_path, mean_env):
+        best = maximize_profit(mean_env, bounds=DEFAULT_BOUNDS, grid_points=8)
+        row = (best.strategy.a, best.strategy.i_beta, best.strategy.i_sigma, best.profit,
+               best.evaluations, best.converged)
+        names = ["a", "i_beta", "i_sigma", "profit", "evaluations", "converged"]
+        assert self._json(tmp_path, "optimize", "--grid-points", "8") == _reference_json(
+            "optimize", _defaults("optimize", grid_points=8), names, [row])
+
+    def test_simulate_single_run(self, tmp_path, fixed_env):
+        report = run_batch(SimulationConfig(strategy=AttackerStrategy(4.68, 0.091, 0.104),
+                                            environment=fixed_env, n_runs=1,
+                                            seed=SeedSpec(master_seed=0, stream_index=0)))
+        assert report.std_error_attacker_profit is None
+        names = ["n_runs", "mean_attacker_profit", "std_error_attacker_profit",
+                 "mean_defender_utility"] + [f"count_{k.value}" for k in report.outcome_counts]
+        row = [report.n_runs, report.mean_attacker_profit, None,
+               report.mean_defender_utility, *report.outcome_counts.values()]
+        assert self._json(tmp_path, "simulate", "--n-runs", "1") == _reference_json(
+            "simulate", _defaults("simulate", n_runs=1), names, [row])
+
+    def test_utility_figure(self, tmp_path):
+        beta = reliability(0.1, 0.02)
+        kink = demand_factor(10.0, beta)
+        caps = [0.6, 0.7, 0.8]
+        rows = [[r, defender_utility(optimal_counteroffer(r, 1.0, 10.0, beta), r, 1.0, 10.0, beta)]
+                + [defender_utility(min(r, c), r, 1.0, 10.0, beta) for c in caps]
+                for r in _grid_with_value(2.0 / 400, 2.0, 400, kink)]
+        names = ["demand", "utility_optimal"] + [f"utility_cmax_{c:g}" for c in caps]
+        params = {"name": "utility_vs_demand", "x": 1.0, "i_fifty": 0.02, "i_beta": 0.1,
+                  "a": 10.0, "c_max_values": caps, "r_max": 2.0, "points": 400}
+        assert self._json(tmp_path, "figure", "utility_vs_demand") == _reference_json(
+            "figure", params, names, rows, {"kink_demand": kink, "beta": beta})
+
+
 class TestHeatmapFigure:
     def test_panels_and_contours(self, tmp_path):
         stem = tmp_path / "hm"
@@ -415,6 +535,54 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid value for ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,params", [
+        ("simulate", {"a": None}),
+        ("figure", {"name": "estimate_pdf", "i_sigma_values": None}),
+        ("optimize", {"grid_points": None}),
+        ("sweep", {"axes": ["a:1:2:3"], "fixed": None}),
+    ])
+    def test_null_param_means_default(self, tmp_path, capsys, command, params):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"version": 1, "command": command, "params": params}))
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        if command == "sweep":
+            assert (code, err) == (2, "error: parameters neither swept nor fixed: "
+                                      "['i_beta', 'i_sigma']\n")
+        else:
+            assert (code, err) == (0, "")
+
+    def test_null_param_writes_the_default_bytes(self, tmp_path):
+        outs = []
+        for params in ({"a": None}, {}):
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"version": 1, "command": "simulate",
+                                          "params": params}))
+            out = tmp_path / f"{len(params)}.csv"
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_bytes(b"\xff\xfe")
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config} is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    def test_bad_flag_value_is_config_error(self, tmp_path, capsys):
+        assert main(["simulate", "--n-runs", "abc", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: invalid value for n_runs: 'abc'\n"
+
+    @pytest.mark.parametrize("argv", [["optimize", "--grid-points", HUGE],
+                                      ["figure", "beta_curve", "--points", HUGE]])
+    def test_size_too_large_for_memory_is_config_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory: ") and err.count("\n") == 1
 
     def test_integral_string_is_an_integer(self, tmp_path):
         config = tmp_path / "c.json"
