@@ -60,11 +60,10 @@ def _panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
 
 
 def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                        rel_tol: float = 1e-9, abs_tol: float = 0.0,
-                        max_intervals: int = 2000) -> QuadratureResult:
+                        rel_tol: float = 1e-9, max_intervals: int = 2000) -> QuadratureResult:
     """Integrate a vectorized integrand over [lo, hi] by bisecting the
     interval with the worst Kronrod error estimate until the summed error
-    drops below max(rel_tol * |integral|, abs_tol).
+    drops below rel_tol * |integral|.
 
     Raises NumericalError with diagnostics if the interval budget runs out.
     """
@@ -77,12 +76,12 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
     heap = [(-err, order, lo, hi, value, err)]
     total_val, total_err = value, err
     n_evals = 15
-    while total_err > max(rel_tol * abs(total_val), abs_tol):
+    while total_err > rel_tol * abs(total_val):
         if len(heap) >= max_intervals:
             raise NumericalError(
                 "quadrature did not converge: "
                 f"{len(heap)} intervals, error {total_err:.3e} "
-                f"vs target {max(rel_tol * abs(total_val), abs_tol):.3e} on [{lo}, {hi}]")
+                f"vs target {rel_tol * abs(total_val):.3e} on [{lo}, {hi}]")
         _, _, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
         v1, e1 = _panel(f, a, m)

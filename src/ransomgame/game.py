@@ -13,14 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DomainError
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
+from .errors import DomainError, _counteroffer, _nonnegative, _positive, _probability
 
 
 @dataclass(frozen=True)
@@ -39,13 +32,9 @@ class AttackerStrategy:
     i_sigma: float
 
     def __post_init__(self):
-        a = _require_finite("a", self.a)
-        if a <= 0.0:
-            raise DomainError(f"aggression a must be > 0, got {a}")
+        object.__setattr__(self, "a", _positive("aggression a", self.a))
         for name in ("i_beta", "i_sigma"):
-            v = _require_finite(name, getattr(self, name))
-            if v < 0.0:
-                raise DomainError(f"{name} must be >= 0, got {v}")
+            object.__setattr__(self, name, _nonnegative(name, getattr(self, name)))
 
     @property
     def cost(self) -> float:
@@ -59,9 +48,7 @@ class FixedValue:
     value: float
 
     def __post_init__(self):
-        v = _require_finite("value", self.value)
-        if v <= 0.0:
-            raise DomainError(f"target value must be > 0, got {v}")
+        object.__setattr__(self, "value", _positive("target value", self.value))
 
 
 @dataclass(frozen=True)
@@ -71,9 +58,7 @@ class PopulationMean:
     mean: float
 
     def __post_init__(self):
-        v = _require_finite("mean", self.mean)
-        if v <= 0.0:
-            raise DomainError(f"population mean must be > 0, got {v}")
+        object.__setattr__(self, "mean", _positive("population mean", self.mean))
 
 
 TargetValueModel = Union[FixedValue, PopulationMean]
@@ -91,9 +76,7 @@ class GameEnvironment:
     target_value: TargetValueModel
 
     def __post_init__(self):
-        v = _require_finite("i_fifty", self.i_fifty)
-        if v <= 0.0:
-            raise DomainError(f"i_fifty must be > 0, got {v}")
+        object.__setattr__(self, "i_fifty", _positive("i_fifty", self.i_fifty))
         if not isinstance(self.target_value, (FixedValue, PopulationMean)):
             raise DomainError(
                 f"target_value must be FixedValue or PopulationMean, got {self.target_value!r}")
@@ -137,9 +120,7 @@ class NegotiationOutcome:
     defender_payoff: float
 
     def __post_init__(self):
-        if not 0.0 <= self.counteroffer <= self.demand:
-            raise DomainError(
-                f"counteroffer must satisfy 0 <= C <= R, got C={self.counteroffer} R={self.demand}")
+        _counteroffer(self.counteroffer, self.demand)
 
 
 def reliability(i_beta: float, i_fifty: float) -> float:
@@ -148,27 +129,19 @@ def reliability(i_beta: float, i_fifty: float) -> float:
     Increasing in i_beta with diminishing returns; equals 0.5 at
     i_beta = i_fifty and approaches 1 as i_beta grows.
     """
-    i_beta = _require_finite("i_beta", i_beta)
-    i_fifty = _require_finite("i_fifty", i_fifty)
-    if i_beta < 0.0:
-        raise DomainError(f"i_beta must be >= 0, got {i_beta}")
-    if i_fifty <= 0.0:
-        raise DomainError(f"i_fifty must be > 0, got {i_fifty}")
+    i_beta = _nonnegative("i_beta", i_beta)
+    i_fifty = _positive("i_fifty", i_fifty)
     return i_beta / (i_beta + i_fifty)
 
 
 def estimate_scale(i_sigma: float, i_fifty: float) -> float:
     """Scale of the lognormal value estimate: 1 - i_sigma / (i_fifty + i_sigma).
 
-    Computed as the equivalent i_fifty / (i_fifty + i_sigma), which stays
-    strictly positive in floating point for any finite i_sigma.
+    Computed as the equivalent i_fifty / (i_fifty + i_sigma), which stays in
+    (0, 1] in floating point unless i_sigma / i_fifty is near 1e308.
     """
-    i_sigma = _require_finite("i_sigma", i_sigma)
-    i_fifty = _require_finite("i_fifty", i_fifty)
-    if i_sigma < 0.0:
-        raise DomainError(f"i_sigma must be >= 0, got {i_sigma}")
-    if i_fifty <= 0.0:
-        raise DomainError(f"i_fifty must be > 0, got {i_fifty}")
+    i_sigma = _nonnegative("i_sigma", i_sigma)
+    i_fifty = _positive("i_fifty", i_fifty)
     return i_fifty / (i_fifty + i_sigma)
 
 
@@ -177,15 +150,9 @@ def aggression_probability(c: float, r: float, a: float) -> float:
 
     Zero at C = R, one at C = 0 (0^a is taken as 0 for a > 0).
     """
-    c = _require_finite("c", c)
-    r = _require_finite("r", r)
-    a = _require_finite("a", a)
-    if r <= 0.0:
-        raise DomainError(f"demand r must be > 0, got {r}")
-    if not 0.0 <= c <= r:
-        raise DomainError(f"counteroffer must satisfy 0 <= c <= r, got c={c} r={r}")
-    if a <= 0.0:
-        raise DomainError(f"aggression a must be > 0, got {a}")
+    r = _positive("demand r", r)
+    c = _counteroffer(c, r)
+    a = _positive("aggression a", a)
     return 1.0 - math.pow(c / r, a)
 
 
@@ -199,18 +166,10 @@ def optimal_counteroffer(r: float, x: float, a: float, beta: float) -> float:
 
     Never exceeds beta*x, the expected value of the encrypted data.
     """
-    r = _require_finite("r", r)
-    x = _require_finite("x", x)
-    a = _require_finite("a", a)
-    beta = _require_finite("beta", beta)
-    if r < 0.0:
-        raise DomainError(f"demand r must be >= 0, got {r}")
-    if x <= 0.0:
-        raise DomainError(f"data value x must be > 0, got {x}")
-    if a <= 0.0:
-        raise DomainError(f"aggression a must be > 0, got {a}")
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
+    r = _nonnegative("demand r", r)
+    x = _positive("data value x", x)
+    a = _positive("aggression a", a)
+    beta = _probability("beta", beta)
     threshold = demand_factor(a, beta) * x
     return r if r <= threshold else threshold
 
@@ -221,21 +180,11 @@ def defender_utility(c: float, r: float, x: float, a: float, beta: float) -> flo
     The single expression covers the full-payment case: at C = R it equals
     -R - (1-beta)*x.
     """
-    c = _require_finite("c", c)
-    r = _require_finite("r", r)
-    x = _require_finite("x", x)
-    a = _require_finite("a", a)
-    beta = _require_finite("beta", beta)
-    if r <= 0.0:
-        raise DomainError(f"demand r must be > 0, got {r}")
-    if not 0.0 <= c <= r:
-        raise DomainError(f"counteroffer must satisfy 0 <= c <= r, got c={c} r={r}")
-    if x <= 0.0:
-        raise DomainError(f"data value x must be > 0, got {x}")
-    if a <= 0.0:
-        raise DomainError(f"aggression a must be > 0, got {a}")
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
+    r = _positive("demand r", r)
+    c = _counteroffer(c, r)
+    x = _positive("data value x", x)
+    a = _positive("aggression a", a)
+    beta = _probability("beta", beta)
     return -math.pow(c / r, a) * (c - beta * x) - x
 
 
@@ -245,16 +194,10 @@ def gross_profit(x_est: float, x: float, a: float, beta: float) -> float:
     Linear in the estimate while it undershoots the true value; decays as
     (x/x_est)^a once it overshoots and negotiation risk kicks in.
     """
-    x_est = _require_finite("x_est", x_est)
-    x = _require_finite("x", x)
-    a = _require_finite("a", a)
-    beta = _require_finite("beta", beta)
-    if x_est <= 0.0 or x <= 0.0:
-        raise DomainError(f"values must be > 0, got x_est={x_est} x={x}")
-    if a <= 0.0:
-        raise DomainError(f"aggression a must be > 0, got {a}")
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
+    x_est = _positive("x_est", x_est)
+    x = _positive("data value x", x)
+    a = _positive("aggression a", a)
+    beta = _probability("beta", beta)
     k = demand_factor(a, beta)
     if x_est <= x:
         return k * x_est
@@ -278,12 +221,8 @@ def attacker_profit_piecewise(r: float, x: float, strat: AttackerStrategy,
     Rises linearly up to the defender's payment cap a*beta*x/(1+a), then
     falls as ((cap/r)^a) * cap; continuous at the cap.
     """
-    r = _require_finite("r", r)
-    x = _require_finite("x", x)
-    if r < 0.0:
-        raise DomainError(f"demand r must be >= 0, got {r}")
-    if x <= 0.0:
-        raise DomainError(f"data value x must be > 0, got {x}")
+    r = _nonnegative("demand r", r)
+    x = _positive("data value x", x)
     beta = reliability(strat.i_beta, env.i_fifty)
     threshold = demand_factor(strat.a, beta) * x
     if r <= threshold:

@@ -197,7 +197,7 @@ def _grid_argmax(axes, env: GameEnvironment) -> tuple:
 
 def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
                     grid_points: int = DEFAULT_GRID_POINTS,
-                    diameter_tol: float = 1e-5, keep_trace: bool = False) -> StrategyOptimum:
+                    keep_trace: bool = False) -> StrategyOptimum:
     """Profit-maximizing strategy over a box of (a, i_beta, i_sigma).
 
     Stage one scans a log-spaced grid; stage two refines from the best node
@@ -231,7 +231,7 @@ def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
     hi = np.array([box[name][1] for name in _PARAM_NAMES])
     x_best, f_best, nm_evals, converged, history = nelder_mead(
         lambda p: -float(profit_grid(p[0:1], p[1:2], p[2:3], env)[0, 0, 0]),
-        best_point, np.asarray(steps), lo, hi, diameter_tol=diameter_tol)
+        best_point, np.asarray(steps), lo, hi)
     n_evals = grid_points ** 3 + nm_evals
 
     strategy = AttackerStrategy(a=float(x_best[0]), i_beta=float(x_best[1]),

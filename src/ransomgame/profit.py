@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import adaptive_quadrature
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _positive, _scale
 from .game import AttackerStrategy, DerivedParameters, GameEnvironment, demand_factor
-from .stochastics import _SQRT_2PI, std_normal_cdf
+from .stochastics import _SQRT2, _SQRT_2PI
 
 
 class ProfitMethod(enum.Enum):
@@ -40,26 +40,19 @@ class ProfitEstimate:
     abs_uncertainty: float
 
 
-def _check_multiplier_args(a: float, sigma: float):
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"aggression a must be > 0 and finite, got {a!r}")
-    if not (math.isfinite(sigma) and 0.0 < sigma <= 1.0):
-        raise DomainError(f"sigma must lie in (0, 1], got {sigma!r}")
+def _gross_multiplier(a: float, sigma: float) -> float:
+    """G(a, sigma) for a > 0 and sigma in (0, 1], unchecked.
 
-
-def gross_multiplier_closed_form(a: float, sigma: float) -> float:
-    """G(a, sigma) via lognormal partial expectations.
-
-    G = e^{sigma^2/2} Phi(-sigma) + e^{a^2 sigma^2/2} Phi(-a sigma).
-    Once the second exponent could overflow, that term is the Mills-ratio
-    series of y = a sigma, finite for every finite a; G never exceeds 1.
+    G = e^{sigma^2/2} Phi(-sigma) + e^{y^2/2} Phi(-y) with y = a sigma, and
+    Phi(-s) = erfc(s/sqrt 2)/2.  Once the second exponent could overflow,
+    that term is the Mills-ratio series of y, finite for every finite a;
+    G never exceeds 1.
     """
-    _check_multiplier_args(a, sigma)
     y = a * sigma
-    under = math.exp(sigma * sigma / 2.0) * std_normal_cdf(-sigma)
+    under = math.exp(sigma * sigma / 2.0) * (0.5 * math.erfc(sigma / _SQRT2))
     over_log_scale = a * a * sigma * sigma / 2.0
     if over_log_scale < 700.0:
-        over = math.exp(over_log_scale) * std_normal_cdf(-y)
+        over = math.exp(over_log_scale) * (0.5 * math.erfc(y / _SQRT2))
     else:
         # Terms to 13!!/y^14; the first one dropped is below 1e-18 at y = 37.4.
         w = 1.0 / (y * y)
@@ -69,7 +62,12 @@ def gross_multiplier_closed_form(a: float, sigma: float) -> float:
     return under + over
 
 
-def _quadrature_multiplier(a: float, sigma: float, rel_tol: float):
+def gross_multiplier_closed_form(a: float, sigma: float) -> float:
+    """G(a, sigma) via lognormal partial expectations (see ``_gross_multiplier``)."""
+    return _gross_multiplier(_positive("aggression a", a), _scale("sigma", sigma))
+
+
+def _quadrature_multiplier(a: float, sigma: float):
     """(G, error bound) by adaptive quadrature in t = ln y coordinates.
 
     After the substitution both pieces are a Gaussian kernel of width sigma
@@ -86,21 +84,20 @@ def _quadrature_multiplier(a: float, sigma: float, rel_tol: float):
         return np.exp(-a * t - t * t / two_s2) * inv_norm
 
     span = 12.0 * sigma
-    r1 = adaptive_quadrature(under, -span, 0.0, rel_tol=rel_tol)
-    r2 = adaptive_quadrature(over, 0.0, span, rel_tol=rel_tol)
+    r1 = adaptive_quadrature(under, -span, 0.0)
+    r2 = adaptive_quadrature(over, 0.0, span)
     return r1.value + r2.value, r1.error_bound + r2.error_bound
 
 
-def gross_multiplier_quadrature(a: float, sigma: float, rel_tol: float = 1e-9) -> float:
+def gross_multiplier_quadrature(a: float, sigma: float) -> float:
     """G(a, sigma) by adaptive quadrature of the reduced single integral."""
-    _check_multiplier_args(a, sigma)
-    return _quadrature_multiplier(a, sigma, rel_tol)[0]
+    return _quadrature_multiplier(_positive("aggression a", a), _scale("sigma", sigma))[0]
 
 
 def profit_grid(a, i_beta, i_sigma, env: GameEnvironment) -> np.ndarray:
     """Closed-form profit P[j, k, l] of (a[j], i_beta[k], i_sigma[l]) for three 1-D axes.
 
-    G is evaluated with libm once per (a, i_sigma) pair and broadcast; the
+    G is evaluated with libm once per (a, sigma) pair and broadcast; the
     grouping ((k * G) * M) - (i_beta + i_sigma) keeps P exactly linear in M.
     Raises DomainError for an axis value outside the strategy domain and
     NumericalError naming a node where P is not finite.
@@ -109,8 +106,9 @@ def profit_grid(a, i_beta, i_sigma, env: GameEnvironment) -> np.ndarray:
     # Every bound is monotone, so a node fails iff an axis extreme does.
     for pick in (np.min, np.max):
         AttackerStrategy(a=pick(a), i_beta=pick(i_beta), i_sigma=pick(i_sigma))
-    sigma = (env.i_fifty / (env.i_fifty + i_sigma)).tolist()
-    g = np.array([[gross_multiplier_closed_form(x, s) for s in sigma] for x in a.tolist()])
+    sigma = env.i_fifty / (env.i_fifty + i_sigma)
+    _scale("sigma", sigma.min())  # never above 1, but 0 once the ratio underflows
+    g = np.array([[_gross_multiplier(x, s) for s in sigma.tolist()] for x in a.tolist()])
     # Overflow shows as a non-finite P below, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
         beta = i_beta / (i_beta + env.i_fifty)
@@ -126,8 +124,7 @@ def profit_grid(a, i_beta, i_sigma, env: GameEnvironment) -> np.ndarray:
 
 
 def expected_profit(strat: AttackerStrategy, env: GameEnvironment,
-                    method: ProfitMethod = ProfitMethod.CLOSED_FORM,
-                    rel_tol: float = 1e-9) -> ProfitEstimate:
+                    method: ProfitMethod = ProfitMethod.CLOSED_FORM) -> ProfitEstimate:
     """Expected profit of a strategy: (a*beta/(1+a)) * G(a, sigma) * M - costs.
 
     ``method`` selects how the gross multiplier is evaluated.  Monte Carlo
@@ -142,7 +139,7 @@ def expected_profit(strat: AttackerStrategy, env: GameEnvironment,
     if method is ProfitMethod.QUADRATURE:
         derived = DerivedParameters.of(strat, env)
         m = env.mean_target_value
-        g, err = _quadrature_multiplier(strat.a, derived.sigma, rel_tol)
+        g, err = _quadrature_multiplier(strat.a, _scale("sigma", derived.sigma))
         scale = demand_factor(strat.a, derived.beta) * m
         return ProfitEstimate(value=scale * g - cost, method=method,
                               abs_uncertainty=scale * err)

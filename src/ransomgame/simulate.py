@@ -155,8 +155,7 @@ def _simulate_arrays(strategy: AttackerStrategy, env: GameEnvironment, n: int,
 def run_single(strategy: AttackerStrategy, env: GameEnvironment,
                seed: SeedSpec) -> NegotiationOutcome:
     """Play one game on the first block of the stream identified by ``seed``."""
-    if not isinstance(env.target_value, FixedValue):
-        raise DomainError("simulation requires a FixedValue environment")
+    SimulationConfig(strategy, env, 1, seed)  # the same checks as a batch
     *_, trace = _simulate_arrays(strategy, env, 1, seed, workers=1, keep_trace=True)
     return _outcome_from_arrays(trace, 0)
 

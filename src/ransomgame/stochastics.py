@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _positive, _require_finite, _scale
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -153,16 +153,15 @@ def _ppf(u: np.ndarray) -> np.ndarray:
 
 def std_normal_ppf(u: float) -> float:
     """Quantile z with Phi(z) = u, for u strictly inside (0, 1)."""
-    if not (0.0 < u < 1.0):
+    u = _require_finite("quantile level", u)
+    if not 0.0 < u < 1.0:
         raise DomainError(f"quantile level must lie in (0, 1), got {u!r}")
     return float(_ppf(np.array([u], dtype=np.float64))[0])
 
 
 def std_normal_cdf(z: float) -> float:
     """Phi(z), absolute error well below 1e-12."""
-    if not math.isfinite(z):
-        raise DomainError(f"argument must be finite, got {z!r}")
-    return 0.5 * math.erfc(-z / _SQRT2)
+    return 0.5 * math.erfc(-_require_finite("argument", z) / _SQRT2)
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +181,12 @@ class LognormalEstimator:
     sigma: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise DomainError(f"mu must be finite, got {self.mu!r}")
-        if not (math.isfinite(self.sigma) and 0.0 < self.sigma <= 1.0):
-            raise DomainError(f"sigma must lie in (0, 1], got {self.sigma!r}")
+        object.__setattr__(self, "mu", _require_finite("mu", self.mu))
+        object.__setattr__(self, "sigma", _scale("sigma", self.sigma))
 
     @classmethod
     def for_target(cls, x: float, sigma: float) -> "LognormalEstimator":
-        if not (math.isfinite(x) and x > 0.0):
-            raise DomainError(f"target value must be positive and finite, got {x!r}")
-        return cls(mu=math.log(x), sigma=sigma)
+        return cls(mu=math.log(_positive("target value", x)), sigma=sigma)
 
     @property
     def median(self) -> float:
@@ -217,8 +212,7 @@ class LognormalEstimator:
 
 def lognormal_pdf(x_est, mu: float, sigma: float):
     """Density of Lognormal(mu, sigma^2) at x_est (scalar or array)."""
-    if not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"invalid lognormal parameters mu={mu!r} sigma={sigma!r}")
+    mu, sigma = _require_finite("mu", mu), _positive("sigma", sigma)
     x_est = np.asarray(x_est, dtype=np.float64)
     if not np.all(np.isfinite(x_est)) or np.any(x_est <= 0.0):
         raise DomainError("density argument must be positive and finite")
@@ -229,8 +223,7 @@ def lognormal_pdf(x_est, mu: float, sigma: float):
 
 def lognormal_cdf(x_est, mu: float, sigma: float):
     """CDF of Lognormal(mu, sigma^2) at x_est (scalar or array)."""
-    if not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"invalid lognormal parameters mu={mu!r} sigma={sigma!r}")
+    mu, sigma = _require_finite("mu", mu), _positive("sigma", sigma)
     x_est = np.asarray(x_est, dtype=np.float64)
     if not np.all(np.isfinite(x_est)) or np.any(x_est <= 0.0):
         raise DomainError("CDF argument must be positive and finite")
