@@ -8,6 +8,7 @@ reliable error bound, independently of the closed-form route.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,9 +54,13 @@ def _panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
     """15-point Kronrod estimate and |K15 - G7| error gauge on [lo, hi]."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    fx = np.asarray(f(mid + half * _XK), dtype=np.float64)
-    k15 = half * float(_WK @ fx)
-    g7 = half * float(_WG @ fx[_GAUSS_IDX])
+    # A non-finite panel raises below, so numpy's warnings would only repeat it.
+    with np.errstate(all="ignore"):
+        fx = np.asarray(f(mid + half * _XK), dtype=np.float64)
+        k15 = half * float(_WK @ fx)
+        g7 = half * float(_WG @ fx[_GAUSS_IDX])
+    if not (math.isfinite(k15) and math.isfinite(g7)):
+        raise NumericalError(f"integrand is not finite on [{lo}, {hi}]")
     return k15, abs(k15 - g7)
 
 
@@ -65,7 +70,8 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
     interval with the worst Kronrod error estimate until the summed error
     drops below rel_tol * |integral|.
 
-    Raises NumericalError with diagnostics if the interval budget runs out.
+    Raises NumericalError with diagnostics if the interval budget runs out
+    or a panel is not finite.
     """
     if not hi > lo:
         raise NumericalError(f"empty integration interval [{lo}, {hi}]")

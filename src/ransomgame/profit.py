@@ -44,13 +44,14 @@ def _gross_multiplier(a: float, sigma: float) -> float:
     """G(a, sigma) for a > 0 and sigma in (0, 1], unchecked.
 
     G = e^{sigma^2/2} Phi(-sigma) + e^{y^2/2} Phi(-y) with y = a sigma, and
-    Phi(-s) = erfc(s/sqrt 2)/2.  Once the second exponent could overflow,
-    that term is the Mills-ratio series of y, finite for every finite a;
-    G never exceeds 1.
+    Phi(-s) = erfc(s/sqrt 2)/2.  Once y^2/2 reaches 700, the second term is
+    the Mills-ratio series of y, finite for every finite a; G never exceeds 1.
     """
     y = a * sigma
     under = math.exp(sigma * sigma / 2.0) * (0.5 * math.erfc(sigma / _SQRT2))
     over_log_scale = a * a * sigma * sigma / 2.0
+    if over_log_scale == math.inf:  # a * a overflowed, but y may still be small
+        over_log_scale = y * y / 2.0
     if over_log_scale < 700.0:
         over = math.exp(over_log_scale) * (0.5 * math.erfc(y / _SQRT2))
     else:

@@ -302,6 +302,24 @@ class TestSweepCommand:
         profits = [float(row[columns.index("profit")]) for row in rows]
         assert rows and all(np.isfinite(profits))
 
+    @pytest.mark.parametrize("args,expected", [
+        # a * a overflows at the last two nodes, where y = a * sigma is 0.5 and 1.
+        (["--i-fifty", "1e-300", "--axis", "a:1:1e300:3", "--fix", "i_beta=0.1",
+          "--fix", "i_sigma=1"], [-0.6, -0.250381165, -0.338421708]),
+        (["--i-fifty", "1e-20", "--axis", "a:1e155:1e156:2", "--fix", "i_beta=0.1",
+          "--fix", "i_sigma=1e297"], None),
+    ])
+    def test_small_y_at_huge_aggression_gives_finite_profit(self, tmp_path, capsys, args,
+                                                           expected):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", *args, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, _, columns, rows = read_csv(out)
+        profits = [float(row[columns.index("profit")]) for row in rows]
+        assert rows and all(np.isfinite(profits))
+        if expected is not None:
+            assert profits == pytest.approx(expected, rel=1e-9)
+
     def test_json_output_with_contours(self, tmp_path):
         out = tmp_path / "sweep.json"
         assert main(["sweep", "--axis", "i_beta:0.001:0.5:40:log",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ransomgame import (AttackerStrategy, DomainError, GameEnvironment,
+from ransomgame import (AttackerStrategy, DomainError, GameEnvironment, NumericalError,
                         PopulationMean, ProfitMethod, demand_factor, estimate_scale,
                         expected_profit, gross_multiplier_closed_form,
                         gross_multiplier_quadrature, reliability, std_normal_cdf)
@@ -52,6 +52,16 @@ class TestGrossMultiplierClosedForm:
         for sigma in (0.1, 1.0):
             g = gross_multiplier_closed_form(a, sigma)
             assert math.isfinite(g) and 0.0 < g <= 1.0
+
+    @pytest.mark.parametrize("a,sigma", [(1e300, 1e-300), (1e300, 3e-300),
+                                         (1e155, 1e-317), (1e200, 1e-310)])
+    def test_small_y_after_a_squared_overflows(self, a, sigma):
+        # a * a is inf here although y = a * sigma is at most 3, far below
+        # the range where the Mills-ratio series holds.
+        y = a * sigma
+        two_term = (math.exp(sigma * sigma / 2.0) * std_normal_cdf(-sigma)
+                    + math.exp(y * y / 2.0) * std_normal_cdf(-y))
+        assert gross_multiplier_closed_form(a, sigma) == pytest.approx(two_term, rel=1e-14)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -154,6 +164,12 @@ class TestExpectedProfit:
             unit = GameEnvironment(i_fifty=I50, target_value=PopulationMean(1.0))
             assert expected_profit(strat, scaled).value == gross_unit * m - strat.cost
             assert expected_profit(strat, unit).value == gross_unit * 1.0 - strat.cost
+
+    def test_quadrature_fails_loudly_when_two_sigma_squared_underflows(self):
+        # sigma = 1e-300: the integrand's Gaussian width 2 sigma^2 is 0.0.
+        env = GameEnvironment(i_fifty=1e-300, target_value=PopulationMean(1.0))
+        with pytest.raises(NumericalError, match="not finite"):
+            expected_profit(AttackerStrategy(1.0, 0.1, 1.0), env, ProfitMethod.QUADRATURE)
 
     def test_monte_carlo_method_is_rejected_here(self, optimal_strategy, mean_env):
         with pytest.raises(DomainError, match="simulate.run_batch"):

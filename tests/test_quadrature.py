@@ -56,6 +56,10 @@ class TestAdaptiveQuadrature:
             adaptive_quadrature(lambda t: np.cos(10000.0 * t), 0.0, 1.0,
                                 rel_tol=1e-13, max_intervals=8)
 
+    def test_non_finite_panel_raises_without_warning(self):
+        with pytest.raises(NumericalError, match="not finite"):
+            adaptive_quadrature(lambda t: t / (t - t), 0.0, 1.0)
+
     def test_empty_interval_rejected(self):
         with pytest.raises(NumericalError):
             adaptive_quadrature(np.exp, 1.0, 1.0)
