@@ -64,6 +64,17 @@ def integer(value):
     return int(value)
 
 
+def count(value):
+    """An array length; beyond what numpy can address it is out of memory.
+
+    numpy reports such a size as a ValueError, not as a MemoryError.
+    """
+    n = integer(value)
+    if n > sys.maxsize // 8:
+        raise MemoryError(f"{n} float64 values exceed the largest possible array")
+    return n
+
+
 def _axis_list(value):
     """Axis specs from config entries or name:lo:hi:n[:scale] CLI strings."""
     axes = []
@@ -85,7 +96,7 @@ def _axis_list(value):
             name, lo, hi, n = parts[:4]
             scale = parts[4] if len(parts) == 5 else "linear"
         try:
-            lo, hi, n = float(lo), float(hi), integer(n)
+            lo, hi, n = float(lo), float(hi), count(n)
         except (TypeError, ValueError):
             raise ConfigError(f"malformed axis spec {item!r}") from None
         axes.append(AxisSpec(name=name, lo=lo, hi=hi, n=n, scale=scale))
@@ -118,7 +129,7 @@ SCHEMAS = {
         "i_sigma": (float, 0.1),
         "a": (float, 10.0),
         "m": (float, 1.0),
-        "points": (integer, None),
+        "points": (count, None),
         "i_beta_max": (float, 0.5),
         "x_est_max": (float, 3.0),
         "r_max": (float, 2.0),
@@ -141,7 +152,7 @@ SCHEMAS = {
         "i_sigma": (float, 0.104),
         "i_fifty": (float, 0.02),
         "x": (float, 1.0),
-        "n_runs": (integer, 10000),
+        "n_runs": (count, 10000),
         "master_seed": (integer, 0),
         "stream_index": (integer, 0),
     },
@@ -154,7 +165,7 @@ SCHEMAS = {
         "i_beta_hi": (float, DEFAULT_BOUNDS["i_beta"][1]),
         "i_sigma_lo": (float, DEFAULT_BOUNDS["i_sigma"][0]),
         "i_sigma_hi": (float, DEFAULT_BOUNDS["i_sigma"][1]),
-        "grid_points": (integer, DEFAULT_GRID_POINTS),
+        "grid_points": (count, DEFAULT_GRID_POINTS),
     },
     "sweep": {
         "i_fifty": (float, 0.02),
@@ -187,7 +198,7 @@ def _config_json(command: str, params: dict) -> str:
 def _load_config(path: str, command: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
-    except ValueError as e:  # also text that does not decode
+    except (ValueError, RecursionError) as e:  # also undecodable or deeply nested text
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

@@ -21,6 +21,8 @@ from ransomgame.stochastics import SeedSpec
 # 10**18 float64s (about 7 EiB) exceed every 64-bit address space, so the
 # allocation fails at once without touching memory.
 HUGE = str(10 ** 18)
+# Sizes numpy cannot address at all: it raises ValueError, not MemoryError.
+TOO_BIG = str(10 ** 19)
 
 
 def read_csv(path):
@@ -595,12 +597,28 @@ class TestConfigHandling:
         assert main(["simulate", "--n-runs", "abc", "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == "error: invalid value for n_runs: 'abc'\n"
 
-    @pytest.mark.parametrize("argv", [["optimize", "--grid-points", HUGE],
-                                      ["figure", "beta_curve", "--points", HUGE]])
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--grid-points", HUGE],
+        ["figure", "beta_curve", "--points", HUGE],
+        ["simulate", "--n-runs", str(2 * 10 ** 18)],
+        ["simulate", "--n-runs", TOO_BIG],
+        ["optimize", "--grid-points", TOO_BIG],
+        ["figure", "beta_curve", "--points", TOO_BIG],
+        ["sweep", "--axis", f"a:1:2:{TOO_BIG}", "--fix", "i_beta=0.1", "--fix", "i_sigma=0.1"],
+    ])
     def test_size_too_large_for_memory_is_config_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: not enough memory: ") and err.count("\n") == 1
+
+    def test_deeply_nested_config_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text("[" * 200_000)
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config} is not valid JSON: ")
+        assert err.count("\n") == 1
 
     def test_integral_string_is_an_integer(self, tmp_path):
         config = tmp_path / "c.json"
