@@ -1,13 +1,17 @@
 """Property-based checks under a fixed, derandomized Hypothesis profile."""
 
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ransomgame import (AttackerStrategy, FixedValue, GameEnvironment, SeedSpec,  # noqa: E402
-                        SimulationConfig, run_batch, run_single)
+from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment,  # noqa: E402
+                        PopulationMean, SeedSpec, SimulationConfig, expected_profit,
+                        gross_multiplier_closed_form, run_batch, run_single)
 from ransomgame.simulate import _outcome_from_arrays  # noqa: E402
 from ransomgame.stochastics import _ppf  # noqa: E402
 
@@ -17,6 +21,20 @@ settings.register_profile("ransomgame", derandomize=True, database=None, deadlin
 settings.load_profile("ransomgame")
 
 _WORD = st.integers(0, 2 ** 64 - 1)
+
+# Whatever a caller might pass for a number: nan and infinities, integers
+# too large for a float, numeric and non-numeric strings, and None.
+_ANY_INPUT = st.one_of(st.floats(), st.integers(-10 ** 400, 10 ** 400),
+                       st.floats().map(repr), st.text(max_size=6), st.none())
+
+
+def _log_floats(lo_exp: float, hi_exp: float):
+    """Floats 10**e for e drawn from [lo_exp, hi_exp]: every magnitude equally."""
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+_A_MAX_EXP = math.log10(1.7e308)
+_MAGNITUDE = _log_floats(-300.0, 300.0)
 
 
 @given(st.lists(st.integers(0, 2 ** 52 - 1), min_size=1, max_size=64))
@@ -37,3 +55,32 @@ def test_run_single_is_run_zero_of_batch(master, stream, n, a, i_beta, i_sigma, 
     seed = SeedSpec(master, stream)
     trace = run_batch(SimulationConfig(strategy, env, n, seed), keep_trace=True).trace
     assert run_single(strategy, env, seed) == _outcome_from_arrays(trace, 0)
+
+
+@given(a=_ANY_INPUT, i_beta=_ANY_INPUT, i_sigma=_ANY_INPUT, v=_ANY_INPUT)
+def test_value_objects_hold_the_float_of_their_input(a, i_beta, i_sigma, v):
+    for make, args in ((AttackerStrategy, (a, i_beta, i_sigma)), (FixedValue, (v,)),
+                       (PopulationMean, (v,)),
+                       (lambda i_fifty: GameEnvironment(i_fifty, FixedValue(1.0)), (v,))):
+        try:
+            held = astuple(make(*args))[:len(args)]
+        except DomainError:
+            continue
+        assert all(type(h) is float and h == float(x) for h, x in zip(held, args))
+
+
+@given(a=_log_floats(-300.0, _A_MAX_EXP), i_beta=_MAGNITUDE, i_sigma=_MAGNITUDE,
+       i_fifty=_MAGNITUDE, m=_MAGNITUDE)
+def test_expected_profit_is_finite_or_domain_error(a, i_beta, i_sigma, i_fifty, m):
+    # Reaches a * a = inf with a * sigma small, and sigma underflowing to 0.
+    try:
+        value = expected_profit(AttackerStrategy(a, i_beta, i_sigma),
+                                GameEnvironment(i_fifty, PopulationMean(m))).value
+    except DomainError:
+        return
+    assert math.isfinite(value)
+
+
+@given(a=_log_floats(-323.0, _A_MAX_EXP), sigma=_log_floats(-323.0, 0.0))
+def test_gross_multiplier_lies_in_unit_interval(a, sigma):
+    assert 0.0 < gross_multiplier_closed_form(a, sigma) <= 1.0
