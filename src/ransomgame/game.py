@@ -138,7 +138,7 @@ def estimate_scale(i_sigma: float, i_fifty: float) -> float:
     """Scale of the lognormal value estimate: 1 - i_sigma / (i_fifty + i_sigma).
 
     Computed as the equivalent i_fifty / (i_fifty + i_sigma), which stays in
-    (0, 1] in floating point unless i_sigma / i_fifty is near 1e308.
+    (0, 1] unless i_fifty + i_sigma overflows or the quotient underflows.
     """
     i_sigma = _nonnegative("i_sigma", i_sigma)
     i_fifty = _positive("i_fifty", i_fifty)

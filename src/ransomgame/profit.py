@@ -107,9 +107,10 @@ def profit_grid(a, i_beta, i_sigma, env: GameEnvironment) -> np.ndarray:
     # Every bound is monotone, so a node fails iff an axis extreme does.
     for pick in (np.min, np.max):
         AttackerStrategy(a=pick(a), i_beta=pick(i_beta), i_sigma=pick(i_sigma))
-    sigma = env.i_fifty / (env.i_fifty + i_sigma)
-    _scale("sigma", sigma.min())  # never above 1, but 0 once the ratio underflows
-    g = np.array([[_gross_multiplier(x, s) for s in sigma.tolist()] for x in a.tolist()])
+    # Never above 1, but 0 once i_fifty + i_sigma overflows or the ratio underflows.
+    sigma = [env.i_fifty / (env.i_fifty + s) for s in i_sigma.tolist()]
+    _scale("sigma", min(sigma))
+    g = np.array([[_gross_multiplier(x, s) for s in sigma] for x in a.tolist()])
     # Overflow shows as a non-finite P below, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
         beta = i_beta / (i_beta + env.i_fifty)

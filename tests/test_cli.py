@@ -273,6 +273,8 @@ class TestSweepCommand:
          "a must be finite, got nan"),
         (["--axis", "i_beta:-0.1:0.5:4", "--fix", "a=4.68", "--fix", "i_sigma=0.1"],
          "i_beta must be >= 0, got -0.1"),
+        (["--i-fifty", "1e308", "--axis", "a:1:2:3", "--fix", "i_beta=0.1",
+          "--fix", "i_sigma=1e308"], "sigma must lie in (0, 1], got 0.0"),
     ])
     def test_out_of_domain_strategy_is_config_error(self, tmp_path, capsys, args, message):
         assert main(["sweep", *args, "--out", str(tmp_path / "x.csv")]) == 2
@@ -295,6 +297,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize("args", [
         ["sweep", "--axis", "a:1:1e300:3", "--fix", "i_beta=0.09", "--fix", "i_sigma=0.1"],
         ["optimize", "--a-hi", "1e300", "--grid-points", "8"],
+        ["sweep", "--i-fifty", "1e-20", "--axis", "a:1e155:1e156:2", "--fix", "i_beta=0.1",
+         "--fix", "i_sigma=1e297"],
     ])
     def test_huge_aggression_gives_finite_profit(self, tmp_path, capsys, args):
         out = tmp_path / "x.csv"
@@ -304,23 +308,15 @@ class TestSweepCommand:
         profits = [float(row[columns.index("profit")]) for row in rows]
         assert rows and all(np.isfinite(profits))
 
-    @pytest.mark.parametrize("args,expected", [
+    def test_small_y_at_huge_aggression_matches_the_closed_form(self, tmp_path, capsys):
         # a * a overflows at the last two nodes, where y = a * sigma is 0.5 and 1.
-        (["--i-fifty", "1e-300", "--axis", "a:1:1e300:3", "--fix", "i_beta=0.1",
-          "--fix", "i_sigma=1"], [-0.6, -0.250381165, -0.338421708]),
-        (["--i-fifty", "1e-20", "--axis", "a:1e155:1e156:2", "--fix", "i_beta=0.1",
-          "--fix", "i_sigma=1e297"], None),
-    ])
-    def test_small_y_at_huge_aggression_gives_finite_profit(self, tmp_path, capsys, args,
-                                                           expected):
         out = tmp_path / "x.csv"
-        assert main(["sweep", *args, "--out", str(out)]) == 0
+        assert main(["sweep", "--i-fifty", "1e-300", "--axis", "a:1:1e300:3",
+                     "--fix", "i_beta=0.1", "--fix", "i_sigma=1", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         _, _, columns, rows = read_csv(out)
         profits = [float(row[columns.index("profit")]) for row in rows]
-        assert rows and all(np.isfinite(profits))
-        if expected is not None:
-            assert profits == pytest.approx(expected, rel=1e-9)
+        assert profits == pytest.approx([-0.6, -0.250381165, -0.338421708], rel=1e-9)
 
     def test_json_output_with_contours(self, tmp_path):
         out = tmp_path / "sweep.json"
