@@ -25,7 +25,9 @@ class NumericalError(RuntimeError):
 def _require_finite(name: str, value) -> float:
     try:
         value = float(value)
-    except (TypeError, ValueError, OverflowError):  # None, "abc", 10**400
+    except OverflowError:  # an int such as 10**400, whose repr may be too long to print
+        value = math.inf
+    except (TypeError, ValueError):  # None, "abc"
         pass
     if not (isinstance(value, float) and math.isfinite(value)):
         raise DomainError(f"{name} must be finite, got {value!r}")

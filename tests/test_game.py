@@ -37,6 +37,12 @@ class TestReliability:
         with pytest.raises(DomainError):
             reliability(i_beta, i_fifty)
 
+    def test_what_float_cannot_read_is_a_domain_error(self):
+        # Python will not print an int of more than 4300 digits.
+        for bad in (None, "abc", 10 ** 400, 10 ** 5000):
+            with pytest.raises(DomainError):
+                reliability(bad, I50)
+
 
 class TestEstimateScale:
     def test_unit_scale_at_zero_investment(self):
