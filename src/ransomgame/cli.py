@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -509,6 +510,24 @@ def cmd_table(args, params) -> int:
     return 0
 
 
+# A trace row is ten fields, nine commas and a newline: 20 bytes at least.
+_MIN_TRACE_ROW_BYTES = 20
+
+
+def _check_trace_fits(path: str, n_runs: int):
+    """Fail before simulating if even the shortest rows cannot fit on disk.
+
+    The batch streams its trace, so the disk, not memory, bounds its size.
+    Paths that are not regular files (``/dev/null``, a pipe) are not checked.
+    """
+    if not Path(path).is_file():
+        return
+    need, free = n_runs * _MIN_TRACE_ROW_BYTES, shutil.disk_usage(path).free
+    if need > free:
+        raise MemoryError(f"a trace of {n_runs} runs takes at least {need} bytes, "
+                          f"and its file system has {free} free")
+
+
 def cmd_simulate(args, params) -> int:
     config = SimulationConfig(
         strategy=AttackerStrategy(a=params["a"], i_beta=params["i_beta"],
@@ -525,7 +544,15 @@ def cmd_simulate(args, params) -> int:
     trace_file = None if args.trace_out is None else _open_out(args.trace_out)
     try:
         with trace_file or nullcontext():
-            report = run_batch(config, workers=args.workers, keep_trace=trace_file is not None)
+            on_chunk = None
+            if trace_file is not None:
+                _check_trace_fits(args.trace_out, config.n_runs)
+                header = (f"config: {_config_json('simulate', params)}",)
+
+                def on_chunk(chunk, first_run):
+                    write_trace_csv(chunk, trace_file, header_lines=header,
+                                    first_run=first_run)
+            report = run_batch(config, workers=args.workers, on_chunk=on_chunk)
             names = ["n_runs", "mean_attacker_profit", "std_error_attacker_profit",
                      "mean_defender_utility"] + \
                     [f"count_{k.value}" for k in report.outcome_counts]
@@ -533,9 +560,6 @@ def cmd_simulate(args, params) -> int:
                    report.std_error_attacker_profit, report.mean_defender_utility] + \
                   list(report.outcome_counts.values())
             _emit(args, "simulate", params, names, [[v] for v in row])
-            if trace_file is not None:
-                write_trace_csv(report.trace, trace_file,
-                                header_lines=(f"config: {_config_json('simulate', params)}",))
     except BaseException:
         # A failed command leaves no trace behind, not even an empty one.
         if trace_file is not None and Path(args.trace_out).is_file():

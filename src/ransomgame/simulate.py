@@ -8,20 +8,26 @@ Runs are driven by a counter-based random stream, one 4-word block per run:
 run i of a batch seeded with (master_seed, stream_index) consumes block i of
 that stream.  Results are therefore bit-identical for any worker count, and
 run 0 of a batch equals ``run_single`` with the same seed.
+
+A batch is played in chunks of 65,536 runs.  Each chunk is reduced to
+summary statistics, handed to an optional callback (the CLI writes it to the
+trace file there) and dropped, so peak memory is O(chunk x workers) whatever
+the number of runs; only ``keep_trace=True`` keeps every run.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import IO, Optional
+from dataclasses import dataclass, field, fields
+from typing import IO, Callable, Optional
 
 import numpy as np
 
 from ._backend import get_kernel
 from ._rows import write_rows
-from .errors import DomainError
+from .errors import DomainError, NumericalError, _scale
 from .game import (AttackerStrategy, DerivedParameters, FixedValue, GameEnvironment,
                    NegotiationOutcome, OutcomeKind)
 from .profit import ProfitEstimate, ProfitMethod
@@ -30,6 +36,12 @@ from .stochastics import SeedSpec, uniform_blocks
 # Runs are generated and simulated in fixed-size blocks so that chunk
 # boundaries do not depend on the worker count.
 _CHUNK = 65536
+
+# Payoffs at or above 2**_SCALE_BITS are scaled down before they are summed
+# or squared.  Scaled deviations stay below 2**449, so the sum of their
+# squares stays finite for any n_runs below 2**63.
+_SCALE_BITS = 448
+_SCALE_LIMIT = 2.0 ** _SCALE_BITS
 
 _KIND_ORDER = (OutcomeKind.AGGRESSIVE_REJECTION,
                OutcomeKind.DECRYPTION_SUCCESS,
@@ -56,11 +68,12 @@ class SimulationConfig:
             raise DomainError(
                 "simulation requires a FixedValue environment; only the mean of a "
                 "value population enters the analytics, so pick a representative x")
+        _scale("sigma", DerivedParameters.of(self.strategy, self.environment).sigma)
 
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Per-run records of a batch, column-per-array."""
+    """Per-run records of a batch or of one chunk of it, column-per-array."""
 
     x: float
     x_tilde: np.ndarray
@@ -78,6 +91,9 @@ class SimulationTrace:
     @property
     def decrypted(self) -> np.ndarray:
         return (self.kind == 1) | (self.kind == 3)
+
+
+_TRACE_ARRAYS = tuple(f.name for f in fields(SimulationTrace)[1:])
 
 
 @dataclass(frozen=True)
@@ -105,104 +121,180 @@ def _outcome_from_arrays(trace: SimulationTrace, i: int) -> NegotiationOutcome:
                               defender_payoff=float(trace.defender_payoff[i]))
 
 
-def _simulate_arrays(strategy: AttackerStrategy, env: GameEnvironment, n: int,
-                     seed: SeedSpec, workers: int, keep_trace: bool):
-    """Play n runs; return (attacker, defender, kind, trace).
+def _empty_trace(x: float, n: int) -> SimulationTrace:
+    return SimulationTrace(x, *(np.empty(n, np.uint8 if a == "kind" else np.float64)
+                                for a in _TRACE_ARRAYS))
 
-    The payoff and outcome arrays always have length n.  The per-run
-    estimate, demand, counteroffer and aggression are kept at length n only
-    with ``keep_trace``; otherwise each worker writes them to one set of
-    chunk-sized scratch arrays, reused for all its chunks (a fresh set per
-    chunk would fault its pages in every time), and ``trace`` is None.
+
+def _unscale(value: float, exponent: int) -> float:
+    """value * 2**exponent, or NumericalError if that overflows float64."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        raise NumericalError("a payoff statistic overflows float64") from None
+
+
+def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
+                 seed: SeedSpec, workers: int):
+    """Yield ``(first_run, chunk)`` for the batch's chunks in run order.
+
+    Each chunk is a ``SimulationTrace`` of up to ``_CHUNK`` runs.  With more
+    than one worker a thread pool plays at most ``workers`` chunks while the
+    caller holds one.  A chunk's arrays are reused once the caller asks for
+    the next chunk: fresh arrays would fault their pages in every time.
     """
     kernel = get_kernel()
     derived = DerivedParameters.of(strategy, env)
     x = env.target_value.value
-
-    # x_tilde, demand, counteroffer, alpha: the order of both the kernel's
-    # outputs and SimulationTrace's fields.
-    steps = [np.empty(n) for _ in range(4)] if keep_trace else None
-    attacker = np.empty(n)
-    defender = np.empty(n)
-    kind = np.empty(n, dtype=np.uint8)
-
-    def do_chunks(starts):
-        scratch = None if keep_trace else [np.empty(min(n, _CHUNK)) for _ in range(4)]
-        for lo in starts:
-            hi = min(lo + _CHUNK, n)
-            u3 = np.ascontiguousarray(uniform_blocks(seed, lo, hi - lo)[:, :3])
-            chunk_steps = ([a[lo:hi] for a in steps] if keep_trace
-                           else [a[:hi - lo] for a in scratch])
-            kernel.simulate_runs(u3, strategy.a, derived.beta, derived.sigma, x,
-                                 strategy.i_beta, strategy.i_sigma, *chunk_steps,
-                                 attacker[lo:hi], defender[lo:hi], kind[lo:hi])
-
     starts = range(0, n, _CHUNK)
     workers = min(workers, len(starts))
-    if workers <= 1:
-        do_chunks(starts)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(do_chunks, [starts[k::workers] for k in range(workers)]))
+    # One set of arrays for each chunk alive at a time.
+    slots = [_empty_trace(x, min(n, _CHUNK))
+             for _ in range(1 if workers == 1 else workers + 1)]
 
-    trace = None
-    if keep_trace:
-        trace = SimulationTrace(x, *steps, kind=kind, attacker_payoff=attacker,
-                                defender_payoff=defender)
-    return attacker, defender, kind, trace
+    def play(k):
+        lo = starts[k]
+        m = min(_CHUNK, n - lo)
+        slot = slots[k % len(slots)]
+        chunk = SimulationTrace(x, *(getattr(slot, a)[:m] for a in _TRACE_ARRAYS))
+        u3 = np.ascontiguousarray(uniform_blocks(seed, lo, m)[:, :3])
+        # Inputs near the float64 limit overflow to inf; run_batch reports a
+        # non-finite payoff as a NumericalError instead of a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel.simulate_runs(u3, strategy.a, derived.beta, derived.sigma, x,
+                                 strategy.i_beta, strategy.i_sigma, chunk.x_tilde,
+                                 chunk.demand, chunk.counteroffer, chunk.alpha,
+                                 chunk.attacker_payoff, chunk.defender_payoff, chunk.kind)
+        return lo, chunk
+
+    if workers == 1:
+        yield from map(play, range(len(starts)))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # Chunk k + workers + 1 reuses chunk k's slot, so it is submitted
+        # only after the caller has asked for chunk k + 1.
+        ahead = deque()
+        for k in range(len(starts)):
+            ahead.append(pool.submit(play, k))
+            if len(ahead) > workers:
+                yield ahead.popleft().result()
+        for future in ahead:
+            yield future.result()
+
+
+def _chunk_moments(chunk: SimulationTrace) -> tuple:
+    """(n, attacker mean, scaled M2, scaled defender sum, exponent, counts).
+
+    Payoffs of magnitude 2**448 or more are first scaled by 2**-exponent, so
+    no finite payoff overflows a sum or a square; M2 then holds the squared
+    deviations times 4**-exponent and the defender sum is times 2**-exponent.
+    Smaller payoffs are not scaled (exponent 0), which keeps numpy's bits:
+    the mean is ``attacker.mean()``, M2 is ``np.square(attacker - mean).sum()``.
+    """
+    attacker, defender = chunk.attacker_payoff, chunk.defender_payoff
+    bounds = (attacker.min(), attacker.max(), defender.min(), defender.max())
+    if not all(map(math.isfinite, bounds)):
+        raise NumericalError("a simulated payoff is not finite; "
+                             "the inputs overflow float64")
+    top = max(map(abs, bounds))
+    exponent = 0 if top < _SCALE_LIMIT else math.frexp(top)[1] - _SCALE_BITS
+    if exponent:
+        attacker = np.ldexp(attacker, -exponent)
+        defender = np.ldexp(defender, -exponent)
+    mean = float(attacker.mean())
+    d = attacker - mean
+    m2 = float(np.square(d, out=d).sum())
+    counts = np.bincount(chunk.kind, minlength=len(_KIND_ORDER))
+    return (len(attacker), _unscale(mean, exponent), m2, float(defender.sum()),
+            exponent, counts)
+
+
+def _merge_moments(a: tuple, b: tuple) -> tuple:
+    """The moments of two disjoint sets of runs, from each set's moments.
+
+    The pairwise update of Chan, Golub and LeVeque (1979), computed on the
+    scale of the larger exponent.
+    """
+    n_a, mean_a, m2_a, def_a, e_a, counts_a = a
+    n_b, mean_b, m2_b, def_b, e_b, counts_b = b
+    e = max(e_a, e_b)
+    n = n_a + n_b
+    weight = n_b / n
+    scaled_a = math.ldexp(mean_a, -e)
+    delta = math.ldexp(mean_b, -e) - scaled_a
+    m2 = (math.ldexp(m2_a, 2 * (e_a - e)) + math.ldexp(m2_b, 2 * (e_b - e))
+          + delta * delta * weight * n_a)
+    return (n, _unscale(scaled_a + delta * weight, e), m2,
+            math.ldexp(def_a, e_a - e) + math.ldexp(def_b, e_b - e), e,
+            counts_a + counts_b)
 
 
 def run_single(strategy: AttackerStrategy, env: GameEnvironment,
                seed: SeedSpec) -> NegotiationOutcome:
     """Play one game on the first block of the stream identified by ``seed``."""
     SimulationConfig(strategy, env, 1, seed)  # the same checks as a batch
-    *_, trace = _simulate_arrays(strategy, env, 1, seed, workers=1, keep_trace=True)
-    return _outcome_from_arrays(trace, 0)
+    _, chunk = next(_play_chunks(strategy, env, 1, seed, workers=1))
+    return _outcome_from_arrays(chunk, 0)
 
 
-def run_batch(config: SimulationConfig, workers: int = 1,
-              keep_trace: bool = False) -> SimulationReport:
+def run_batch(config: SimulationConfig, workers: int = 1, keep_trace: bool = False,
+              on_chunk: Optional[Callable[[SimulationTrace, int], None]] = None
+              ) -> SimulationReport:
     """Run n_runs independent games and aggregate payoff statistics.
 
+    Runs are played in chunks of 65,536.  Each chunk is reduced to its
+    count, attacker mean, centred sum of squares (M2), defender sum and
+    outcome counts, merged into the batch's totals in chunk order, and
+    dropped, so peak memory is O(chunk x workers) whatever n_runs is.
+    ``on_chunk(chunk, first_run)``, if given, is called on each chunk in run
+    order, on the calling thread, after the chunk's payoffs are checked; the
+    chunk's arrays are reused once it returns.  ``keep_trace`` copies every
+    chunk into ``report.trace``, which is O(n_runs).
+
     The report is a pure function of ``config``: the worker count never
-    changes any output bit.
+    changes any output bit.  A payoff or a statistic that is not finite
+    raises NumericalError.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     n = config.n_runs
-    attacker, defender, kind, trace = _simulate_arrays(
-        config.strategy, config.environment, n, config.seed, workers, keep_trace)
+    trace = _empty_trace(config.environment.target_value.value, n) if keep_trace else None
+    total = None
+    for first_run, chunk in _play_chunks(config.strategy, config.environment, n,
+                                         config.seed, workers):
+        moments = _chunk_moments(chunk)
+        total = moments if total is None else _merge_moments(total, moments)
+        if on_chunk is not None:
+            on_chunk(chunk, first_run)
+        if keep_trace:
+            for a in _TRACE_ARRAYS:
+                getattr(trace, a)[first_run:first_run + len(chunk.kind)] = getattr(chunk, a)
 
-    mean_att = float(attacker.mean())
-    mean_def = float(defender.mean())
-    if n > 1:
-        # One temporary, squared in place: the same bits as squaring a copy.
-        d = attacker - mean_att
-        var = float(np.square(d, out=d).sum()) / (n - 1)
-        std_err = math.sqrt(var / n)
-    else:
-        std_err = None
-    counts = np.bincount(kind, minlength=len(_KIND_ORDER))
-    outcome_counts = {k: int(c) for k, c in zip(_KIND_ORDER, counts)}
-
+    _, mean_att, m2, def_sum, exponent, counts = total
+    std_err = _unscale(math.sqrt(m2 / (n - 1) / n), exponent) if n > 1 else None
     return SimulationReport(n_runs=n,
                             mean_attacker_profit=mean_att,
                             std_error_attacker_profit=std_err,
-                            mean_defender_utility=mean_def,
-                            outcome_counts=outcome_counts,
+                            mean_defender_utility=_unscale(def_sum / n, exponent),
+                            outcome_counts={k: int(c) for k, c in zip(_KIND_ORDER, counts)},
                             trace=trace)
 
 
-def write_trace_csv(trace: SimulationTrace, f: IO[str], header_lines: tuple = ()):
-    """Write per-run records as CSV, one row per run.
+def write_trace_csv(trace: SimulationTrace, f: IO[str], header_lines: tuple = (),
+                    first_run: int = 0):
+    """Write per-run records as CSV, one row per run, numbered from ``first_run``.
 
-    Rows are formatted a block at a time by one ``%`` call on a repeated row
-    template; ``%.9g`` and ``format(v, ".9g")`` give the same bytes.
+    The comment lines and the column header open the file, so only a trace
+    that starts at run 0 writes them: the chunks of a batch written in run
+    order give the same bytes as the whole trace written at once.  Rows are
+    formatted a block at a time by one ``%`` call on a repeated row template;
+    ``%.9g`` and ``format(v, ".9g")`` give the same bytes.
     """
-    for line in header_lines:
-        f.write(f"# {line}\n")
-    f.write(",".join(TRACE_COLUMNS) + "\n")
+    if first_run == 0:
+        for line in header_lines:
+            f.write(f"# {line}\n")
+        f.write(",".join(TRACE_COLUMNS) + "\n")
     row = f"%d,{trace.x:.9g},%.9g,%.9g,%.9g,%.9g,%d,%d,%.9g,%.9g\n"
-    write_rows(f, row, (range(len(trace.kind)), trace.x_tilde, trace.demand,
-                        trace.counteroffer, trace.alpha, trace.aggressive,
+    write_rows(f, row, (range(first_run, first_run + len(trace.kind)), trace.x_tilde,
+                        trace.demand, trace.counteroffer, trace.alpha, trace.aggressive,
                         trace.decrypted, trace.attacker_payoff, trace.defender_payoff))

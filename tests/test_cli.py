@@ -203,12 +203,46 @@ class TestSimulateCommand:
         assert not trace.exists()
 
     def test_size_too_large_for_memory_leaves_no_trace(self, tmp_path, capsys):
+        # The trace is streamed to disk: 10**18 rows of at least 20 bytes fit
+        # on no file system, so the command fails before simulating.
         out, trace = tmp_path / "o.csv", tmp_path / "t.csv"
         assert main(["simulate", "--n-runs", HUGE, "--trace-out", str(trace),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: not enough memory: ") and err.count("\n") == 1
         assert not trace.exists() and not out.exists()
+
+    def test_zero_sigma_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--i-fifty", "1e-300", "--i-sigma", "1e300",
+                     "--n-runs", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: sigma must lie in (0, 1], got 0.0\n"
+        assert not out.exists()
+
+    def test_huge_payoffs_give_finite_summary(self, tmp_path, capsys):
+        # Squared deviations near 1e300 overflow unless scaled.
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--x", "1e300", "--a", "10", "--n-runs", "100",
+                         "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        _, _, columns, rows = read_csv(out)
+        values = [float(v) for v in rows[0][1:4]]
+        assert np.all(np.isfinite(values))
+
+    def test_non_finite_payoff_is_numerical_failure(self, tmp_path, capsys):
+        # The defender's payoff -x - C overflows to -inf.
+        out, trace = tmp_path / "o.csv", tmp_path / "t.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--x", "1e308", "--a", "1e10", "--n-runs", "100",
+                         "--out", str(out), "--trace-out", str(trace)]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ("numerical failure: a simulated payoff is not "
+                                           "finite; the inputs overflow float64\n")
+        assert not out.exists() and not trace.exists()
 
     def test_config_roundtrip(self, tmp_path):
         first = tmp_path / "first.csv"

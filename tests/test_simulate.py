@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment,
-                        OutcomeKind, PopulationMean, ProfitMethod, SeedSpec,
+                        NumericalError, OutcomeKind, PopulationMean, ProfitMethod, SeedSpec,
                         SimulationConfig, SimulationTrace, aggression_probability,
                         demand_factor, estimate_scale, expected_profit,
                         optimal_counteroffer, reliability, run_batch, run_single,
                         std_normal_ppf, write_trace_csv)
+from ransomgame import simulate
 from ransomgame.simulate import TRACE_COLUMNS
 from ransomgame.stochastics import uniform_blocks
 
@@ -173,8 +174,8 @@ class TestRunBatch:
         assert report.std_error_attacker_profit == math.sqrt(var / n)
 
     def test_untraced_memory_grows_by_payoffs_only(self):
-        # Without a trace only the two payoff arrays, the outcome kinds and
-        # one variance temporary scale with n_runs: 8 + 8 + 1 + 8 B per run.
+        # Without a trace no array scales with n_runs: each chunk is reduced
+        # and its arrays reused, so the slope is about 0 B per run.
         def peak(n):
             tracemalloc.start()
             try:
@@ -186,6 +187,105 @@ class TestRunBatch:
         small, large = 200_000, 800_000
         slope = (peak(large) - peak(small)) / (large - small)
         assert slope < 28.0
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_peak_memory_is_flat_in_n_runs(self, monkeypatch, workers, traced):
+        if traced:
+            # Formatting rows under tracemalloc is slow: use small chunks.
+            monkeypatch.setattr(simulate, "_CHUNK", 1024)
+        buf = io.StringIO()
+
+        def write(chunk, first_run):
+            buf.seek(0)
+            buf.truncate()
+            write_trace_csv(chunk, buf, first_run=first_run)
+
+        def peak(chunks, n_workers):
+            run_batch(_config(n=2, seed=2), on_chunk=write if traced else None)  # warm-up
+            tracemalloc.start()
+            try:
+                run_batch(_config(n=chunks * simulate._CHUNK, seed=2), workers=n_workers,
+                          on_chunk=write if traced else None)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # A chunk in flight holds its arrays, its uniforms, the kernel's
+        # temporaries and, traced, its text.  Up to workers + 1 chunks are
+        # alive at once and two chunks keep two alive, so sixteen chunks may
+        # add workers - 1 of them, and nothing per run.
+        one_chunk = peak(1, 1)
+        few, many = peak(2, workers), peak(16, workers)
+        assert many - few < (workers - 1) * one_chunk + 64 * 1024
+
+    def test_merged_moments_match_full_array_reference(self):
+        # Four chunks, the last of one run, merged in chunk order against
+        # numpy's pairwise sums over the whole arrays: within 4 ulps.
+        n = 3 * simulate._CHUNK + 1
+        report = run_batch(_config(n=n, seed=5), keep_trace=True)
+        att, dfd = report.trace.attacker_payoff, report.trace.defender_payoff
+        reference = (float(att.mean()), float(att.std(ddof=1)) / math.sqrt(n),
+                     float(dfd.mean()))
+        merged = (report.mean_attacker_profit, report.std_error_attacker_profit,
+                  report.mean_defender_utility)
+        for got, want in zip(merged, reference):
+            assert abs(got - want) <= 4 * math.ulp(want)
+
+    def test_merge_across_payoff_scales(self):
+        # A chunk of payoffs near 1 merged with one near 1e300: the second is
+        # scaled by a power of two, and the result matches numpy on the
+        # concatenation scaled by 2**-1000, within 4 ulps.
+        rng = np.random.default_rng(0)
+        parts = [rng.standard_normal(1000) + 2.0, 1e300 * (rng.standard_normal(3000) + 3.0)]
+        chunks = [SimulationTrace(1.0, *([p] * 4), kind=np.zeros(len(p), np.uint8),
+                                  attacker_payoff=p, defender_payoff=-p) for p in parts]
+        moments = simulate._merge_moments(*map(simulate._chunk_moments, chunks))
+        n, mean, m2, def_sum, exponent, _ = moments
+        scaled = np.ldexp(np.concatenate(parts), -1000)
+        want_se = math.ldexp(float(scaled.std(ddof=1)) / math.sqrt(n), 1000)
+        got_se = math.ldexp(math.sqrt(m2 / (n - 1) / n), exponent)
+        assert abs(mean - math.ldexp(float(scaled.mean()), 1000)) <= 4 * math.ulp(mean)
+        assert abs(got_se - want_se) <= 4 * math.ulp(want_se)
+        assert math.ldexp(def_sum / n, exponent) == pytest.approx(-mean, rel=1e-15)
+
+    def test_worker_invariance_of_streamed_trace(self, monkeypatch):
+        # Summary bits and streamed trace bytes for 1, 4 and 16 workers, with
+        # small chunks so that every worker count reuses chunk arrays; the
+        # streamed bytes equal the whole trace written at once.
+        monkeypatch.setattr(simulate, "_CHUNK", 1000)
+        cfg = _config(n=20_500, seed=6)
+        whole = run_batch(cfg, keep_trace=True)
+        expected = io.StringIO()
+        write_trace_csv(whole.trace, expected, header_lines=("config: {}",))
+        for workers in (1, 4, 16):
+            buf = io.StringIO()
+            report = run_batch(cfg, workers=workers, on_chunk=lambda chunk, first_run:
+                               write_trace_csv(chunk, buf, ("config: {}",), first_run))
+            _assert_same_lines(buf.getvalue(), expected.getvalue())
+            assert report.mean_attacker_profit.hex() == whole.mean_attacker_profit.hex()
+            assert report.std_error_attacker_profit.hex() == \
+                whole.std_error_attacker_profit.hex()
+            assert report.mean_defender_utility.hex() == whole.mean_defender_utility.hex()
+            assert report.outcome_counts == whole.outcome_counts
+
+    @pytest.mark.parametrize("n", [100, simulate._CHUNK + 100])
+    def test_huge_finite_payoffs_give_finite_statistics(self, n):
+        # Squared deviations near 1e300 overflow float64 unless scaled; the
+        # result matches numpy on payoffs scaled by 2**-1000, within 4 ulps.
+        report = run_batch(_config(strategy=(10.0, 0.091, 0.104), x=1e300, n=n, seed=0),
+                           workers=2, keep_trace=True)
+        scaled = np.ldexp(report.trace.attacker_payoff, -1000)
+        want_se = math.ldexp(float(scaled.std(ddof=1)) / math.sqrt(n), 1000)
+        assert math.isfinite(report.std_error_attacker_profit)
+        assert abs(report.std_error_attacker_profit - want_se) <= 4 * math.ulp(want_se)
+        want_mean = math.ldexp(float(scaled.mean()), 1000)
+        assert abs(report.mean_attacker_profit - want_mean) <= 4 * math.ulp(want_mean)
+
+    def test_non_finite_payoff_is_numerical_error(self):
+        # The defender's payoff -x - C overflows to -inf.
+        with pytest.raises(NumericalError, match="payoff is not finite"):
+            run_batch(_config(strategy=(1e10, 0.091, 0.104), x=1e308, n=100))
 
     def test_profit_estimate_tag(self):
         report = run_batch(_config(n=1000, seed=6))
@@ -292,6 +392,11 @@ class TestTraceExport:
     def test_validation(self):
         with pytest.raises(DomainError):
             _config(n=0)
+        with pytest.raises(DomainError, match=r"sigma must lie in \(0, 1\], got 0.0"):
+            SimulationConfig(strategy=AttackerStrategy(4.68, 0.091, 1e300),
+                             environment=GameEnvironment(i_fifty=1e-300,
+                                                         target_value=FixedValue(1.0)),
+                             n_runs=10, seed=SeedSpec(0))
         with pytest.raises(DomainError, match="n_runs must be a positive integer, got True"):
             _config(n=True)
         with pytest.raises(DomainError):
