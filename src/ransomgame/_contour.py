@@ -11,21 +11,28 @@ def _interp(p0, p1, v0, v1):
     return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
 
 
-def _key(p):
-    """Merge endpoints that differ only by rounding noise."""
-    return (round(p[0], 12), round(p[1], 12))
-
-
 def _cell_segments(xs, ys, values, i, j):
-    """Zero-crossing segments of one grid cell, corner order is
-    (i,j), (i+1,j), (i+1,j+1), (i,j+1) in (row=x-axis, col=y-axis) indexing."""
+    """Zero-crossing segments ((p, key), (q, key)) of one grid cell.
+
+    Corner order is (i,j), (i+1,j), (i+1,j+1), (i,j+1) in (row=x-axis,
+    col=y-axis) indexing.  A crossing's key is its grid position: the node
+    when that corner's value is exactly zero, else the edge's two nodes in
+    ascending order, so both cells sharing an edge key its crossing alike.
+    """
+    n = len(ys)
+    nodes = (i * n + j, (i + 1) * n + j, (i + 1) * n + j + 1, i * n + j + 1)
     corners = ((xs[i], ys[j]), (xs[i + 1], ys[j]),
                (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1]))
     vals = (values[i, j], values[i + 1, j], values[i + 1, j + 1], values[i, j + 1])
     # Exact zeros count as positive so every node has a deterministic side.
     inside = [v > 0.0 or v == 0.0 for v in vals]
-    pts = [_interp(corners[e], corners[(e + 1) % 4], vals[e], vals[(e + 1) % 4])
-           for e in range(4) if inside[e] != inside[(e + 1) % 4]]
+    pts = []
+    for e in range(4):
+        f = (e + 1) % 4
+        if inside[e] != inside[f]:
+            key = (nodes[e] if vals[e] == 0.0 else nodes[f] if vals[f] == 0.0
+                   else (min(nodes[e], nodes[f]), max(nodes[e], nodes[f])))
+            pts.append((_interp(corners[e], corners[f], vals[e], vals[f]), key))
     if len(pts) < 4:
         return [(pts[0], pts[1])] if pts else []
     # Saddle cell: split by the sign of the center average, pairing crossings
@@ -39,13 +46,8 @@ def _cell_segments(xs, ys, values, i, j):
 
 def _chain(segments):
     """Join segments sharing endpoints into polylines, deterministically."""
-    # Key each endpoint once.  A contour through a grid node yields
-    # zero-length pieces; drop them.
-    keyed = []
-    for p, q in segments:
-        kp, kq = _key(p), _key(q)
-        if kp != kq:
-            keyed.append((p, q, kp, kq))
+    # A contour through a grid node yields zero-length pieces; drop them.
+    keyed = [(p, q, kp, kq) for (p, kp), (q, kq) in segments if kp != kq]
     adjacency = {}
     for si, (_, _, kp, kq) in enumerate(keyed):
         adjacency.setdefault(kp, []).append((si, 0))

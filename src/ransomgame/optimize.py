@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class StrategyOptimum:
     profit: float
     evaluations: int
     converged: bool
-    trace: Optional[list] = None
+    trace: list  # ((a, i_beta, i_sigma), profit) of the best vertex per iteration
 
 
 def nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
@@ -196,27 +196,17 @@ def _grid_argmax(axes, env: GameEnvironment) -> tuple:
 
 
 def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
-                    grid_points: int = DEFAULT_GRID_POINTS,
-                    keep_trace: bool = False) -> StrategyOptimum:
+                    grid_points: int = DEFAULT_GRID_POINTS) -> StrategyOptimum:
     """Profit-maximizing strategy over a box of (a, i_beta, i_sigma).
 
     Stage one scans a log-spaced grid; stage two refines from the best node
     with a Nelder-Mead simplex.  Deterministic: grid ties break toward the
-    lexicographically smallest (a, i_beta, i_sigma).
+    lexicographically smallest (a, i_beta, i_sigma).  Each side of the box is
+    an ``AxisSpec``, which rejects an unknown name or a degenerate range.
     """
-    box = dict(DEFAULT_BOUNDS)
-    if bounds:
-        for name in bounds:
-            if name not in _PARAM_NAMES:
-                raise ConfigError(f"unknown bound {name!r}")
-        box.update(bounds)
-    for name, (lo, hi) in box.items():
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
-            raise ConfigError(f"degenerate bounds for {name}: [{lo}, {hi}]")
-    if grid_points < 2:
-        raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
-
-    axes = [np.geomspace(box[name][0], box[name][1], grid_points) for name in _PARAM_NAMES]
+    specs = [AxisSpec(name, lo, hi, grid_points, "log")
+             for name, (lo, hi) in {**DEFAULT_BOUNDS, **(bounds or {})}.items()]
+    axes = [spec.values() for spec in specs]
     # Axes ascend: the first maximum in C order is the lexicographically smallest.
     best = _grid_argmax(axes, env)
     best_point = np.array([axis[k] for axis, k in zip(axes, best)])
@@ -227,8 +217,8 @@ def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
         idx = min(int(k), len(axis) - 2)
         steps.append(0.5 * (axis[idx + 1] - axis[idx]))
 
-    lo = np.array([box[name][0] for name in _PARAM_NAMES])
-    hi = np.array([box[name][1] for name in _PARAM_NAMES])
+    lo = np.array([spec.lo for spec in specs])
+    hi = np.array([spec.hi for spec in specs])
     x_best, f_best, nm_evals, converged, history = nelder_mead(
         lambda p: -float(profit_grid(p[0:1], p[1:2], p[2:3], env)[0, 0, 0]),
         best_point, np.asarray(steps), lo, hi)
@@ -236,8 +226,7 @@ def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
 
     strategy = AttackerStrategy(a=float(x_best[0]), i_beta=float(x_best[1]),
                                 i_sigma=float(x_best[2]))
-    trace = [((float(p[0]), float(p[1]), float(p[2])), -v) for p, v in history] \
-        if keep_trace else None
+    trace = [((float(p[0]), float(p[1]), float(p[2])), -v) for p, v in history]
     return StrategyOptimum(strategy=strategy, profit=-f_best, evaluations=n_evals,
                            converged=converged, trace=trace)
 

@@ -107,14 +107,23 @@ def profit_grid(a, i_beta, i_sigma, env: GameEnvironment) -> np.ndarray:
     # Every bound is monotone, so a node fails iff an axis extreme does.
     for pick in (np.min, np.max):
         AttackerStrategy(a=pick(a), i_beta=pick(i_beta), i_sigma=pick(i_sigma))
+    # Allocated before any G, so a grid too large for memory fails at once.
+    try:
+        profit = np.empty((len(a), len(i_beta), len(i_sigma)))
+        g = np.empty((len(a), len(i_sigma)))
+    except ValueError:  # numpy's "array is too big", past what it can address
+        raise MemoryError(f"a {len(a)} x {len(i_beta)} x {len(i_sigma)} profit grid "
+                          "exceeds the largest possible array") from None
     # Never above 1, but 0 once i_fifty + i_sigma overflows or the ratio underflows.
     sigma = [env.i_fifty / (env.i_fifty + s) for s in i_sigma.tolist()]
     _scale("sigma", min(sigma))
-    g = np.array([[_gross_multiplier(x, s) for s in sigma] for x in a.tolist()])
+    for row, x in zip(g, a.tolist()):
+        row[:] = [_gross_multiplier(x, s) for s in sigma]
     # Overflow shows as a non-finite P below, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
         beta = i_beta / (i_beta + env.i_fifty)
-        profit = demand_factor(a[:, None], beta[None, :])[:, :, None] * g[:, None, :]
+        np.multiply(demand_factor(a[:, None], beta[None, :])[:, :, None], g[:, None, :],
+                    out=profit)
         profit *= env.mean_target_value
         profit -= i_beta[:, None] + i_sigma[None, :]
     finite = np.isfinite(profit)

@@ -12,7 +12,7 @@ run 0 of a batch equals ``run_single`` with the same seed.
 A batch is played in chunks of 65,536 runs.  Each chunk is reduced to
 summary statistics, handed to an optional callback (the CLI writes it to the
 trace file there) and dropped, so peak memory is O(chunk x workers) whatever
-the number of runs; only ``keep_trace=True`` keeps every run.
+the number of runs.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class SimulationReport:
     std_error_attacker_profit: Optional[float]
     mean_defender_utility: float
     outcome_counts: dict = field(default_factory=dict)
-    trace: Optional[SimulationTrace] = None
 
     def profit_estimate(self) -> ProfitEstimate:
         """Mean attacker profit as a Monte Carlo profit estimate."""
@@ -237,7 +236,7 @@ def run_single(strategy: AttackerStrategy, env: GameEnvironment,
     return _outcome_from_arrays(chunk, 0)
 
 
-def run_batch(config: SimulationConfig, workers: int = 1, keep_trace: bool = False,
+def run_batch(config: SimulationConfig, workers: int = 1,
               on_chunk: Optional[Callable[[SimulationTrace, int], None]] = None
               ) -> SimulationReport:
     """Run n_runs independent games and aggregate payoff statistics.
@@ -248,8 +247,8 @@ def run_batch(config: SimulationConfig, workers: int = 1, keep_trace: bool = Fal
     dropped, so peak memory is O(chunk x workers) whatever n_runs is.
     ``on_chunk(chunk, first_run)``, if given, is called on each chunk in run
     order, on the calling thread, after the chunk's payoffs are checked; the
-    chunk's arrays are reused once it returns.  ``keep_trace`` copies every
-    chunk into ``report.trace``, which is O(n_runs).
+    chunk's arrays are reused once it returns, so a caller that keeps per-run
+    data copies it there.
 
     The report is a pure function of ``config``: the worker count never
     changes any output bit.  A payoff or a statistic that is not finite
@@ -258,7 +257,6 @@ def run_batch(config: SimulationConfig, workers: int = 1, keep_trace: bool = Fal
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     n = config.n_runs
-    trace = _empty_trace(config.environment.target_value.value, n) if keep_trace else None
     total = None
     for first_run, chunk in _play_chunks(config.strategy, config.environment, n,
                                          config.seed, workers):
@@ -266,9 +264,6 @@ def run_batch(config: SimulationConfig, workers: int = 1, keep_trace: bool = Fal
         total = moments if total is None else _merge_moments(total, moments)
         if on_chunk is not None:
             on_chunk(chunk, first_run)
-        if keep_trace:
-            for a in _TRACE_ARRAYS:
-                getattr(trace, a)[first_run:first_run + len(chunk.kind)] = getattr(chunk, a)
 
     _, mean_att, m2, def_sum, exponent, counts = total
     std_err = _unscale(math.sqrt(m2 / (n - 1) / n), exponent) if n > 1 else None
@@ -276,8 +271,7 @@ def run_batch(config: SimulationConfig, workers: int = 1, keep_trace: bool = Fal
                             mean_attacker_profit=mean_att,
                             std_error_attacker_profit=std_err,
                             mean_defender_utility=_unscale(def_sum / n, exponent),
-                            outcome_counts={k: int(c) for k, c in zip(_KIND_ORDER, counts)},
-                            trace=trace)
+                            outcome_counts={k: int(c) for k, c in zip(_KIND_ORDER, counts)})
 
 
 def write_trace_csv(trace: SimulationTrace, f: IO[str], header_lines: tuple = (),

@@ -55,7 +55,9 @@ def philox(seed: SeedSpec, counter: int = 0) -> np.random.Philox:
     """
     if counter < 0:
         raise DomainError(f"counter must be non-negative, got {counter}")
-    return np.random.Philox(key=[seed.master_seed, seed.stream_index],
+    # An explicit uint64 key: numpy reads a list holding a word >= 2**63 and a
+    # smaller one as float64, which rounds away the low bits of both.
+    return np.random.Philox(key=np.array([seed.master_seed, seed.stream_index], np.uint64),
                             counter=[counter, 0, 0, 0])
 
 

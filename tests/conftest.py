@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from ransomgame import (AttackerStrategy, FixedValue, GameEnvironment,
-                        PopulationMean)
+                        PopulationMean, SimulationTrace, run_batch)
+from ransomgame.simulate import _TRACE_ARRAYS
 
 I50 = 0.02
 OPTIMAL = (4.68, 0.091, 0.104)
@@ -34,3 +35,16 @@ def mean_env():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20220920)
+
+
+def run_traced(config, workers=1):
+    """``(report, trace)``: run_batch and every run's records, gathered by on_chunk.
+
+    A chunk's arrays are reused once on_chunk returns, so each is copied.
+    """
+    parts = []
+    report = run_batch(config, workers, on_chunk=lambda chunk, first_run: parts.append(
+        [getattr(chunk, name).copy() for name in _TRACE_ARRAYS]))
+    trace = SimulationTrace(config.environment.target_value.value,
+                            *map(np.concatenate, zip(*parts)))
+    return report, trace

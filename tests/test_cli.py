@@ -14,6 +14,7 @@ from ransomgame import (AttackerStrategy, FixedValue, GameEnvironment, Populatio
 from ransomgame.cli import (FIGURE_NAMES, SCHEMAS, STRATEGY_TABLE, _cell,
                             _grid_with_value, _write_csv, main)
 from ransomgame.optimize import DEFAULT_BOUNDS, AxisSpec, SweepGrid, maximize_profit, profit_surface
+from ransomgame import profit
 from ransomgame.profit import ProfitMethod
 from ransomgame.simulate import SimulationConfig, run_batch
 from ransomgame.stochastics import SeedSpec
@@ -265,6 +266,16 @@ class TestOptimizeCommand:
         assert float(row["profit"]) == pytest.approx(0.3055596, abs=1e-4)
         assert row["converged"] == "1"
 
+    @pytest.mark.parametrize("args,message", [
+        (["--a-lo", "1", "--a-hi", "1"], "axis a: need lo < hi, got [1.0, 1.0]"),
+        (["--i-beta-hi", "inf"], "axis i_beta: need lo < hi, got [0.001, inf]"),
+        (["--i-sigma-lo", "0"], "axis i_sigma: log spacing needs lo > 0, got 0.0"),
+        (["--grid-points", "1"], "axis a: need at least 2 points, got 1"),
+    ])
+    def test_bad_box_is_an_axis_error(self, tmp_path, capsys, args, message):
+        assert main(["optimize", *args, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["optimize", "--grid-points", "12", "--out", str(a)])
@@ -351,6 +362,42 @@ class TestSweepCommand:
         _, _, columns, rows = read_csv(out)
         profits = [float(row[columns.index("profit")]) for row in rows]
         assert profits == pytest.approx([-0.6, -0.250381165, -0.338421708], rel=1e-9)
+
+    @pytest.mark.parametrize("args", [
+        ["--axis", "a:1:2:100000", "--axis", "i_sigma:0.01:0.5:100000", "--fix", "i_beta=0.1"],
+        ["--axis", "a:1:2:10000000", "--axis", "i_beta:0.01:0.5:10000000",
+         "--axis", "i_sigma:0.01:0.5:10000000"],
+    ])
+    def test_oversized_sweep_exits_before_any_g(self, tmp_path, capsys, monkeypatch, args):
+        # 80 GB past this host's memory, and 8e21 bytes past what numpy can
+        # address: both fail when the grid is allocated, before G runs.
+        def no_g(a, sigma):
+            raise AssertionError("G was computed before the grid was allocated")
+
+        monkeypatch.setattr(profit, "_gross_multiplier", no_g)
+        assert main(["sweep", *args, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: not enough memory: ")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_contour_reaches_huge_aggression(self, tmp_path, capsys):
+        # The zero line runs along one i_sigma through every a node up to 1e300.
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--axis", "a:1:1e300:5", "--axis", "i_sigma:0.01:0.5:5",
+                     "--fix", "i_beta=0.1", "--format", "json", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        [line] = json.loads(out.read_text())["contours"]
+        assert [a for a, _ in line] == [1e300, 7.5e299, 5e299, 2.5e299, 1.0]
+
+    def test_contour_on_axis_finer_than_1e_12(self, tmp_path):
+        # The profit changes sign in every i_sigma row, so the line has a
+        # point in each of the 40 rows.
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--axis", "a:0.05:20:40", "--axis", "i_sigma:1e-14:2e-14:40",
+                     "--fix", "i_beta=0.05", "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        [line] = payload["contours"]
+        rows = sorted({row[1] for row in payload["rows"]})
+        assert sorted(i_sigma for _, i_sigma in line) == rows
 
     def test_json_output_with_contours(self, tmp_path):
         out = tmp_path / "sweep.json"

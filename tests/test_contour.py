@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from ransomgame._contour import _interp, _key, zero_contours
+from ransomgame._contour import zero_contours
+
+
+def _interp(p0, p1, v0, v1):
+    t = v0 / (v0 - v1)
+    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+
+
+def _key(p):
+    """Merge endpoints that differ only by rounding noise."""
+    return (round(p[0], 12), round(p[1], 12))
 
 
 def _reference_cell_segments(xs, ys, values, i, j):

@@ -119,7 +119,8 @@ class TestMaximizeProfit:
             maximize_profit(mean_env, grid_points=1)
 
     def test_trace_records_history(self, mean_env):
-        opt = maximize_profit(mean_env, grid_points=8, keep_trace=True)
+        opt = maximize_profit(mean_env, grid_points=8)
+        assert isinstance(opt.trace, list)
         assert opt.trace
         assert opt.trace[-1][1] == pytest.approx(opt.profit, abs=1e-9)
 

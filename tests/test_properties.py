@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment,  # noqa: E402
                         PopulationMean, SeedSpec, SimulationConfig, expected_profit,
-                        gross_multiplier_closed_form, run_batch, run_single)
+                        gross_multiplier_closed_form, run_single)
 from ransomgame.simulate import _outcome_from_arrays  # noqa: E402
 from ransomgame.stochastics import _ppf  # noqa: E402
+from conftest import run_traced  # noqa: E402
 
 # The same examples on every run, so the suite stays deterministic.
 settings.register_profile("ransomgame", derandomize=True, database=None, deadline=None,
@@ -53,7 +54,7 @@ def test_run_single_is_run_zero_of_batch(master, stream, n, a, i_beta, i_sigma, 
     strategy = AttackerStrategy(a, i_beta, i_sigma)
     env = GameEnvironment(i_fifty=0.02, target_value=FixedValue(x))
     seed = SeedSpec(master, stream)
-    trace = run_batch(SimulationConfig(strategy, env, n, seed), keep_trace=True).trace
+    _, trace = run_traced(SimulationConfig(strategy, env, n, seed))
     assert run_single(strategy, env, seed) == _outcome_from_arrays(trace, 0)
 
 

@@ -14,6 +14,7 @@ from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironme
 from ransomgame import simulate
 from ransomgame.simulate import TRACE_COLUMNS
 from ransomgame.stochastics import uniform_blocks
+from conftest import run_traced
 
 I50 = 0.02
 
@@ -28,15 +29,15 @@ def _config(strategy=(4.68, 0.091, 0.104), x=1.0, n=20000, seed=11, stream=0):
 class TestRunSingle:
     def test_matches_first_batch_run(self):
         cfg = _config(n=5)
-        report = run_batch(cfg, keep_trace=True)
+        _, trace = run_traced(cfg)
         outcome = run_single(cfg.strategy, cfg.environment, cfg.seed)
-        assert outcome.attacker_payoff == report.trace.attacker_payoff[0]
-        assert outcome.defender_payoff == report.trace.defender_payoff[0]
-        assert outcome.demand == report.trace.demand[0]
+        assert outcome.attacker_payoff == trace.attacker_payoff[0]
+        assert outcome.defender_payoff == trace.defender_payoff[0]
+        assert outcome.demand == trace.demand[0]
 
     def test_payoffs_follow_payoff_table(self):
         cfg = _config(n=20000, seed=3)
-        trace = run_batch(cfg, keep_trace=True).trace
+        _, trace = run_traced(cfg)
         cost = cfg.strategy.cost
         x = 1.0
         kinds = trace.kind
@@ -54,7 +55,7 @@ class TestRunSingle:
 
     def test_counteroffer_is_rational_reply(self):
         cfg = _config(n=5000, seed=9)
-        trace = run_batch(cfg, keep_trace=True).trace
+        _, trace = run_traced(cfg)
         beta = reliability(0.091, I50)
         for i in range(0, 5000, 250):
             expected = optimal_counteroffer(float(trace.demand[i]), 1.0, 4.68, beta)
@@ -65,7 +66,7 @@ class TestRunSingle:
         # differ from libm's by an ulp, and (C/R)^a multiplies that by a.
         a, i_beta, i_sigma = 4.68, 0.091, 0.104
         cfg = _config(strategy=(a, i_beta, i_sigma), n=3000, seed=17)
-        trace = run_batch(cfg, keep_trace=True).trace
+        _, trace = run_traced(cfg)
         u = uniform_blocks(cfg.seed, 0, cfg.n_runs)
         beta, sigma = reliability(i_beta, I50), estimate_scale(i_sigma, I50)
         for i in range(cfg.n_runs):
@@ -93,7 +94,7 @@ class TestDegenerateCases:
     def test_perfect_estimate_removes_all_risk(self):
         # Huge estimation investment: every run pays the cap exactly.
         cfg = _config(strategy=(4.68, 0.091, 1e12), n=5000, seed=21)
-        report = run_batch(cfg, keep_trace=True)
+        report = run_batch(cfg)
         beta = reliability(0.091, I50)
         cap = 4.68 * beta / 5.68 * 1.0
         assert report.outcome_counts[OutcomeKind.AGGRESSIVE_REJECTION] == 0
@@ -116,7 +117,7 @@ class TestDegenerateCases:
     def test_zero_reliability_investment(self):
         # beta = 0: zero demand, full payment of zero, decryption always fails.
         cfg = _config(strategy=(2.0, 0.0, 0.05), n=500, seed=2)
-        report = run_batch(cfg, keep_trace=True)
+        report = run_batch(cfg)
         assert report.outcome_counts[OutcomeKind.FULL_PAYMENT_FAILURE] == 500
         assert report.mean_attacker_profit == pytest.approx(-0.05, rel=1e-15)
         assert report.mean_defender_utility == pytest.approx(-1.0, rel=1e-15)
@@ -124,17 +125,17 @@ class TestDegenerateCases:
 
 class TestRunBatch:
     def test_single_run_flags_missing_std_error(self):
-        report = run_batch(_config(n=1), keep_trace=True)
+        report, trace = run_traced(_config(n=1))
         assert report.n_runs == 1
         assert report.std_error_attacker_profit is None
-        assert report.mean_attacker_profit == report.trace.attacker_payoff[0]
+        assert report.mean_attacker_profit == trace.attacker_payoff[0]
 
     def test_deterministic_for_fixed_config(self):
-        a = run_batch(_config(seed=77), keep_trace=True)
-        b = run_batch(_config(seed=77), keep_trace=True)
+        a, a_trace = run_traced(_config(seed=77))
+        b, b_trace = run_traced(_config(seed=77))
         assert a.mean_attacker_profit == b.mean_attacker_profit
         assert a.outcome_counts == b.outcome_counts
-        assert np.array_equal(a.trace.x_tilde, b.trace.x_tilde)
+        assert np.array_equal(a_trace.x_tilde, b_trace.x_tilde)
 
     def test_different_seeds_differ(self):
         a = run_batch(_config(seed=77))
@@ -149,27 +150,24 @@ class TestRunBatch:
                     report.mean_defender_utility.hex(), report.outcome_counts)
 
         cfg = _config(n=150_000, seed=5)
-        reference = run_batch(cfg, keep_trace=True)
+        reference, reference_trace = run_traced(cfg)
         for workers in (1, 4, 16):
-            for keep_trace in (False, True):
-                report = run_batch(cfg, workers=workers, keep_trace=keep_trace)
-                assert summary(report) == summary(reference)
-                if keep_trace:
-                    assert np.array_equal(report.trace.attacker_payoff,
-                                          reference.trace.attacker_payoff)
-                else:
-                    assert report.trace is None
+            report = run_batch(cfg, workers=workers)
+            assert summary(report) == summary(reference)
+            report, trace = run_traced(cfg, workers)
+            assert summary(report) == summary(reference)
+            assert np.array_equal(trace.attacker_payoff, reference_trace.attacker_payoff)
 
     def test_outcome_counts_sum_to_runs(self):
         report = run_batch(_config(n=12345, seed=4))
         assert sum(report.outcome_counts.values()) == 12345
 
     def test_means_recomputable_from_trace(self):
-        report = run_batch(_config(n=30000, seed=13), keep_trace=True)
-        assert report.mean_attacker_profit == float(report.trace.attacker_payoff.mean())
-        assert report.mean_defender_utility == float(report.trace.defender_payoff.mean())
+        report, trace = run_traced(_config(n=30000, seed=13))
+        assert report.mean_attacker_profit == float(trace.attacker_payoff.mean())
+        assert report.mean_defender_utility == float(trace.defender_payoff.mean())
         n = report.n_runs
-        var = float(np.square(report.trace.attacker_payoff
+        var = float(np.square(trace.attacker_payoff
                               - report.mean_attacker_profit).sum()) / (n - 1)
         assert report.std_error_attacker_profit == math.sqrt(var / n)
 
@@ -223,8 +221,8 @@ class TestRunBatch:
         # Four chunks, the last of one run, merged in chunk order against
         # numpy's pairwise sums over the whole arrays: within 4 ulps.
         n = 3 * simulate._CHUNK + 1
-        report = run_batch(_config(n=n, seed=5), keep_trace=True)
-        att, dfd = report.trace.attacker_payoff, report.trace.defender_payoff
+        report, trace = run_traced(_config(n=n, seed=5))
+        att, dfd = trace.attacker_payoff, trace.defender_payoff
         reference = (float(att.mean()), float(att.std(ddof=1)) / math.sqrt(n),
                      float(dfd.mean()))
         merged = (report.mean_attacker_profit, report.std_error_attacker_profit,
@@ -255,9 +253,9 @@ class TestRunBatch:
         # streamed bytes equal the whole trace written at once.
         monkeypatch.setattr(simulate, "_CHUNK", 1000)
         cfg = _config(n=20_500, seed=6)
-        whole = run_batch(cfg, keep_trace=True)
+        whole, trace = run_traced(cfg)
         expected = io.StringIO()
-        write_trace_csv(whole.trace, expected, header_lines=("config: {}",))
+        write_trace_csv(trace, expected, header_lines=("config: {}",))
         for workers in (1, 4, 16):
             buf = io.StringIO()
             report = run_batch(cfg, workers=workers, on_chunk=lambda chunk, first_run:
@@ -273,9 +271,9 @@ class TestRunBatch:
     def test_huge_finite_payoffs_give_finite_statistics(self, n):
         # Squared deviations near 1e300 overflow float64 unless scaled; the
         # result matches numpy on payoffs scaled by 2**-1000, within 4 ulps.
-        report = run_batch(_config(strategy=(10.0, 0.091, 0.104), x=1e300, n=n, seed=0),
-                           workers=2, keep_trace=True)
-        scaled = np.ldexp(report.trace.attacker_payoff, -1000)
+        report, trace = run_traced(_config(strategy=(10.0, 0.091, 0.104), x=1e300, n=n,
+                                           seed=0), workers=2)
+        scaled = np.ldexp(trace.attacker_payoff, -1000)
         want_se = math.ldexp(float(scaled.std(ddof=1)) / math.sqrt(n), 1000)
         assert math.isfinite(report.std_error_attacker_profit)
         assert abs(report.std_error_attacker_profit - want_se) <= 4 * math.ulp(want_se)
@@ -308,8 +306,7 @@ class TestAgainstAnalytics:
             4.0 * report.std_error_attacker_profit
 
     def test_aggression_frequency_matches_alpha(self):
-        report = run_batch(_config(n=200_000, seed=8), keep_trace=True)
-        trace = report.trace
+        _, trace = run_traced(_config(n=200_000, seed=8))
         negotiated = trace.counteroffer < trace.demand
         alpha = trace.alpha[negotiated]
         observed = trace.aggressive[negotiated].mean()
@@ -317,8 +314,7 @@ class TestAgainstAnalytics:
         assert abs(observed - alpha.mean()) <= 3.0 * se
 
     def test_decryption_rate_matches_beta(self):
-        report = run_batch(_config(n=200_000, seed=12), keep_trace=True)
-        trace = report.trace
+        _, trace = run_traced(_config(n=200_000, seed=12))
         paid = ~trace.aggressive
         rate = trace.decrypted[paid].mean()
         beta = reliability(0.091, I50)
@@ -364,7 +360,7 @@ class TestTraceExport:
     @pytest.mark.parametrize("n,workers", [(70_001, 1), (70_001, 3), (1, 1)])
     def test_bytes_match_row_by_row_reference(self, n, workers):
         # 70,001 runs cross both the 65,536-run chunk and a 1,024-row block.
-        trace = run_batch(_config(n=n, seed=9), workers=workers, keep_trace=True).trace
+        _, trace = run_traced(_config(n=n, seed=9), workers)
         buf = io.StringIO()
         write_trace_csv(trace, buf, header_lines=("config: {}",))
         _assert_same_lines(buf.getvalue(), _reference_trace_csv(trace, ("config: {}",)))
@@ -377,9 +373,9 @@ class TestTraceExport:
         assert buf.getvalue().splitlines()[2].startswith("1,-3.25,-0,")
 
     def test_csv_columns_and_shape(self):
-        report = run_batch(_config(n=50, seed=14), keep_trace=True)
+        _, trace = run_traced(_config(n=50, seed=14))
         buf = io.StringIO()
-        write_trace_csv(report.trace, buf, header_lines=("config: {}",))
+        write_trace_csv(trace, buf, header_lines=("config: {}",))
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# config: {}"
         assert lines[1] == ",".join(TRACE_COLUMNS)

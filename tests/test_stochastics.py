@@ -223,6 +223,15 @@ class TestSeedSpec:
             SeedSpec(0, -3)
         SeedSpec(2 ** 64 - 1, 2 ** 64 - 1)
 
+    @pytest.mark.parametrize("words", [(2 ** 64 - 1, 0), (0, 2 ** 64 - 1024),
+                                       (2 ** 63 + 1, 7), (2 ** 64 - 1, 2 ** 64 - 1)])
+    def test_every_key_bit_reaches_philox(self, words):
+        # A word past 2**63 beside a smaller one keeps its low bits, with no warning.
+        from ransomgame.stochastics import _U64_BASE, _U64_SHIFT, _U64_STEP
+        raw = np.random.Philox(key=np.array(words, np.uint64)).random_raw(8)
+        want = (raw >> _U64_SHIFT).astype(np.float64) * _U64_STEP + _U64_BASE
+        assert np.array_equal(uniform_blocks(SeedSpec(*words), 0, 2), want.reshape(2, 4))
+
     def test_uniform_blocks_are_open_interval(self):
         u = uniform_blocks(SeedSpec(0), 0, 4096)
         assert u.shape == (4096, 4)
