@@ -16,7 +16,7 @@ import numpy as np
 from ._contour import zero_contours
 from .errors import ConfigError
 from .game import AttackerStrategy, GameEnvironment
-from .profit import profit_grid
+from .profit import _closed_form_profit, profit_grid
 
 _PARAM_NAMES = ("a", "i_beta", "i_sigma")
 
@@ -219,8 +219,9 @@ def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
 
     lo = np.array([spec.lo for spec in specs])
     hi = np.array([spec.hi for spec in specs])
+    # The scan's profit_grid has checked the box, and the simplex stays in it.
     x_best, f_best, nm_evals, converged, history = nelder_mead(
-        lambda p: -float(profit_grid(p[0:1], p[1:2], p[2:3], env)[0, 0, 0]),
+        lambda p: -_closed_form_profit(*p.tolist(), env),
         best_point, np.asarray(steps), lo, hi)
     n_evals = grid_points ** 3 + nm_evals
 

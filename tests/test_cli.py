@@ -370,11 +370,11 @@ class TestSweepCommand:
     ])
     def test_oversized_sweep_exits_before_any_g(self, tmp_path, capsys, monkeypatch, args):
         # 80 GB past this host's memory, and 8e21 bytes past what numpy can
-        # address: both fail when the grid is allocated, before G runs.
-        def no_g(a, sigma):
+        # address: both fail when the grid is allocated, before G's erfcx runs.
+        def no_g(x):
             raise AssertionError("G was computed before the grid was allocated")
 
-        monkeypatch.setattr(profit, "_gross_multiplier", no_g)
+        monkeypatch.setattr(profit, "_erfcx", no_g)
         assert main(["sweep", *args, "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: not enough memory: ")
         assert not (tmp_path / "x.csv").exists()

@@ -34,7 +34,8 @@ class TestGrossMultiplierClosedForm:
         assert g == pytest.approx(0.74099, abs=1e-4)
 
     def test_log_space_branch_is_continuous(self):
-        # a*sigma around the switch to log-space evaluation.
+        # a*sigma = 37 and 37.5, in erfcx's tail branch, where G once switched
+        # from exp * erfc to a Mills-ratio series.
         g_direct = gross_multiplier_closed_form(37.0, 1.0)
         g_log = gross_multiplier_closed_form(37.5, 1.0)
         assert 0.0 < g_log < g_direct < 1.0
@@ -43,7 +44,7 @@ class TestGrossMultiplierClosedForm:
 
     @pytest.mark.parametrize("a", [374.0, 500.0, 1e3])
     def test_mills_series_branch_matches_quadrature(self, a):
-        # a * sigma from just below the series switch (37.42) to well past it.
+        # a * sigma from 37.4 to 100, in erfcx's tail branch.
         assert abs(gross_multiplier_closed_form(a, 0.1)
                    - gross_multiplier_quadrature(a, 0.1)) < 1e-12
 
@@ -56,8 +57,8 @@ class TestGrossMultiplierClosedForm:
     @pytest.mark.parametrize("a,sigma", [(1e300, 1e-300), (1e300, 3e-300),
                                          (1e155, 1e-317), (1e200, 1e-310)])
     def test_small_y_after_a_squared_overflows(self, a, sigma):
-        # a * a is inf here although y = a * sigma is at most 3, far below
-        # the range where the Mills-ratio series holds.
+        # a * a is inf here although y = a * sigma is at most 3, so G must
+        # never square a.
         y = a * sigma
         two_term = (math.exp(sigma * sigma / 2.0) * std_normal_cdf(-sigma)
                     + math.exp(y * y / 2.0) * std_normal_cdf(-y))

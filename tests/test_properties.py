@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment,  # noqa: E402
                         PopulationMean, SeedSpec, SimulationConfig, expected_profit,
                         gross_multiplier_closed_form, run_single)
+from ransomgame.optimize import DEFAULT_BOUNDS, maximize_profit  # noqa: E402
+from ransomgame.profit import _closed_form_profit, profit_grid  # noqa: E402
 from ransomgame.simulate import _outcome_from_arrays  # noqa: E402
-from ransomgame.stochastics import _ppf  # noqa: E402
+from ransomgame.stochastics import _ERFCX_EDGES, _erfcx, _ppf  # noqa: E402
 from conftest import run_traced  # noqa: E402
 
 # The same examples on every run, so the suite stays deterministic.
@@ -85,3 +87,41 @@ def test_expected_profit_is_finite_or_domain_error(a, i_beta, i_sigma, i_fifty, 
 @given(a=_log_floats(-323.0, _A_MAX_EXP), sigma=_log_floats(-323.0, 0.0))
 def test_gross_multiplier_lies_in_unit_interval(a, sigma):
     assert 0.0 < gross_multiplier_closed_form(a, sigma) <= 1.0
+
+
+def _in_box(name):
+    lo, hi = DEFAULT_BOUNDS[name]
+    return _log_floats(math.log10(lo), math.log10(hi)).map(lambda v: min(max(v, lo), hi))
+
+
+_MEAN_ENV = GameEnvironment(0.02, PopulationMean(1.0))
+
+
+def _grid_profit(a, i_beta, i_sigma):
+    return float(profit_grid([a], [i_beta], [i_sigma], _MEAN_ENV)[0, 0, 0])
+
+
+@given(a=_in_box("a"), i_beta=_in_box("i_beta"), i_sigma=_in_box("i_sigma"))
+def test_float_profit_is_profit_grid_bit_for_bit(a, i_beta, i_sigma):
+    assert _closed_form_profit(a, i_beta, i_sigma, _MEAN_ENV) == _grid_profit(a, i_beta, i_sigma)
+
+
+def test_float_profit_is_profit_grid_on_the_default_trace():
+    trace = maximize_profit(_MEAN_ENV).trace
+    assert [profit for _, profit in trace] == [_grid_profit(*point) for point, _ in trace]
+
+
+# Near each branch edge as well as log-uniform over the whole range.
+_ERFCX_ARG = st.one_of(st.just(0.0), _log_floats(-323.0, _A_MAX_EXP),
+                       st.sampled_from(_ERFCX_EDGES).flatmap(
+                           lambda e: st.floats(e * (1.0 - 1e-12), e * (1.0 + 1e-12))))
+
+
+@given(x=_ERFCX_ARG, y=_ERFCX_ARG)
+def test_erfcx_is_finite_positive_and_non_increasing(x, y):
+    x, y = min(x, y), min(max(x, y), 1.7e308)
+    fx, fy = _erfcx(x), _erfcx(y)
+    assert math.isfinite(fx) and fy > 0.0
+    # Neighbouring floats may come out a few ulps up, within erfcx's error
+    # bound; beyond that the values never rise.
+    assert fy <= fx * (1.0 + 12 * 2.0 ** -53)
