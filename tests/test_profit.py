@@ -34,8 +34,8 @@ class TestGrossMultiplierClosedForm:
         assert g == pytest.approx(0.74099, abs=1e-4)
 
     def test_log_space_branch_is_continuous(self):
-        # a*sigma = 37 and 37.5, in erfcx's tail branch, where G once switched
-        # from exp * erfc to a Mills-ratio series.
+        # a*sigma = 37 and 37.5, both in erfcx's tail branch: G still falls
+        # as a grows.
         g_direct = gross_multiplier_closed_form(37.0, 1.0)
         g_log = gross_multiplier_closed_form(37.5, 1.0)
         assert 0.0 < g_log < g_direct < 1.0
