@@ -51,8 +51,8 @@ def _gross_multiplier(a, sigma):
     G = e^{sigma^2/2} Phi(-sigma) + e^{y^2/2} Phi(-y) with y = a sigma, and
     e^{s^2/2} Phi(-s) = erfcx(s/sqrt 2)/2.  Arrays broadcast, and each element
     rounds as the float would.  Finite for every finite a and never above 1.
-    Against 40-digit mpmath on a dense grid and in the tails, the worst error
-    was 2.9 ulps.
+    Against 50-digit mpmath on 95,200 points, dense grids and tails, the
+    worst error was 2.9 ulps.
     """
     return 0.5 * (_erfcx(sigma / _SQRT2) + _erfcx((a * sigma) / _SQRT2))
 
@@ -156,8 +156,7 @@ def expected_profit(strat: AttackerStrategy, env: GameEnvironment,
     """
     cost = strat.i_beta + strat.i_sigma
     if method is ProfitMethod.CLOSED_FORM:
-        # profit_grid's checks on a one-node grid.
-        AttackerStrategy(a=strat.a, i_beta=strat.i_beta, i_sigma=strat.i_sigma)
+        # strat checked its own fields; the derived sigma is checked here.
         _scale("sigma", estimate_scale(strat.i_sigma, env.i_fifty))
         value = _closed_form_profit(strat.a, strat.i_beta, strat.i_sigma, env)
         # A few ulps of the gross term; the closed form is exact up to erfcx.

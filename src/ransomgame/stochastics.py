@@ -183,7 +183,8 @@ def _erfcx(x):
     if isinstance(x, float):
         return _ERFCX_BRANCHES[bisect.bisect_right(_ERFCX_EDGES, x)](x)
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
+    # C order whatever x's layout, so that out.reshape(-1) is a view of out.
+    out = np.empty(x.shape)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     for lo in range(0, flat_x.size, _ERFCX_BLOCK):
         xs, outs = flat_x[lo:lo + _ERFCX_BLOCK], flat_out[lo:lo + _ERFCX_BLOCK]

@@ -146,7 +146,7 @@ _ERFCX_TABLE = [
     (1e200, "5.64189583547756304024336625775e-201"),
     (1.7e308, "3.31876225616327239558049452456e-309"),
 ]
-# The worst error measured against mpmath on 240,000 points, dense on
+# The worst error measured against 50-digit mpmath on 240,000 points, dense on
 # [0, 6] and log-uniform up to 1.7e308, was 5.95 ulps (at x = 2.44272).
 _ERFCX_ULPS = 6
 
@@ -162,6 +162,10 @@ class TestErfcx:
         assert np.array_equal(_erfcx(x), [_erfcx(v) for v in x.tolist()])
         grid = x.reshape(4, 6)  # every branch at once, in two dimensions
         assert np.array_equal(_erfcx(grid), _erfcx(x).reshape(4, 6))
+        # Fortran order and a strided view: the result still lands in place.
+        assert np.array_equal(_erfcx(grid.T), _erfcx(grid).T)
+        assert np.array_equal(_erfcx(np.asfortranarray(grid)), _erfcx(grid))
+        assert np.array_equal(_erfcx(grid[:, ::2]), _erfcx(grid)[:, ::2])
 
 
 class TestLognormalDensity:
@@ -203,6 +207,14 @@ class TestLognormalDensity:
         got = lognormal_cdf(x, 0.0, 1.0)
         assert np.all(np.abs(got - ref) <= 2e-15 * ref + 1e-323)  # two units of a subnormal
         assert lognormal_cdf([0.5, 2.0], 0.0, 1e-300).tolist() == [0.0, 1.0]
+
+    def test_cdf_of_any_array_layout(self):
+        x = np.exp(np.linspace(-6.0, 6.0, 24)).reshape(4, 6)
+        cdf = lognormal_cdf(x, 0.0, 1.0)
+        assert np.array_equal(lognormal_cdf(x.T, 0.0, 1.0), cdf.T)
+        assert np.array_equal(lognormal_cdf(x[::2, ::3], 0.0, 1.0), cdf[::2, ::3])
+        est = LognormalEstimator(mu=0.0, sigma=1.0)
+        assert np.array_equal(est.cdf(x.T), cdf.T)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
