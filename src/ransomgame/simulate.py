@@ -141,6 +141,8 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
     than one worker a thread pool plays at most ``workers`` chunks while the
     caller holds one.  A chunk's arrays are reused once the caller asks for
     the next chunk: fresh arrays would fault their pages in every time.
+    The kernel reads the first three columns of each chunk's ``(m, 4)``
+    uniform blocks in place; the fourth word of a block is not used.
     """
     kernel = get_kernel()
     derived = DerivedParameters.of(strategy, env)
@@ -156,14 +158,14 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
         m = min(_CHUNK, n - lo)
         slot = slots[k % len(slots)]
         chunk = SimulationTrace(x, *(getattr(slot, a)[:m] for a in _TRACE_ARRAYS))
-        u3 = np.ascontiguousarray(uniform_blocks(seed, lo, m)[:, :3])
         # Inputs near the float64 limit overflow to inf; run_batch reports a
         # non-finite payoff as a NumericalError instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            kernel.simulate_runs(u3, strategy.a, derived.beta, derived.sigma, x,
-                                 strategy.i_beta, strategy.i_sigma, chunk.x_tilde,
-                                 chunk.demand, chunk.counteroffer, chunk.alpha,
-                                 chunk.attacker_payoff, chunk.defender_payoff, chunk.kind)
+            kernel.simulate_runs(uniform_blocks(seed, lo, m), strategy.a, derived.beta,
+                                 derived.sigma, x, strategy.i_beta, strategy.i_sigma,
+                                 chunk.x_tilde, chunk.demand, chunk.counteroffer,
+                                 chunk.alpha, chunk.attacker_payoff, chunk.defender_payoff,
+                                 chunk.kind)
         return lo, chunk
 
     if workers == 1:

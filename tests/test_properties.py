@@ -10,13 +10,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment,  # noqa: E402
-                        PopulationMean, SeedSpec, SimulationConfig, expected_profit,
-                        gross_multiplier_closed_form, run_single)
+                        LognormalEstimator, PopulationMean, SeedSpec, SimulationConfig,
+                        expected_profit, gross_multiplier_closed_form, run_single,
+                        std_normal_ppf)
 from ransomgame.optimize import DEFAULT_BOUNDS, maximize_profit  # noqa: E402
 from ransomgame.profit import _closed_form_profit, profit_grid  # noqa: E402
 from ransomgame.simulate import _outcome_from_arrays  # noqa: E402
 from ransomgame.stochastics import _ERFCX_EDGES, _erfcx, _ppf  # noqa: E402
 from conftest import run_traced  # noqa: E402
+from test_kernel_bits import _reference_ppf, _reference_uniform_blocks  # noqa: E402
 
 # The same examples on every run, so the suite stays deterministic.
 settings.register_profile("ransomgame", derandomize=True, database=None, deadline=None,
@@ -46,6 +48,25 @@ def test_ppf_finite_and_antisymmetric_on_generator_grid(ks):
     z = _ppf(u)
     assert np.all(np.isfinite(z))
     assert np.array_equal(_ppf(1.0 - u), -z)
+    assert z.tobytes() == _reference_ppf(u).tobytes()
+
+
+@given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                min_size=1, max_size=64))
+def test_ppf_is_reference_ppf_bit_for_bit(us):
+    want = _reference_ppf(np.array(us)).tobytes()
+    assert _ppf(np.array(us)).tobytes() == want
+    assert np.array([std_normal_ppf(v) for v in us]).tobytes() == want
+
+
+@settings(max_examples=40)
+@given(master=_WORD, stream=_WORD, n=st.integers(1, 3000), mu=st.floats(-300.0, 300.0),
+       sigma=st.floats(0.0, 1.0, exclude_min=True))
+def test_lognormal_sample_is_reference_bit_for_bit(master, stream, n, mu, sigma):
+    seed = SeedSpec(master, stream)
+    u = _reference_uniform_blocks(seed, 0, n)[:, 0]
+    want = np.exp(mu + sigma * _reference_ppf(u))
+    assert LognormalEstimator(mu, sigma).sample(seed, n).tobytes() == want.tobytes()
 
 
 @settings(max_examples=40)

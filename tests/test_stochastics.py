@@ -9,7 +9,8 @@ from ransomgame import (DomainError, LognormalEstimator, SeedSpec, lognormal_cdf
                         lognormal_pdf, sample_estimate, sample_estimates,
                         std_normal_cdf, std_normal_ppf)
 from ransomgame._quadrature import adaptive_quadrature
-from ransomgame.stochastics import _erfcx, _ppf, uniform_blocks
+from ransomgame.stochastics import _erfcx, _open_uniforms, _ppf, uniform_blocks
+from test_kernel_bits import _reference_uniforms
 
 
 def _cdf_series(z: float) -> float:
@@ -295,9 +296,8 @@ class TestSeedSpec:
                                        (2 ** 63 + 1, 7), (2 ** 64 - 1, 2 ** 64 - 1)])
     def test_every_key_bit_reaches_philox(self, words):
         # A word past 2**63 beside a smaller one keeps its low bits, with no warning.
-        from ransomgame.stochastics import _U64_BASE, _U64_SHIFT, _U64_STEP
         raw = np.random.Philox(key=np.array(words, np.uint64)).random_raw(8)
-        want = (raw >> _U64_SHIFT).astype(np.float64) * _U64_STEP + _U64_BASE
+        want = _reference_uniforms(raw)
         assert np.array_equal(uniform_blocks(SeedSpec(*words), 0, 2), want.reshape(2, 4))
 
     def test_uniform_blocks_are_open_interval(self):
@@ -308,14 +308,10 @@ class TestSeedSpec:
     def test_uniform_mapping_never_reaches_endpoints(self):
         # The extreme raw words must map strictly inside (0, 1); a naive
         # half-offset mapping rounds the top word to exactly 1.0.
-        from ransomgame.stochastics import _U64_BASE, _U64_SHIFT, _U64_STEP
-        top = np.array([np.iinfo(np.uint64).max], dtype=np.uint64)
-        bottom = np.array([0], dtype=np.uint64)
-        hi = float((top >> _U64_SHIFT).astype(np.float64)[0] * _U64_STEP + _U64_BASE)
-        lo = float((bottom >> _U64_SHIFT).astype(np.float64)[0] * _U64_STEP + _U64_BASE)
-        assert 0.0 < lo < hi < 1.0
-        assert hi == 1.0 - 2.0 ** -53
-        assert lo == 2.0 ** -53
+        words = np.array([0, np.iinfo(np.uint64).max], dtype=np.uint64)
+        want = [2.0 ** -53, 1.0 - 2.0 ** -53]
+        assert _reference_uniforms(words).tolist() == want
+        assert _open_uniforms(words).tolist() == want
 
     def test_uniform_blocks_chunk_invariance(self):
         seed = SeedSpec(314159, 2)
