@@ -256,23 +256,14 @@ def _write_csv(path: str, config_line: str, meta: list, names: list, *columns):
     with ``%d``, which give the same bytes as ``_cell``; other columns go
     cell by cell through ``_cell``.
     """
-    formats, cells = [], []
-    for column in columns:
-        kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
-        if kind == "f":
-            formats.append("%.9g")
-        elif kind in "iub":
-            formats.append("%d")
-        else:
-            formats.append("%s")
-            column = [_cell(v) for v in column]
-        cells.append(column)
+    cells = [c if isinstance(c, np.ndarray) and c.dtype.kind in "fiub"
+             else [_cell(v) for v in c] for c in columns]
     with _open_out(path) as f:
         f.write(f"# config: {config_line}\n")
         for line in meta:
             f.write(f"# {line}\n")
         f.write(",".join(names) + "\n")
-        write_rows(f, ",".join(formats) + "\n", cells)
+        write_rows(f, cells)
 
 
 def _cell(v) -> str:

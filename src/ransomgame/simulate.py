@@ -282,15 +282,15 @@ def write_trace_csv(trace: SimulationTrace, f: IO[str], header_lines: tuple = ()
 
     The comment lines and the column header open the file, so only a trace
     that starts at run 0 writes them: the chunks of a batch written in run
-    order give the same bytes as the whole trace written at once.  Rows are
-    formatted a block at a time by one ``%`` call on a repeated row template;
-    ``%.9g`` and ``format(v, ".9g")`` give the same bytes.
+    order give the same bytes as the whole trace written at once.  Floats are
+    written as ``%.9g`` (``format(v, ".9g")`` gives the same bytes) and the
+    run index and flags as ``%d``.
     """
     if first_run == 0:
         for line in header_lines:
             f.write(f"# {line}\n")
         f.write(",".join(TRACE_COLUMNS) + "\n")
-    row = f"%d,{trace.x:.9g},%.9g,%.9g,%.9g,%.9g,%d,%d,%.9g,%.9g\n"
-    write_rows(f, row, (range(first_run, first_run + len(trace.kind)), trace.x_tilde,
-                        trace.demand, trace.counteroffer, trace.alpha, trace.aggressive,
-                        trace.decrypted, trace.attacker_payoff, trace.defender_payoff))
+    write_rows(f, (range(first_run, first_run + len(trace.kind)), f"{trace.x:.9g}",
+                   trace.x_tilde, trace.demand, trace.counteroffer, trace.alpha,
+                   trace.aggressive, trace.decrypted, trace.attacker_payoff,
+                   trace.defender_payoff))

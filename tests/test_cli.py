@@ -15,6 +15,7 @@ from ransomgame.cli import (FIGURE_NAMES, SCHEMAS, STRATEGY_TABLE, _cell,
                             _grid_with_value, _write_csv, main)
 from ransomgame.optimize import DEFAULT_BOUNDS, AxisSpec, SweepGrid, maximize_profit, profit_surface
 from ransomgame import profit
+from ransomgame._rows import BLOCK_ROWS
 from ransomgame.profit import ProfitMethod
 from ransomgame.simulate import SimulationConfig, run_batch
 from ransomgame.stochastics import SeedSpec
@@ -429,6 +430,8 @@ def _mixed_columns(n):
     return {
         "special": np.resize(np.array(specials), n),
         "normal": rng.normal(scale=1e3, size=n),
+        # Decimal exponents -4 ... 8 within every 13 rows, so within every block.
+        "span": rng.uniform(-10.0, 10.0, n) * 10.0 ** np.resize(np.arange(-4, 9), n),
         "int": np.arange(n, dtype=np.int64) * 7919 - 2 ** 40,
         "small_uint": (np.arange(n) % 5).astype(np.uint8),
         "bool": rng.random(n) < 0.5,
@@ -439,7 +442,8 @@ def _mixed_columns(n):
 
 
 class TestCsvWriter:
-    @pytest.mark.parametrize("n", [1, 1024, 1025, 40_000])
+    @pytest.mark.parametrize("n", [1, 1024, 1025, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   40_000])
     def test_bytes_match_cell_by_cell_reference(self, tmp_path, n):
         columns = _mixed_columns(n)
         names, values = list(columns), list(columns.values())

@@ -1,5 +1,5 @@
-"""erfcx, G and the simulate command's output files give the same bits
-whichever SIMD loops numpy dispatches to."""
+"""erfcx, G and the simulate and sweep commands' output files give the same
+bits whichever SIMD loops numpy dispatches to."""
 
 import hashlib
 import os
@@ -55,6 +55,16 @@ def _simulate_files(out_dir, **env):
     return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
 
 
+def _sweep_file(out_dir, **env):
+    """The CSV of the 200x200 sweep at a = 4.68, written in a child."""
+    out_dir.mkdir()
+    path = out_dir / "surface.csv"
+    _run_python(["-m", "ransomgame.cli", "sweep", "--axis", "i_beta:0.001:0.5:200:log",
+                 "--axis", "i_sigma:0.001:0.5:200:log", "--fix", "a=4.68",
+                 "--out", str(path)], **env)
+    return path.read_bytes()
+
+
 # Only the child processes' environment changes; the machine does not.
 _needs_avx512_loops = pytest.mark.skipif(
     not _HAS_AVX512_LOOPS, reason="numpy has no X86_V4 (AVX-512) loops on this CPU to turn "
@@ -72,4 +82,13 @@ def test_simulate_files_do_not_depend_on_avx512_loops(tmp_path):
     # Per-run floats may differ in their last bits (exp, log and power round
     # differently); the files, at 9 significant digits, may not.
     assert _simulate_files(tmp_path / "v4") == _simulate_files(
+        tmp_path / "v3", NPY_DISABLE_CPU_FEATURES=_NO_AVX512)
+
+
+@_needs_avx512_loops
+def test_sweep_file_does_not_depend_on_avx512_loops(tmp_path):
+    # The log axes differ in their last bits between the two levels, and the
+    # row writer estimates decimal exponents with log10; the 9-digit file
+    # may not differ.
+    assert _sweep_file(tmp_path / "v4") == _sweep_file(
         tmp_path / "v3", NPY_DISABLE_CPU_FEATURES=_NO_AVX512)

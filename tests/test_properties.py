@@ -1,5 +1,6 @@
 """Property-based checks under a fixed, derandomized Hypothesis profile."""
 
+import io
 import math
 from dataclasses import astuple
 
@@ -13,6 +14,7 @@ from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironme
                         LognormalEstimator, PopulationMean, SeedSpec, SimulationConfig,
                         expected_profit, gross_multiplier_closed_form, run_single,
                         std_normal_ppf)
+from ransomgame._rows import write_rows  # noqa: E402
 from ransomgame.optimize import DEFAULT_BOUNDS, maximize_profit  # noqa: E402
 from ransomgame.profit import _closed_form_profit, profit_grid  # noqa: E402
 from ransomgame.simulate import _outcome_from_arrays  # noqa: E402
@@ -146,3 +148,51 @@ def test_erfcx_is_finite_positive_and_non_increasing(x, y):
     # Neighbouring floats may come out a few ulps up, within erfcx's error
     # bound; beyond that the values never rise.
     assert fy <= fx * (1.0 + 12 * 2.0 ** -53)
+
+
+def _written(column) -> list:
+    """The cells write_rows writes for one column."""
+    buf = io.StringIO()
+    write_rows(buf, [column])
+    return buf.getvalue().split("\n")[:-1]
+
+
+# The double nearest (m + 1/2)·10^(e-8): a 9-digit mantissa m followed by an
+# exact or nearly exact tie, for e in [-6, 10].
+_HALFWAY = st.builds(lambda m, e, sign: sign * float(f"{m}5e{e - 9}"),
+                     st.integers(10 ** 8, 10 ** 9 - 1), st.integers(-6, 10),
+                     st.sampled_from([1.0, -1.0]))
+
+
+@given(st.lists(st.one_of(st.floats(), _HALFWAY), min_size=1, max_size=64))
+def test_written_floats_are_percent_9g(values):
+    # Subnormals, -0.0, infinities and nan included.
+    assert _written(np.array(values)) == ["%.9g" % v for v in values]
+
+
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=64),
+       st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
+       st.lists(st.booleans(), min_size=1, max_size=64))
+def test_written_integers_are_percent_d(signed, unsigned, flags):
+    for values, dtype in ((signed, np.int64), (unsigned, np.uint64), (flags, bool)):
+        assert _written(np.array(values, dtype=dtype)) == ["%d" % v for v in values]
+
+
+# Rounding across 1e9 and 1e-4, the largest and smallest floats, exact ties
+# and powers of ten, where an estimate of e from log10 may be off.
+_FLOAT_EDGES = [999999999.5, 999999999.4999999, 9.9999999995e-05, 9.99999999949e-05,
+                99999.99995, 0.0001, 1e-4 * (1 - 2 ** -52), 1e9, 1e-5, 5e-324,
+                2.2250738585072014e-308, 1.7976931348623157e308, 0.5, 1.0, 10.0, 0.1, 0.3,
+                123456789.5, 100000000.5]
+_INT_EDGES = [(-2 ** 63, np.int64), (2 ** 63 - 1, np.int64), (2 ** 64 - 1, np.uint64),
+              (0, np.int64), (-1, np.int8), (True, bool), (False, bool)]
+
+
+@pytest.mark.parametrize("value", _FLOAT_EDGES + [-v for v in _FLOAT_EDGES])
+def test_written_boundary_floats(value):
+    assert _written(np.array([value, 0.25])) == ["%.9g" % value, "0.25"]
+
+
+@pytest.mark.parametrize("value,dtype", _INT_EDGES)
+def test_written_boundary_integers(value, dtype):
+    assert _written(np.array([value, 1], dtype=dtype)) == ["%d" % value, "1"]
