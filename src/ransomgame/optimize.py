@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,46 +105,46 @@ class StrategyOptimum:
     trace: list  # ((a, i_beta, i_sigma), profit) of the best vertex per iteration
 
 
-def nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
-                steps: np.ndarray, bounds_lo: np.ndarray, bounds_hi: np.ndarray,
-                diameter_tol: float = 1e-5, max_iter: int = 2000):
+def nelder_mead(func: Callable[[tuple], float], x0: Sequence[float],
+                steps: Sequence[float], bounds_lo: Sequence[float],
+                bounds_hi: Sequence[float], diameter_tol: float = 1e-5, max_iter: int = 2000):
     """Minimize func over a box with the standard simplex method.
 
-    Candidate points are projected onto the box.  Converged when the vertex
-    spread is below diameter_tol in every coordinate.  Returns
-    (x_best, f_best, n_evals, converged, history) with one history entry
-    (best point, best value) per iteration.
+    x0, steps and the bounds are float sequences (numpy arrays too); points
+    are tuples of floats.  Candidate points are projected onto the box.
+    Converged when the vertex spread is below diameter_tol in every
+    coordinate.  Returns (x_best, f_best, n_evals, converged, history) with
+    one history entry (best point, best value) per iteration.
     """
     refl, expa, contr, shrink = NM_COEFFICIENTS
     dim = len(x0)
+    box = [(float(lo), float(hi)) for lo, hi in zip(bounds_lo, bounds_hi)]
 
     def clip(x):
-        return np.minimum(np.maximum(x, bounds_lo), bounds_hi)
+        return tuple([min(max(v, lo), hi) for v, (lo, hi) in zip(x, box)])
 
-    points = [clip(np.asarray(x0, dtype=np.float64))]
-    for k in range(dim):
-        p = points[0].copy()
-        p[k] += steps[k]
-        points.append(clip(p))
+    start = clip([float(v) for v in x0])
+    points = [start] + [clip(start[:k] + (start[k] + float(steps[k]),) + start[k + 1:])
+                        for k in range(dim)]
     values = [func(p) for p in points]
     n_evals = dim + 1
     history = []
     converged = False
 
     for _ in range(max_iter):
-        order = sorted(range(dim + 1), key=lambda i: values[i])
+        order = sorted(range(dim + 1), key=values.__getitem__)
         points = [points[i] for i in order]
         values = [values[i] for i in order]
-        history.append((points[0].copy(), values[0]))
+        history.append((points[0], values[0]))
 
-        spread = np.max(np.asarray(points), axis=0) - np.min(np.asarray(points), axis=0)
-        if np.all(spread < diameter_tol):
+        if all([max(col) - min(col) < diameter_tol for col in zip(*points)]):
             converged = True
             break
 
-        centroid = np.mean(np.asarray(points[:-1]), axis=0)
+        # Left-to-right, then divided, as np.mean(axis=0); sum() is compensated from 3.12.
+        centroid = [reduce(add, col) / dim for col in zip(*points[:-1])]
         worst = points[-1]
-        reflected = clip(centroid + refl * (centroid - worst))
+        reflected = clip([c + refl * (c - w) for c, w in zip(centroid, worst)])
         f_reflected = func(reflected)
         n_evals += 1
 
@@ -150,7 +152,7 @@ def nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
             points[-1], values[-1] = reflected, f_reflected
             continue
         if f_reflected < values[0]:
-            expanded = clip(centroid + expa * (centroid - worst))
+            expanded = clip([c + expa * (c - w) for c, w in zip(centroid, worst)])
             f_expanded = func(expanded)
             n_evals += 1
             if f_expanded < f_reflected:
@@ -158,18 +160,18 @@ def nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
             else:
                 points[-1], values[-1] = reflected, f_reflected
             continue
-        contracted = clip(centroid + contr * (worst - centroid))
+        contracted = clip([c + contr * (w - c) for c, w in zip(centroid, worst)])
         f_contracted = func(contracted)
         n_evals += 1
         if f_contracted < values[-1]:
             points[-1], values[-1] = contracted, f_contracted
             continue
         for i in range(1, dim + 1):
-            points[i] = clip(points[0] + shrink * (points[i] - points[0]))
+            points[i] = clip([b + shrink * (v - b) for b, v in zip(points[0], points[i])])
             values[i] = func(points[i])
         n_evals += dim
 
-    best = int(np.argmin(values))
+    best = values.index(min(values))  # the first minimum, as np.argmin
     return points[best], values[best], n_evals, converged, history
 
 
@@ -209,25 +211,23 @@ def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
     axes = [spec.values() for spec in specs]
     # Axes ascend: the first maximum in C order is the lexicographically smallest.
     best = _grid_argmax(axes, env)
-    best_point = np.array([axis[k] for axis, k in zip(axes, best)])
+    best_point = [float(axis[k]) for axis, k in zip(axes, best)]
 
     # Refinement steps: half the local grid spacing in each coordinate.
     steps = []
     for axis, k in zip(axes, best):
         idx = min(int(k), len(axis) - 2)
-        steps.append(0.5 * (axis[idx + 1] - axis[idx]))
+        steps.append(0.5 * (float(axis[idx + 1]) - float(axis[idx])))
 
-    lo = np.array([spec.lo for spec in specs])
-    hi = np.array([spec.hi for spec in specs])
+    lo = [float(spec.lo) for spec in specs]
+    hi = [float(spec.hi) for spec in specs]
     # The scan's profit_grid has checked the box, and the simplex stays in it.
     x_best, f_best, nm_evals, converged, history = nelder_mead(
-        lambda p: -_closed_form_profit(*p.tolist(), env),
-        best_point, np.asarray(steps), lo, hi)
+        lambda p: -_closed_form_profit(*p, env), best_point, steps, lo, hi)
     n_evals = grid_points ** 3 + nm_evals
 
-    strategy = AttackerStrategy(a=float(x_best[0]), i_beta=float(x_best[1]),
-                                i_sigma=float(x_best[2]))
-    trace = [((float(p[0]), float(p[1]), float(p[2])), -v) for p, v in history]
+    strategy = AttackerStrategy(*x_best)
+    trace = [(p, -v) for p, v in history]
     return StrategyOptimum(strategy=strategy, profit=-f_best, evaluations=n_evals,
                            converged=converged, trace=trace)
 

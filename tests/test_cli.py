@@ -267,6 +267,13 @@ class TestOptimizeCommand:
         assert float(row["profit"]) == pytest.approx(0.3055596, abs=1e-4)
         assert row["converged"] == "1"
 
+    def test_default_row_bytes(self, tmp_path):
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-2:] == [
+            "a,i_beta,i_sigma,profit,evaluations,converged",
+            "4.6744375,0.0904823569,0.103793089,0.305559598,262272,1"]
+
     @pytest.mark.parametrize("args,message", [
         (["--a-lo", "1", "--a-hi", "1"], "axis a: need lo < hi, got [1.0, 1.0]"),
         (["--i-beta-hi", "inf"], "axis i_beta: need lo < hi, got [0.001, inf]"),

@@ -1,5 +1,14 @@
+"""Strategy optimization, sweeps, and the simplex's bits.
+
+``_reference_nelder_mead`` is the numpy simplex that the float one replaced,
+and ``_reference_maximize_profit`` the optimizer that called it.  The float
+simplex must return their bits: every point, value, count and flag.
+"""
+
 import math
 import tracemalloc
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -9,37 +18,191 @@ from ransomgame import (AttackerStrategy, ConfigError, GameEnvironment,
                         expected_profit, maximize_profit, nelder_mead,
                         profit_surface)
 from ransomgame import optimize
-from ransomgame.profit import profit_grid
+from ransomgame.optimize import DEFAULT_BOUNDS, NM_COEFFICIENTS
+from ransomgame.profit import _closed_form_profit, profit_grid
 
 I50 = 0.02
 
 
+def _reference_nelder_mead(func, x0, steps, bounds_lo, bounds_hi,
+                           diameter_tol=1e-5, max_iter=2000):
+    refl, expa, contr, shrink = NM_COEFFICIENTS
+    dim = len(x0)
+
+    def clip(x):
+        return np.minimum(np.maximum(x, bounds_lo), bounds_hi)
+
+    points = [clip(np.asarray(x0, dtype=np.float64))]
+    for k in range(dim):
+        p = points[0].copy()
+        p[k] += steps[k]
+        points.append(clip(p))
+    values = [func(p) for p in points]
+    n_evals = dim + 1
+    history = []
+    converged = False
+
+    for _ in range(max_iter):
+        order = sorted(range(dim + 1), key=lambda i: values[i])
+        points = [points[i] for i in order]
+        values = [values[i] for i in order]
+        history.append((points[0].copy(), values[0]))
+
+        spread = np.max(np.asarray(points), axis=0) - np.min(np.asarray(points), axis=0)
+        if np.all(spread < diameter_tol):
+            converged = True
+            break
+
+        centroid = np.mean(np.asarray(points[:-1]), axis=0)
+        worst = points[-1]
+        reflected = clip(centroid + refl * (centroid - worst))
+        f_reflected = func(reflected)
+        n_evals += 1
+
+        if values[0] <= f_reflected < values[-2]:
+            points[-1], values[-1] = reflected, f_reflected
+            continue
+        if f_reflected < values[0]:
+            expanded = clip(centroid + expa * (centroid - worst))
+            f_expanded = func(expanded)
+            n_evals += 1
+            if f_expanded < f_reflected:
+                points[-1], values[-1] = expanded, f_expanded
+            else:
+                points[-1], values[-1] = reflected, f_reflected
+            continue
+        contracted = clip(centroid + contr * (worst - centroid))
+        f_contracted = func(contracted)
+        n_evals += 1
+        if f_contracted < values[-1]:
+            points[-1], values[-1] = contracted, f_contracted
+            continue
+        for i in range(1, dim + 1):
+            points[i] = clip(points[0] + shrink * (points[i] - points[0]))
+            values[i] = func(points[i])
+        n_evals += dim
+
+    best = int(np.argmin(values))
+    return points[best], values[best], n_evals, converged, history
+
+
+def _reference_maximize_profit(env, bounds=None, grid_points=optimize.DEFAULT_GRID_POINTS):
+    specs = [AxisSpec(name, lo, hi, grid_points, "log")
+             for name, (lo, hi) in {**DEFAULT_BOUNDS, **(bounds or {})}.items()]
+    axes = [spec.values() for spec in specs]
+    best = optimize._grid_argmax(axes, env)
+    best_point = np.array([axis[k] for axis, k in zip(axes, best)])
+    steps = []
+    for axis, k in zip(axes, best):
+        idx = min(int(k), len(axis) - 2)
+        steps.append(0.5 * (axis[idx + 1] - axis[idx]))
+    lo = np.array([spec.lo for spec in specs])
+    hi = np.array([spec.hi for spec in specs])
+    x_best, f_best, nm_evals, converged, history = _reference_nelder_mead(
+        lambda p: -_closed_form_profit(*p.tolist(), env),
+        best_point, np.asarray(steps), lo, hi)
+    strategy = AttackerStrategy(a=float(x_best[0]), i_beta=float(x_best[1]),
+                                i_sigma=float(x_best[2]))
+    trace = [((float(p[0]), float(p[1]), float(p[2])), -v) for p, v in history]
+    return optimize.StrategyOptimum(strategy=strategy, profit=-f_best,
+                                    evaluations=grid_points ** 3 + nm_evals,
+                                    converged=converged, trace=trace)
+
+
+def assert_same_simplex(result, reference):
+    """Float and numpy simplex results agree exactly, compared as floats."""
+    (x, fx, n_evals, converged, history), (rx, rfx, rn, rconv, rhistory) = result, reference
+    assert isinstance(x, tuple) and all(isinstance(p, tuple) for p, _ in history)
+    assert list(x) == [float(v) for v in rx]
+    assert (fx, n_evals, converged) == (rfx, rn, rconv)
+    assert [(list(p), v) for p, v in history] == [([float(c) for c in p], v)
+                                                  for p, v in rhistory]
+
+
+def counted(func):
+    """func, and a list that gains one entry per call."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        return func(*args)
+    return wrapper, calls
+
+
+def _bowl(p):
+    return (p[0] - 1.3) ** 2 + 2.0 * (p[1] + 0.4) ** 2
+
+
+def _wall(p):
+    return (p[0] - 10.0) ** 2
+
+
+def _rosenbrock(p):
+    return (1 - p[0]) ** 2 + 100.0 * (p[1] - p[0] ** 2) ** 2
+
+
+# The three problems of TestNelderMead, as (func, x0, steps, lo, hi, options).
+SIMPLEX_CASES = {
+    "quadratic_bowl": (_bowl, [0.0, 0.0], [0.5, 0.5], [-5.0, -5.0], [5.0, 5.0], {}),
+    "respects_bounds": (_wall, [0.5], [0.2], [0.0], [1.0], {}),
+    "rosenbrock": (_rosenbrock, [-1.2, 1.0], [0.1, 0.1], [-5.0, -5.0], [5.0, 5.0],
+                   {"diameter_tol": 1e-8, "max_iter": 5000}),
+}
+
+
+def run_both(func, x0, steps, lo, hi, **options):
+    """nelder_mead on float lists and the numpy reference on arrays."""
+    arrays = [np.array(v, dtype=np.float64) for v in (x0, steps, lo, hi)]
+    return (nelder_mead(func, x0, steps, lo, hi, **options),
+            _reference_nelder_mead(func, *arrays, **options))
+
+
 class TestNelderMead:
     def test_quadratic_bowl(self):
-        f = lambda p: (p[0] - 1.3) ** 2 + 2.0 * (p[1] + 0.4) ** 2
+        f, calls = counted(_bowl)
         x, fx, n_evals, converged, history = nelder_mead(
             f, np.array([0.0, 0.0]), np.array([0.5, 0.5]),
             np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
         assert converged
         assert x == pytest.approx([1.3, -0.4], abs=1e-4)
         assert fx < 1e-8
-        assert n_evals == len(history) or n_evals > 0
+        assert n_evals == len(calls)
+        assert all(isinstance(p, tuple) for p, in calls)
 
     def test_respects_bounds(self):
-        f = lambda p: (p[0] - 10.0) ** 2
         x, _, _, converged, _ = nelder_mead(
-            f, np.array([0.5]), np.array([0.2]), np.array([0.0]), np.array([1.0]))
+            _wall, np.array([0.5]), np.array([0.2]), np.array([0.0]), np.array([1.0]))
         assert converged
         assert x[0] == pytest.approx(1.0, abs=1e-5)
 
     def test_rosenbrock(self):
-        f = lambda p: (1 - p[0]) ** 2 + 100.0 * (p[1] - p[0] ** 2) ** 2
         x, fx, _, _, _ = nelder_mead(
-            f, np.array([-1.2, 1.0]), np.array([0.1, 0.1]),
+            _rosenbrock, np.array([-1.2, 1.0]), np.array([0.1, 0.1]),
             np.array([-5.0, -5.0]), np.array([5.0, 5.0]),
             diameter_tol=1e-8, max_iter=5000)
         assert x == pytest.approx([1.0, 1.0], abs=1e-3)
 
+    @pytest.mark.parametrize("case", sorted(SIMPLEX_CASES))
+    def test_bits_match_numpy_reference(self, case):
+        func, x0, steps, lo, hi, options = SIMPLEX_CASES[case]
+        assert_same_simplex(*run_both(func, x0, steps, lo, hi, **options))
+
+    def test_centroid_adds_left_to_right(self):
+        # Start at 1 with a step of 1e16 in x: the best three vertices hold
+        # x = 1e16, 1, 1 in that order.  Left to right, 1e16 + 1 rounds back
+        # to 1e16 twice; math.fsum (and sum() from Python 3.12) gives 1e16 + 2.
+        func = lambda p: ((p[0] - 1e16) / 1e16) ** 2 + (p[1] - 0.5) ** 2 + (p[2] - 0.5) ** 2
+        x0, steps = [1.0, 0.0, 0.0], [1e16, 1.0, 1.0]
+        lo, hi = [-1e17, -10.0, -10.0], [1e17, 10.0, 10.0]
+        start = [tuple(x0)] + [tuple(v + steps[k] if j == k else v for j, v in enumerate(x0))
+                               for k in range(3)]
+        best_three = sorted(start, key=func)[:-1]
+        columns = list(zip(*best_three))
+        assert columns[0] == (1e16, 1.0, 1.0)
+        assert [reduce(add, col) for col in columns] != [math.fsum(col) for col in columns]
+        result, reference = run_both(func, x0, steps, lo, hi, max_iter=200)
+        assert len(result[4]) > 1
+        assert_same_simplex(result, reference)
 
 class TestMaximizeProfit:
     def test_recovers_reference_optimum(self, mean_env):
@@ -49,6 +212,26 @@ class TestMaximizeProfit:
         assert opt.strategy.i_beta == pytest.approx(0.091, abs=0.010)
         assert opt.strategy.i_sigma == pytest.approx(0.104, abs=0.010)
         assert opt.profit == pytest.approx(0.304, abs=0.005)
+
+    @pytest.mark.parametrize("bounds,grid_points", [
+        (None, 64), (None, 8), (None, 16), (None, 24), ({"a": (0.1, 1.0)}, 24),
+    ], ids=["default", "8", "16", "24", "a-below-optimum"])
+    def test_bits_match_numpy_reference(self, mean_env, monkeypatch, bounds, grid_points):
+        reference = _reference_maximize_profit(mean_env, bounds, grid_points)
+        counter, calls = counted(_closed_form_profit)
+        monkeypatch.setattr(optimize, "_closed_form_profit", counter)
+        opt = maximize_profit(mean_env, bounds, grid_points)
+        assert opt == reference
+        assert opt.evaluations == grid_points ** 3 + len(calls)
+
+    def test_default_optimum_bits(self, mean_env):
+        # The same bits on every Python version and SIMD level CI runs.
+        opt = maximize_profit(mean_env)
+        assert [v.hex() for v in (opt.strategy.a, opt.strategy.i_beta, opt.strategy.i_sigma,
+                                  opt.profit)] == [
+            "0x1.2b29fbe6db22ap+2", "0x1.729da0bcdf5fap-4", "0x1.a922f11e71cdap-4",
+            "0x1.38e49d7b41100p-2"]
+        assert (opt.evaluations, opt.converged, len(opt.trace)) == (262272, True, 72)
 
     def test_profit_field_reevaluates(self, mean_env):
         opt = maximize_profit(mean_env, grid_points=16)

@@ -21,6 +21,7 @@ from ransomgame.simulate import _outcome_from_arrays  # noqa: E402
 from ransomgame.stochastics import _ERFCX_EDGES, _erfcx, _ppf  # noqa: E402
 from conftest import run_traced  # noqa: E402
 from test_kernel_bits import _reference_ppf, _reference_uniform_blocks  # noqa: E402
+from test_optimize import assert_same_simplex, run_both  # noqa: E402
 
 # The same examples on every run, so the suite stays deterministic.
 settings.register_profile("ransomgame", derandomize=True, database=None, deadline=None,
@@ -132,6 +133,16 @@ def test_float_profit_is_profit_grid_bit_for_bit(a, i_beta, i_sigma):
 def test_float_profit_is_profit_grid_on_the_default_trace():
     trace = maximize_profit(_MEAN_ENV).trace
     assert [profit for _, profit in trace] == [_grid_profit(*point) for point, _ in trace]
+
+
+@given(a=_in_box("a"), i_beta=_in_box("i_beta"), i_sigma=_in_box("i_sigma"),
+       fractions=st.tuples(*[st.floats(-0.5, 0.5)] * 3))
+def test_float_simplex_is_numpy_simplex_bit_for_bit(a, i_beta, i_sigma, fractions):
+    # Steps are signed fractions of the box, up to half its width.
+    lo, hi = zip(*DEFAULT_BOUNDS.values())
+    steps = [f * (h - l) for f, l, h in zip(fractions, lo, hi)]
+    func = lambda p: -_closed_form_profit(*map(float, p), _MEAN_ENV)
+    assert_same_simplex(*run_both(func, [a, i_beta, i_sigma], steps, list(lo), list(hi)))
 
 
 # Near each branch edge as well as log-uniform over the whole range.
