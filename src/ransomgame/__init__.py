@@ -16,17 +16,15 @@ from .errors import ConfigError, DomainError, NumericalError
 from .game import (AttackerStrategy, DerivedParameters, FixedValue, GameEnvironment,
                    NegotiationOutcome, OutcomeKind, PopulationMean,
                    aggression_probability, attacker_profit_piecewise,
-                   defender_utility, demand_factor, estimate_scale, gross_profit,
-                   optimal_counteroffer, optimal_play_profit, reliability)
+                   defender_utility, demand_factor, estimate_scale, optimal_counteroffer,
+                   optimal_play_profit, reliability)
 from .optimize import (AxisSpec, StrategyOptimum, SurfaceResult, SweepGrid,
                        maximize_profit, nelder_mead, profit_surface)
 from .profit import (ProfitEstimate, ProfitMethod, expected_profit,
                      gross_multiplier_closed_form, gross_multiplier_quadrature)
 from .simulate import (SimulationConfig, SimulationReport, SimulationTrace,
                        run_batch, run_single, write_trace_csv)
-from .stochastics import (LognormalEstimator, SeedSpec, lognormal_cdf, lognormal_pdf,
-                          sample_estimate, sample_estimates, std_normal_cdf,
-                          std_normal_ppf)
+from .stochastics import LognormalEstimator, SeedSpec, lognormal_pdf, std_normal_ppf
 
 __all__ = [
     "__version__",
@@ -34,7 +32,7 @@ __all__ = [
     "AttackerStrategy", "DerivedParameters", "FixedValue", "GameEnvironment",
     "NegotiationOutcome", "OutcomeKind", "PopulationMean",
     "aggression_probability", "attacker_profit_piecewise", "defender_utility",
-    "demand_factor", "estimate_scale", "gross_profit", "optimal_counteroffer",
+    "demand_factor", "estimate_scale", "optimal_counteroffer",
     "optimal_play_profit", "reliability",
     "AxisSpec", "StrategyOptimum", "SurfaceResult", "SweepGrid",
     "maximize_profit", "nelder_mead", "profit_surface",
@@ -42,6 +40,5 @@ __all__ = [
     "gross_multiplier_closed_form", "gross_multiplier_quadrature",
     "SimulationConfig", "SimulationReport", "SimulationTrace",
     "run_batch", "run_single", "write_trace_csv",
-    "LognormalEstimator", "SeedSpec", "lognormal_cdf", "lognormal_pdf",
-    "sample_estimate", "sample_estimates", "std_normal_cdf", "std_normal_ppf",
+    "LognormalEstimator", "SeedSpec", "lognormal_pdf", "std_normal_ppf",
 ]

@@ -1,7 +1,8 @@
-"""Monte Carlo simulation kernel, one array expression per game step."""
+"""Monte Carlo simulation kernel: the game steps of ``game`` on arrays of runs."""
 
 import numpy as np
 
+from .game import _aggression, _counteroffer_at, demand_factor
 from .stochastics import _ppf
 
 
@@ -17,7 +18,7 @@ def simulate_runs(u3, a, beta, sigma, x, i_beta, i_sigma,
     the rows into calls gives the same results.
     """
     cost = i_beta + i_sigma
-    k = a * beta / (1.0 + a)
+    k = demand_factor(a, beta)
     c_max = k * x
 
     np.multiply(sigma, _ppf(u3[:, 0]), out=x_tilde)
@@ -25,16 +26,13 @@ def simulate_runs(u3, a, beta, sigma, x, i_beta, i_sigma,
     x_tilde *= x
     np.multiply(k, x_tilde, out=demand)
     full = demand <= c_max
-    np.minimum(demand, c_max, out=counteroffer)
-    # Only demands above the cap risk aggression; full payment has alpha 0,
-    # and c_max / demand never divides 0 by 0 (beta = 0).
+    counteroffer[...] = _counteroffer_at(demand, c_max)
+    # Only demands above the cap risk aggression, and there the counteroffer
+    # is the cap; full payment has alpha 0, and c_max / demand never divides
+    # 0 by 0 (beta = 0).
     capped = np.flatnonzero(~full)
-    ratio = demand.take(capped)
-    np.divide(c_max, ratio, out=ratio)
-    np.power(ratio, a, out=ratio)
-    np.subtract(1.0, ratio, out=ratio)
     alpha.fill(0.0)
-    alpha.put(capped, ratio)
+    alpha.put(capped, _aggression(c_max, demand.take(capped), a))
 
     aggressive = u3[:, 1] < alpha
     decrypted = u3[:, 2] < beta

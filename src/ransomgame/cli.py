@@ -329,7 +329,7 @@ def _figure_beta_curve(params):
     n = params["points"]
     i_fifty = params["i_fifty"]
     grid = _grid_with_value(0.0, params["i_beta_max"], n, i_fifty)
-    columns = [grid, [reliability(v, i_fifty) for v in grid]]
+    columns = [grid, reliability(grid, i_fifty)]
     return ["i_beta", "beta"], columns, {"i_fifty": i_fifty}
 
 
@@ -342,7 +342,7 @@ def _figure_estimate_pdf(params):
                             params["x_est_max"], params["points"], x)
     mu = float(np.log(x))
     names = ["x_est"] + [f"pdf_i_sigma_{isg:g}" for isg, _ in sigmas]
-    columns = [grid] + [[lognormal_pdf(v, mu, s) for v in grid] for _, s in sigmas]
+    columns = [grid] + [lognormal_pdf(grid, mu, s) for _, s in sigmas]
     return names, columns, {"x": x, "i_fifty": i_fifty}
 
 
@@ -350,7 +350,7 @@ def _figure_alpha_curve(params):
     a_values = params["a_values"]
     grid = np.linspace(0.0, 1.0, params["points"])
     names = ["c_over_r"] + [f"alpha_a_{a:g}" for a in a_values]
-    columns = [grid] + [[aggression_probability(v, 1.0, a) for v in grid] for a in a_values]
+    columns = [grid] + [aggression_probability(grid, 1.0, a) for a in a_values]
     return names, columns, {}
 
 
@@ -362,9 +362,9 @@ def _figure_utility_vs_demand(params):
                             params["points"], kink)
     c_values = params["c_max_values"]
     names = ["demand", "utility_optimal"] + [f"utility_cmax_{c:g}" for c in c_values]
-    columns = [grid, [defender_utility(optimal_counteroffer(r, x, a, beta), r, x, a, beta)
-                      for r in grid]]
-    columns += [[defender_utility(min(r, c_cap), r, x, a, beta) for r in grid]
+    c_optimal = optimal_counteroffer(grid, x, a, beta)
+    columns = [grid, defender_utility(c_optimal, grid, x, a, beta)]
+    columns += [defender_utility(np.minimum(grid, c_cap), grid, x, a, beta)
                 for c_cap in c_values]
     return names, columns, {"kink_demand": kink, "beta": beta}
 
@@ -378,7 +378,7 @@ def _figure_profit_vs_estimate(params):
     strategies = [AttackerStrategy(a=a, i_beta=params["i_beta"],
                                    i_sigma=params["i_sigma"]) for a in a_values]
     names = ["x_est"] + [f"profit_a_{a:g}" for a in a_values]
-    columns = [grid] + [[optimal_play_profit(v, x, s, env) for v in grid] for s in strategies]
+    columns = [grid] + [optimal_play_profit(grid, x, s, env) for s in strategies]
     return names, columns, {"x": x, "i_beta": params["i_beta"], "i_sigma": params["i_sigma"]}
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._contour import zero_contours
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .game import AttackerStrategy, GameEnvironment
 from .profit import _closed_form_profit, profit_grid
 
@@ -119,9 +119,12 @@ def nelder_mead(func: Callable[[tuple], float], x0: Sequence[float],
     refl, expa, contr, shrink = NM_COEFFICIENTS
     dim = len(x0)
     box = [(float(lo), float(hi)) for lo, hi in zip(bounds_lo, bounds_hi)]
+    for lo, hi in box:
+        if not lo <= hi:
+            raise DomainError(f"bounds must satisfy lo <= hi, got lo={lo!r} hi={hi!r}")
 
-    def clip(x):
-        return tuple([min(max(v, lo), hi) for v, (lo, hi) in zip(x, box)])
+    def clip(x):  # min(max(v, lo), hi) bit for bit, as lo <= hi
+        return tuple([lo if v < lo else hi if v > hi else v for v, (lo, hi) in zip(x, box)])
 
     start = clip([float(v) for v in x0])
     points = [start] + [clip(start[:k] + (start[k] + float(steps[k]),) + start[k + 1:])

@@ -26,7 +26,7 @@ import numpy as np
 from ._quadrature import adaptive_quadrature
 from .errors import DomainError, NumericalError, _positive, _scale
 from .game import (AttackerStrategy, DerivedParameters, GameEnvironment, demand_factor,
-                   estimate_scale)
+                   estimate_scale, reliability)
 from .stochastics import _SQRT2, _SQRT_2PI, _erfcx
 
 
@@ -108,12 +108,13 @@ def profit_grid(a, i_beta, i_sigma, env: GameEnvironment) -> np.ndarray:
     except ValueError:  # numpy's "array is too big", past what it can address
         raise MemoryError(f"a {len(a)} x {len(i_beta)} x {len(i_sigma)} profit grid "
                           "exceeds the largest possible array") from None
-    # Never above 1, but 0 once i_fifty + i_sigma overflows or the ratio underflows.
-    sigma = np.array([env.i_fifty / (env.i_fifty + s) for s in i_sigma.tolist()])
-    _scale("sigma", float(sigma.min()))
-    # Overflow shows as a non-finite P below, so numpy's warning is noise.
+    # Overflow shows as a zero sigma or a non-finite P below, so numpy's
+    # warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        beta = i_beta / (i_beta + env.i_fifty)
+        # Never above 1, but 0 once i_fifty + i_sigma overflows or the ratio underflows.
+        sigma = estimate_scale(i_sigma, env.i_fifty)
+        _scale("sigma", float(sigma.min()))
+        beta = reliability(i_beta, env.i_fifty)
         np.multiply(demand_factor(a[:, None], beta[None, :])[:, :, None],
                     _gross_multiplier(a[:, None], sigma[None, :])[:, None, :], out=profit)
         profit *= env.mean_target_value

@@ -1,4 +1,4 @@
-"""Seeded random streams, the lognormal estimate model, and normal-CDF helpers.
+"""Seeded random streams, the lognormal estimate model, and the normal quantile.
 
 Streams are built on the counter-based Philox generator so that any sample
 in a run can be produced independently of execution order: a stream is
@@ -89,8 +89,7 @@ def uniform_blocks(seed: SeedSpec, start_block: int, n_blocks: int) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Standard normal CDF and inverse CDF, and the scaled complementary error
-# function.
+# Standard normal inverse CDF, and the scaled complementary error function.
 #
 # The inverse CDF is Wichura's AS241 (Appl. Stat. 37 (1988) 477-484): one
 # rational function of q^2 in the centre and two of sqrt(-ln p) in the
@@ -249,11 +248,6 @@ def std_normal_ppf(u: float) -> float:
     return float(_ppf(np.array([u], dtype=np.float64))[0])
 
 
-def std_normal_cdf(z: float) -> float:
-    """Phi(z), absolute error well below 1e-12."""
-    return 0.5 * math.erfc(-_require_finite("argument", z) / _SQRT2)
-
-
 # ---------------------------------------------------------------------------
 # Lognormal estimate of the target's data value.
 # ---------------------------------------------------------------------------
@@ -289,9 +283,6 @@ class LognormalEstimator:
     def pdf(self, x_est):
         return lognormal_pdf(x_est, self.mu, self.sigma)
 
-    def cdf(self, x_est):
-        return lognormal_cdf(x_est, self.mu, self.sigma)
-
     def sample(self, seed: SeedSpec, n: int) -> np.ndarray:
         """n samples from the stream, block i supplying sample i."""
         if n < 1:
@@ -309,30 +300,3 @@ def lognormal_pdf(x_est, mu: float, sigma: float):
     t = np.log(x_est) - mu
     out = np.exp(-t * t / (2.0 * sigma * sigma)) / (x_est * sigma * _SQRT_2PI)
     return out if out.ndim else float(out)
-
-
-def lognormal_cdf(x_est, mu: float, sigma: float):
-    """CDF of Lognormal(mu, sigma^2) at x_est (scalar or array)."""
-    mu, sigma = _require_finite("mu", mu), _positive("sigma", sigma)
-    x_est = np.asarray(x_est, dtype=np.float64)
-    if not np.all(np.isfinite(x_est)) or np.any(x_est <= 0.0):
-        raise DomainError("CDF argument must be positive and finite")
-    z = (np.log(x_est) - mu) / sigma
-    # Phi(-v sqrt 2) = erfc(v)/2 = e^{-v^2} erfcx(v)/2, whose exponent is split
-    # as in Cody's CALERF so that it keeps its low bits; erfc underflows to 0
-    # before v = 28.
-    v = np.minimum(np.abs(z) / _SQRT2, 28.0)
-    head = np.trunc(v * 16.0) / 16.0
-    lower = 0.5 * np.exp(-head * head) * np.exp(-(v - head) * (v + head)) * _erfcx(v)
-    out = np.where(z > 0.0, 1.0 - lower, lower)
-    return out if out.ndim else float(out)
-
-
-def sample_estimate(x: float, sigma: float, seed: SeedSpec) -> float:
-    """One value estimate: exp(ln x + sigma * z) with z from the stream."""
-    return float(LognormalEstimator.for_target(x, sigma).sample(seed, 1)[0])
-
-
-def sample_estimates(x: float, sigma: float, seed: SeedSpec, n: int) -> np.ndarray:
-    """n value estimates from the stream (block i -> sample i)."""
-    return LognormalEstimator.for_target(x, sigma).sample(seed, n)

@@ -1,5 +1,5 @@
-"""erfcx, G and the simulate and sweep commands' output files give the same
-bits whichever SIMD loops numpy dispatches to."""
+"""erfcx, G and the output files of simulate, sweep and the five small
+figures give the same bits whichever SIMD loops numpy dispatches to."""
 
 import hashlib
 import os
@@ -65,6 +65,23 @@ def _sweep_file(out_dir, **env):
     return path.read_bytes()
 
 
+_SMALL_FIGURES = ("beta_curve", "estimate_pdf", "alpha_curve", "utility_vs_demand",
+                  "profit_vs_estimate")
+_FIGURES_CHILD = """
+import sys
+from ransomgame.cli import main
+for name in sys.argv[2:]:
+    assert main(["figure", name, "--out", f"{sys.argv[1]}/{name}.csv"]) == 0
+"""
+
+
+def _figure_files(out_dir, **env):
+    """The CSVs of the five small figures, written in one child."""
+    out_dir.mkdir()
+    _run_python(["-c", _FIGURES_CHILD, str(out_dir), *_SMALL_FIGURES], **env)
+    return {name: (out_dir / f"{name}.csv").read_bytes() for name in _SMALL_FIGURES}
+
+
 # Only the child processes' environment changes; the machine does not.
 _needs_avx512_loops = pytest.mark.skipif(
     not _HAS_AVX512_LOOPS, reason="numpy has no X86_V4 (AVX-512) loops on this CPU to turn "
@@ -91,4 +108,11 @@ def test_sweep_file_does_not_depend_on_avx512_loops(tmp_path):
     # row writer estimates decimal exponents with log10; the 9-digit file
     # may not differ.
     assert _sweep_file(tmp_path / "v4") == _sweep_file(
+        tmp_path / "v3", NPY_DISABLE_CPU_FEATURES=_NO_AVX512)
+
+
+@_needs_avx512_loops
+def test_figure_files_do_not_depend_on_avx512_loops(tmp_path):
+    # The figures evaluate whole grids with numpy's exp, log and power.
+    assert _figure_files(tmp_path / "v4") == _figure_files(
         tmp_path / "v3", NPY_DISABLE_CPU_FEATURES=_NO_AVX512)

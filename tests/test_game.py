@@ -7,7 +7,7 @@ from ransomgame import (AttackerStrategy, DerivedParameters, DomainError, FixedV
                         GameEnvironment, NegotiationOutcome, OutcomeKind,
                         PopulationMean, aggression_probability,
                         attacker_profit_piecewise, defender_utility, demand_factor,
-                        estimate_scale, gross_profit, optimal_counteroffer,
+                        estimate_scale, optimal_counteroffer,
                         optimal_play_profit, reliability)
 
 I50 = 0.02
@@ -243,32 +243,72 @@ class TestOptimalPlayProfit:
             env = GameEnvironment(i_fifty=I50, target_value=FixedValue(x))
             beta = reliability(strat.i_beta, I50)
             r = demand_factor(strat.a, beta) * x_est
-            assert attacker_profit_piecewise(r, x, strat, env) == pytest.approx(
-                optimal_play_profit(x_est, x, strat, env), rel=1e-12, abs=1e-15)
+            assert attacker_profit_piecewise(r, x, strat, env) == optimal_play_profit(
+                x_est, x, strat, env)
 
 
 class TestGrossProfit:
+    """The revenue part of optimal_play_profit: the profit plus the investments."""
+
+    env = GameEnvironment(i_fifty=I50, target_value=FixedValue(1.0))
+
     def test_perfect_estimate(self, rng):
         for _ in range(20):
             x = float(rng.uniform(0.1, 5.0))
-            a = float(rng.uniform(0.1, 20.0))
-            beta = float(rng.uniform(0.0, 1.0))
-            assert gross_profit(x, x, a, beta) == demand_factor(a, beta) * x
+            strat = AttackerStrategy(float(rng.uniform(0.1, 20.0)),
+                                     float(rng.uniform(0.0, 0.4)),
+                                     float(rng.uniform(0.0, 0.4)))
+            k = demand_factor(strat.a, reliability(strat.i_beta, I50))
+            assert optimal_play_profit(x, x, strat, self.env) == \
+                k * x - strat.i_beta - strat.i_sigma
 
     def test_reference_values(self):
-        assert gross_profit(1.0, 1.0, 4.68, 0.81982) == pytest.approx(0.675, abs=1e-3)
-        assert gross_profit(3.0, 1.0, 2.0, 0.5) == pytest.approx(0.03704, abs=1e-5)
-        assert gross_profit(3.0, 1.0, 2.0, 0.5) == pytest.approx(1.0 / 27.0, rel=1e-14)
+        # i_beta = 0.091 gives beta = 0.81982; i_beta = i_fifty gives 0.5.
+        gross = optimal_play_profit(1.0, 1.0, AttackerStrategy(4.68, 0.091, 0.0), self.env)
+        assert gross + 0.091 == pytest.approx(0.675, abs=1e-3)
+        p = optimal_play_profit(3.0, 1.0, AttackerStrategy(2.0, I50, 0.0), self.env)
+        assert p + I50 == pytest.approx(0.03704, abs=1e-5)
+        assert p == pytest.approx(1.0 / 27.0 - I50, rel=1e-14)
 
     def test_scale_equivariance(self, rng):
         for _ in range(100):
             x = float(rng.uniform(0.1, 5.0))
             x_est = float(rng.uniform(0.1, 5.0))
-            a = float(rng.uniform(0.1, 25.0))
-            beta = float(rng.uniform(0.0, 1.0))
+            strat = AttackerStrategy(float(rng.uniform(0.1, 25.0)),
+                                     float(rng.uniform(0.0, 0.4)),
+                                     float(rng.uniform(0.0, 0.4)))
             k = float(rng.uniform(0.01, 100.0))
-            assert gross_profit(k * x_est, k * x, a, beta) == pytest.approx(
-                k * gross_profit(x_est, x, a, beta), rel=1e-12)
+            # Adding the investments back costs up to an ulp of them.
+            gross = optimal_play_profit(x_est, x, strat, self.env) + strat.cost
+            assert optimal_play_profit(k * x_est, k * x, strat, self.env) + strat.cost == \
+                pytest.approx(k * gross, rel=1e-12, abs=1e-14)
+
+
+class TestArrays:
+    env = GameEnvironment(i_fifty=I50, target_value=FixedValue(1.0))
+
+    def test_float_call_returns_a_float(self):
+        strat = AttackerStrategy(4.68, 0.091, 0.104)
+        for value in (reliability(0.091, I50), estimate_scale(0.104, I50),
+                      optimal_counteroffer(2.0, 1.0, 4.68, 0.8),
+                      aggression_probability(0.5, 1.0, 4.68),
+                      defender_utility(0.5, 1.0, 1.0, 4.68, 0.8),
+                      attacker_profit_piecewise(2.0, 1.0, strat, self.env),
+                      optimal_play_profit(2.0, 1.0, strat, self.env)):
+            assert type(value) is float
+
+    def test_zero_reliability_divides_nothing_by_zero(self):
+        # beta = 0 puts the demand and the cap at 0: a flat loss of the
+        # investments, and no 0/0 (warnings fail the suite).
+        strat = AttackerStrategy(2.0, 0.0, 0.1)
+        profit = optimal_play_profit(np.linspace(0.1, 3.0, 30), 1.0, strat, self.env)
+        assert np.all(profit == -0.1)
+
+    def test_counteroffer_above_its_own_demand_fails(self):
+        # Every c and every r lies within the other's range; one pair does not.
+        with pytest.raises(DomainError, match="c=0.5 r=0.4"):
+            defender_utility(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.4, 1.0]),
+                             1.0, 2.0, 0.5)
 
 
 class TestTypes:

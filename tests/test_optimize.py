@@ -13,7 +13,7 @@ from operator import add
 import numpy as np
 import pytest
 
-from ransomgame import (AttackerStrategy, ConfigError, GameEnvironment,
+from ransomgame import (AttackerStrategy, ConfigError, DomainError, GameEnvironment,
                         PopulationMean, ProfitMethod, AxisSpec, SweepGrid,
                         expected_profit, maximize_profit, nelder_mead,
                         profit_surface)
@@ -181,6 +181,15 @@ class TestNelderMead:
             np.array([-5.0, -5.0]), np.array([5.0, 5.0]),
             diameter_tol=1e-8, max_iter=5000)
         assert x == pytest.approx([1.0, 1.0], abs=1e-3)
+
+    @pytest.mark.parametrize("lo,hi", [([0.0, 2.0], [1.0, 1.0]),
+                                       ([0.0, math.nan], [1.0, 1.0])])
+    def test_reversed_box_rejected(self, lo, hi):
+        # Clipping to a reversed side would put every point on its upper bound.
+        f, calls = counted(_bowl)
+        with pytest.raises(DomainError, match="lo <= hi"):
+            nelder_mead(f, [0.5, 0.5], [0.1, 0.1], lo, hi)
+        assert calls == []
 
     @pytest.mark.parametrize("case", sorted(SIMPLEX_CASES))
     def test_bits_match_numpy_reference(self, case):

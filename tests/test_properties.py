@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment,  # noqa: E402
                         LognormalEstimator, PopulationMean, SeedSpec, SimulationConfig,
-                        expected_profit, gross_multiplier_closed_form, run_single,
-                        std_normal_ppf)
+                        aggression_probability, attacker_profit_piecewise,
+                        defender_utility, demand_factor, estimate_scale, expected_profit,
+                        gross_multiplier_closed_form, optimal_counteroffer,
+                        optimal_play_profit, reliability, run_single, std_normal_ppf)
 from ransomgame._rows import write_rows  # noqa: E402
 from ransomgame.optimize import DEFAULT_BOUNDS, maximize_profit  # noqa: E402
 from ransomgame.profit import _closed_form_profit, profit_grid  # noqa: E402
@@ -94,6 +96,101 @@ def test_value_objects_hold_the_float_of_their_input(a, i_beta, i_sigma, v):
         except DomainError:
             continue
         assert all(type(h) is float and h == float(x) for h, x in zip(held, args))
+
+
+_STRATEGY = AttackerStrategy(4.68, 0.091, 0.104)
+_FIXED_ENV = GameEnvironment(0.02, FixedValue(1.0))
+
+# name -> (step, how many float arguments it takes).
+_STEPS = {
+    "reliability": (reliability, 2),
+    "estimate_scale": (estimate_scale, 2),
+    "demand_factor": (demand_factor, 2),
+    "optimal_counteroffer": (optimal_counteroffer, 4),
+    "aggression_probability": (aggression_probability, 3),
+    "defender_utility": (defender_utility, 5),
+    "attacker_profit_piecewise":
+        (lambda r, x: attacker_profit_piecewise(r, x, _STRATEGY, _FIXED_ENV), 2),
+    "optimal_play_profit":
+        (lambda x_est, x: optimal_play_profit(x_est, x, _STRATEGY, _FIXED_ENV), 2),
+}
+# Steps with no power in them round every element as the float call does.
+_EXACT_STEPS = {"reliability", "estimate_scale", "demand_factor", "optimal_counteroffer"}
+# The arguments that bound the size of a power step's terms (c <= r, beta*x <= x).
+_SIZE_ARGS = {"aggression_probability": (), "defender_utility": (1, 2),
+              "attacker_profit_piecewise": (0, 1), "optimal_play_profit": (0, 1)}
+
+
+def _float_calls(step, columns):
+    """step on each element's floats, or None if some element raises DomainError."""
+    try:
+        return [step(*args) for args in zip(*columns)]
+    except DomainError:
+        return None
+
+
+_UNIT = st.floats(0.0, 1.0)
+_POSITIVE = _log_floats(-100.0, 100.0)
+_NONNEGATIVE = st.one_of(st.just(0.0), _POSITIVE)
+
+
+@st.composite
+def _step_in_domain(draw):
+    """A step's name and its arguments as n-element lists, every element in its domain."""
+    name = draw(st.sampled_from(sorted(_STEPS)))
+    n = draw(st.integers(0, 12))
+    column = lambda values: draw(st.lists(values, min_size=n, max_size=n))
+    if name in ("reliability", "estimate_scale"):
+        return name, [column(_NONNEGATIVE), column(_POSITIVE)]
+    if name == "demand_factor":
+        return name, [column(_POSITIVE), column(_UNIT)]
+    if name in ("attacker_profit_piecewise", "optimal_play_profit"):
+        return name, [column(_POSITIVE), column(_POSITIVE)]
+    r, x, a, beta = column(_POSITIVE), column(_POSITIVE), column(_POSITIVE), column(_UNIT)
+    c = [f * v for f, v in zip(column(_UNIT), r)]  # f * r never rounds above r
+    if name == "optimal_counteroffer":
+        return name, [r, x, a, beta]
+    if name == "aggression_probability":
+        return name, [c, r, a]
+    return name, [c, r, x, a, beta]
+
+
+@given(_step_in_domain())
+def test_array_step_is_its_float_step(drawn):
+    name, columns = drawn
+    step = _STEPS[name][0]
+    want = np.array(_float_calls(step, columns), dtype=np.float64)
+    got = step(*map(np.array, columns))
+    assert isinstance(got, np.ndarray) and got.shape == want.shape
+    if name in _EXACT_STEPS:
+        assert got.tobytes() == want.tobytes()
+    else:
+        # numpy's power and libm's pow may round differently.
+        scale = np.maximum.reduce([np.ones(len(want))]
+                                  + [np.array(columns[i]) for i in _SIZE_ARGS[name]])
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+# Mostly in every domain, so that many draws pass, with every kind of
+# element that a domain rejects mixed in.
+_ELEMENT = st.one_of(st.floats(0.0, 2.0),
+                     st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -5e-324]),
+                     st.floats())
+
+
+# demand_factor checks nothing: the kernel and profit_grid call it on checked values.
+@given(name=st.sampled_from(sorted(set(_STEPS) - {"demand_factor"})), n=st.integers(0, 6),
+       data=st.data())
+def test_array_step_raises_iff_a_float_step_does(name, n, data):
+    step, arity = _STEPS[name]
+    columns = [data.draw(st.lists(_ELEMENT, min_size=n, max_size=n)) for _ in range(arity)]
+    # Extreme elements may overflow, which numpy reports as a warning.
+    with np.errstate(all="ignore"):
+        if _float_calls(step, columns) is None:
+            with pytest.raises(DomainError):
+                step(*map(np.array, columns))
+        else:
+            step(*map(np.array, columns))
 
 
 @given(a=_log_floats(-300.0, _A_MAX_EXP), i_beta=_MAGNITUDE, i_sigma=_MAGNITUDE,

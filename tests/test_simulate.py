@@ -84,6 +84,22 @@ class TestRunSingle:
             assert trace.alpha[i] == pytest.approx(alpha, abs=1e-14)
             assert trace.kind[i] == kind
 
+    @pytest.mark.parametrize("strategy", [(4.68, 0.091, 0.104), (0.45, 0.07, 0.01),
+                                          (13.7, 0.03, 2.0)])
+    def test_runs_are_the_array_game_steps(self, strategy):
+        # The kernel calls game's steps, so the trace has their bits exactly.
+        # At the last two strategies a regrouped a*beta/(1+a) rounds differently.
+        a, i_beta, i_sigma = strategy
+        cfg = _config(strategy=strategy, n=70000, seed=17)
+        _, trace = run_traced(cfg)
+        beta = reliability(i_beta, I50)
+        demand = demand_factor(a, beta) * trace.x_tilde
+        counteroffer = optimal_counteroffer(demand, 1.0, a, beta)
+        alpha = aggression_probability(counteroffer, demand, a)
+        assert trace.demand.tobytes() == demand.tobytes()
+        assert trace.counteroffer.tobytes() == counteroffer.tobytes()
+        assert trace.alpha.tobytes() == alpha.tobytes()
+
     def test_rejects_population_environment(self):
         env = GameEnvironment(i_fifty=I50, target_value=PopulationMean(1.0))
         with pytest.raises(DomainError):
