@@ -197,6 +197,22 @@ class TestLognormalDensity:
             cdf = std_normal_cdf((math.log(x_hi) - mu) / sigma)
             assert cdf == pytest.approx(res.value, abs=1e-10)
 
+    def test_cdf_of_any_array_layout(self):
+        # Below the median the CDF is Phi(-s) = e^{-s^2/2} erfcx(s/sqrt 2)/2 with
+        # s = -ln x: the lognormal tail term the profit closed form sums.
+        x = np.exp(np.linspace(-30.0, 0.0, 24)).reshape(4, 6)
+
+        def cdf(v):
+            s = -np.log(v)
+            return 0.5 * _erfcx(s / math.sqrt(2.0)) * np.exp(-s * s / 2.0)
+
+        grid = cdf(x)
+        assert np.array_equal(cdf(x.T), grid.T)
+        assert np.array_equal(cdf(x[::2, ::3]), grid[::2, ::3])
+        assert np.array_equal(cdf(np.asfortranarray(x)), grid)
+        for v, c in zip(x.ravel().tolist(), grid.ravel().tolist()):
+            assert c == pytest.approx(std_normal_cdf(math.log(v)), rel=1e-13)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             lognormal_pdf(0.0, 0.0, 1.0)
