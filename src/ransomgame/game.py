@@ -7,12 +7,15 @@ counteroffer that maximizes their expected utility.
 
 Each step of the game is one expression that takes floats or numpy arrays:
 a float call returns a float, and an array is domain-checked once per call,
-on its extremes.  The Monte Carlo kernel and the figures call these steps.
+on its extremes.  Where a float rounds to inf or nan silently, an array does
+too, without numpy's warning.  The Monte Carlo kernel and the figures call
+these steps.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -155,6 +158,24 @@ def _checked_counteroffer(c, r):
     return c
 
 
+def _silent_on_arrays(step):
+    """step, evaluated under ``np.errstate(over="ignore", invalid="ignore")``
+    when an argument is an array.
+
+    Float arithmetic overflows to inf and makes nan without a word; numpy
+    would warn on the same elements.  A float call runs step as it is.
+    """
+    @functools.wraps(step)
+    def call(*args, **kwargs):
+        for arg in (*args, *kwargs.values()):
+            if isinstance(arg, np.ndarray):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return step(*args, **kwargs)
+        return step(*args, **kwargs)
+    return call
+
+
+@_silent_on_arrays
 def reliability(i_beta, i_fifty):
     """Probability that the decryption key works: i_beta / (i_beta + i_fifty).
 
@@ -166,6 +187,7 @@ def reliability(i_beta, i_fifty):
     return i_beta / (i_beta + i_fifty)
 
 
+@_silent_on_arrays
 def estimate_scale(i_sigma, i_fifty):
     """Scale of the lognormal value estimate: 1 - i_sigma / (i_fifty + i_sigma).
 
@@ -182,6 +204,7 @@ def _aggression(c, r, a):
     return 1.0 - (c / r) ** a
 
 
+@_silent_on_arrays
 def aggression_probability(c, r, a):
     """Probability 1 - (C/R)^a that a counteroffer provokes walking away.
 
@@ -204,6 +227,7 @@ def _counteroffer_at(r, cap):
     return c if c.ndim else float(c)
 
 
+@_silent_on_arrays
 def optimal_counteroffer(r, x, a, beta):
     """The defender's utility-maximizing reply: min(r, a*beta*x/(1+a)).
 
@@ -216,6 +240,7 @@ def optimal_counteroffer(r, x, a, beta):
     return _counteroffer_at(r, demand_factor(a, beta) * x)
 
 
+@_silent_on_arrays
 def defender_utility(c, r, x, a, beta):
     """Expected utility -(C/R)^a (C - beta*x) - x of replying C to demand R.
 
@@ -230,6 +255,7 @@ def defender_utility(c, r, x, a, beta):
     return -(c / r) ** a * (c - beta * x) - x
 
 
+@_silent_on_arrays
 def attacker_profit_piecewise(r, x, strat: AttackerStrategy, env: GameEnvironment):
     """Expected profit of demanding r against a rational defender of value x.
 
@@ -250,6 +276,7 @@ def attacker_profit_piecewise(r, x, strat: AttackerStrategy, env: GameEnvironmen
     return gross - strat.i_beta - strat.i_sigma
 
 
+@_silent_on_arrays
 def optimal_play_profit(x_est, x, strat: AttackerStrategy, env: GameEnvironment):
     """Expected profit when demanding a*beta*x_est/(1+a): gross minus investments.
 

@@ -4,10 +4,11 @@ Each run plays one complete game: sample the attacker's value estimate,
 demand a*beta*x_est/(1+a), let the rational defender counteroffer, draw the
 aggression and decryption outcomes, and record both payoffs.
 
-Runs are driven by a counter-based random stream, one 4-word block per run:
-run i of a batch seeded with (master_seed, stream_index) consumes block i of
-that stream.  Results are therefore bit-identical for any worker count, and
-run 0 of a batch equals ``run_single`` with the same seed.
+Runs are driven by a counter-based random stream, three 64-bit words per
+run: run i of a batch seeded with (master_seed, stream_index) reads words
+3i .. 3i + 2 of that stream (``stochastics.run_uniforms``).  Results are
+therefore bit-identical for any worker count, and run 0 of a batch equals
+``run_single`` with the same seed.
 
 A batch is played in chunks of 65,536 runs.  Each chunk is reduced to
 summary statistics, handed to an optional callback (the CLI writes it to the
@@ -31,7 +32,7 @@ from .errors import DomainError, NumericalError, _scale
 from .game import (AttackerStrategy, DerivedParameters, FixedValue, GameEnvironment,
                    NegotiationOutcome, OutcomeKind)
 from .profit import ProfitEstimate, ProfitMethod
-from .stochastics import SeedSpec, uniform_blocks
+from .stochastics import SeedSpec, run_uniforms, uniform_blocks
 
 # Runs are generated and simulated in fixed-size blocks so that chunk
 # boundaries do not depend on the worker count.
@@ -141,8 +142,8 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
     than one worker a thread pool plays at most ``workers`` chunks while the
     caller holds one.  A chunk's arrays are reused once the caller asks for
     the next chunk: fresh arrays would fault their pages in every time.
-    The kernel reads the first three columns of each chunk's ``(m, 4)``
-    uniform blocks in place; the fourth word of a block is not used.
+    The kernel reads each chunk's ``(m, 3)`` rows of ``run_uniforms`` in
+    place, a view of the Philox blocks that hold words 3*lo .. 3*(lo + m) - 1.
     """
     kernel = get_kernel()
     derived = DerivedParameters.of(strategy, env)
@@ -159,10 +160,13 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
         slot = slots[k % len(slots)]
         chunk = SimulationTrace(x, *(getattr(slot, a)[:m] for a in _TRACE_ARRAYS))
         # Inputs near the float64 limit overflow to inf; run_batch reports a
-        # non-finite payoff as a NumericalError instead of a warning.
+        # non-finite payoff as a NumericalError instead of a warning.  This
+        # module's uniform_blocks is passed, so replacing it here (a profiler,
+        # say) sees every call.
         with np.errstate(over="ignore", invalid="ignore"):
-            kernel.simulate_runs(uniform_blocks(seed, lo, m), strategy.a, derived.beta,
-                                 derived.sigma, x, strategy.i_beta, strategy.i_sigma,
+            kernel.simulate_runs(run_uniforms(seed, lo, m, uniform_blocks), strategy.a,
+                                 derived.beta, derived.sigma, x, strategy.i_beta,
+                                 strategy.i_sigma,
                                  chunk.x_tilde, chunk.demand, chunk.counteroffer,
                                  chunk.alpha, chunk.attacker_payoff, chunk.defender_payoff,
                                  chunk.kind)
@@ -205,7 +209,8 @@ def _chunk_moments(chunk: SimulationTrace) -> tuple:
     mean = float(attacker.mean())
     d = attacker - mean
     m2 = float(np.square(d, out=d).sum())
-    counts = np.bincount(chunk.kind, minlength=len(_KIND_ORDER))
+    # count_nonzero on each kind, not bincount, which widens kind to int64.
+    counts = np.array([np.count_nonzero(chunk.kind == j) for j in range(len(_KIND_ORDER))])
     return (len(attacker), _unscale(mean, exponent), m2, float(defender.sum()),
             exponent, counts)
 
@@ -232,7 +237,7 @@ def _merge_moments(a: tuple, b: tuple) -> tuple:
 
 def run_single(strategy: AttackerStrategy, env: GameEnvironment,
                seed: SeedSpec) -> NegotiationOutcome:
-    """Play one game on the first block of the stream identified by ``seed``."""
+    """Play one game on the first three words of the stream identified by ``seed``."""
     SimulationConfig(strategy, env, 1, seed)  # the same checks as a batch
     _, chunk = next(_play_chunks(strategy, env, 1, seed, workers=1))
     return _outcome_from_arrays(chunk, 0)

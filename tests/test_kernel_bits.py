@@ -15,9 +15,10 @@ import pytest
 from ransomgame import (AttackerStrategy, FixedValue, GameEnvironment, SeedSpec,
                         SimulationConfig, estimate_scale, reliability, run_batch)
 from ransomgame import _kernel_py
+from ransomgame._kernel_py import _SLICE
 from ransomgame.simulate import _CHUNK
 from ransomgame.stochastics import (_AS241_CENTRAL, _AS241_FAR, _AS241_NEAR, _horner,
-                                   _ppf, philox, uniform_blocks)
+                                   _ppf, philox, run_uniforms, uniform_blocks)
 
 
 def _reference_uniforms(raw):
@@ -154,6 +155,29 @@ def test_estimate_overflowing_to_inf_keeps_finite_payoffs():
                                         GameEnvironment(0.02, FixedValue(1e308)), 20_000,
                                         SeedSpec(11)))
     assert math.isfinite(report.mean_defender_utility)
+
+
+@pytest.mark.parametrize("n", [1, _SLICE - 1, _SLICE + 1, _CHUNK])
+def test_zero_cost_keeps_signed_zeros_across_slices(n):
+    # i_beta = i_sigma = 0 with beta > 0 given directly: the cost is 0 and
+    # runs are aggressive, where the attacker gets -0.0.
+    u = run_uniforms(SeedSpec(13), 0, n)
+    got = _assert_kernel_matches(u, (4.68, 0.5, 0.3, 1.0, 0.0, 0.0))
+    aggressive = got["kind"] == 0
+    assert aggressive.any() or n == 1
+    assert np.all(got["attacker"][aggressive] == 0.0)
+    assert np.all(np.signbit(got["attacker"][aggressive]))
+
+
+def test_zero_cost_and_zero_counteroffer_keep_signed_zeros():
+    # Estimates that underflow to 0 demand 0 and are paid C = 0 in full:
+    # the defender's -C is -0.0 when decrypted, the attacker's C - 0 is +0.0.
+    with _overflow_ignored():
+        got = _assert_kernel_matches(_U, (4.68, 0.8, 60.0, 1e-300, 0.0, 0.0))
+    paid_nothing = (got["counteroffer"] == 0.0) & (got["kind"] == 3)
+    assert paid_nothing.any() and np.any(got["kind"] == 0)
+    assert np.all(np.signbit(got["defender"][paid_nothing]))
+    assert not np.any(np.signbit(got["attacker"][paid_nothing]))
 
 
 # The generator's extremes, the centre, the branch edge p = 0.075 on both

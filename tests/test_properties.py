@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -131,22 +132,22 @@ def _float_calls(step, columns):
 
 _UNIT = st.floats(0.0, 1.0)
 _POSITIVE = _log_floats(-100.0, 100.0)
-_NONNEGATIVE = st.one_of(st.just(0.0), _POSITIVE)
 
 
 @st.composite
-def _step_in_domain(draw):
-    """A step's name and its arguments as n-element lists, every element in its domain."""
+def _step_in_domain(draw, positive=_POSITIVE):
+    """A step's name and its arguments as n-element lists, every element in its
+    domain; ``positive`` draws the positive arguments."""
     name = draw(st.sampled_from(sorted(_STEPS)))
     n = draw(st.integers(0, 12))
     column = lambda values: draw(st.lists(values, min_size=n, max_size=n))
     if name in ("reliability", "estimate_scale"):
-        return name, [column(_NONNEGATIVE), column(_POSITIVE)]
+        return name, [column(st.one_of(st.just(0.0), positive)), column(positive)]
     if name == "demand_factor":
-        return name, [column(_POSITIVE), column(_UNIT)]
+        return name, [column(positive), column(_UNIT)]
     if name in ("attacker_profit_piecewise", "optimal_play_profit"):
-        return name, [column(_POSITIVE), column(_POSITIVE)]
-    r, x, a, beta = column(_POSITIVE), column(_POSITIVE), column(_POSITIVE), column(_UNIT)
+        return name, [column(positive), column(positive)]
+    r, x, a, beta = column(positive), column(positive), column(positive), column(_UNIT)
     c = [f * v for f, v in zip(column(_UNIT), r)]  # f * r never rounds above r
     if name == "optimal_counteroffer":
         return name, [r, x, a, beta]
@@ -169,6 +170,24 @@ def test_array_step_is_its_float_step(drawn):
         scale = np.maximum.reduce([np.ones(len(want))]
                                   + [np.array(columns[i]) for i in _SIZE_ARGS[name]])
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def _warnings_of(call) -> list:
+    """(category, message) of each warning that call() emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return [(w.category, str(w.message)) for w in caught]
+
+
+# Up to the largest floats, where sums and differences overflow to inf.
+@given(_step_in_domain(st.one_of(_log_floats(-300.0, _A_MAX_EXP),
+                                 st.just(1.7976931348623157e308))))
+def test_array_step_warns_as_its_float_step_does(drawn):
+    name, columns = drawn
+    step = _STEPS[name][0]
+    assert _warnings_of(lambda: step(*map(np.array, columns))) == _warnings_of(
+        lambda: _float_calls(step, columns))
 
 
 # Mostly in every domain, so that many draws pass, with every kind of

@@ -13,7 +13,7 @@ from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironme
                         std_normal_ppf, write_trace_csv)
 from ransomgame import simulate
 from ransomgame.simulate import TRACE_COLUMNS
-from ransomgame.stochastics import uniform_blocks
+from ransomgame.stochastics import run_uniforms, uniform_blocks
 from conftest import run_traced
 
 I50 = 0.02
@@ -67,7 +67,7 @@ class TestRunSingle:
         a, i_beta, i_sigma = 4.68, 0.091, 0.104
         cfg = _config(strategy=(a, i_beta, i_sigma), n=3000, seed=17)
         _, trace = run_traced(cfg)
-        u = uniform_blocks(cfg.seed, 0, cfg.n_runs)
+        u = run_uniforms(cfg.seed, 0, cfg.n_runs)
         beta, sigma = reliability(i_beta, I50), estimate_scale(i_sigma, I50)
         for i in range(cfg.n_runs):
             x_tilde = math.exp(sigma * std_normal_ppf(float(u[i, 0])))

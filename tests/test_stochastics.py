@@ -7,7 +7,8 @@ import pytest
 
 from ransomgame import DomainError, LognormalEstimator, SeedSpec, lognormal_pdf, std_normal_ppf
 from ransomgame._quadrature import adaptive_quadrature
-from ransomgame.stochastics import _erfcx, _open_uniforms, _ppf, uniform_blocks
+from ransomgame.stochastics import (_erfcx, _open_uniforms, _ppf, philox, run_uniforms,
+                                   uniform_blocks)
 from test_kernel_bits import _reference_uniforms
 
 
@@ -317,3 +318,19 @@ class TestSeedSpec:
                            uniform_blocks(seed, 142, 500),
                            uniform_blocks(seed, 642, 358)])
         assert np.array_equal(whole, parts)
+
+    @pytest.mark.parametrize("seed", [SeedSpec(0), SeedSpec(2 ** 64 - 1, 2 ** 63 + 1)])
+    def test_run_i_reads_words_3i_to_3i_plus_2(self, seed):
+        n = 70_001
+        want = _reference_uniforms(philox(seed, 0).random_raw(3 * n))
+        assert run_uniforms(seed, 0, n).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("first_run", [1, 2, 3, 65_535, 65_537])
+    @pytest.mark.parametrize("n_runs", [1, 2, 3, 5, 4097])
+    def test_runs_from_any_start_are_the_batch_rows(self, first_run, n_runs):
+        # A start that is not a multiple of 4 begins mid-block.
+        seed = SeedSpec(314159, 2)
+        rows = run_uniforms(seed, first_run, n_runs)
+        assert rows.shape == (n_runs, 3)
+        whole = run_uniforms(seed, 0, first_run + n_runs)
+        assert rows.tobytes() == whole[first_run:].tobytes()
