@@ -15,7 +15,6 @@ these steps.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -158,24 +157,7 @@ def _checked_counteroffer(c, r):
     return c
 
 
-def _silent_on_arrays(step):
-    """step, evaluated under ``np.errstate(over="ignore", invalid="ignore")``
-    when an argument is an array.
-
-    Float arithmetic overflows to inf and makes nan without a word; numpy
-    would warn on the same elements.  A float call runs step as it is.
-    """
-    @functools.wraps(step)
-    def call(*args, **kwargs):
-        for arg in (*args, *kwargs.values()):
-            if isinstance(arg, np.ndarray):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return step(*args, **kwargs)
-        return step(*args, **kwargs)
-    return call
-
-
-@_silent_on_arrays
+@np.errstate(over="ignore", invalid="ignore")
 def reliability(i_beta, i_fifty):
     """Probability that the decryption key works: i_beta / (i_beta + i_fifty).
 
@@ -187,7 +169,7 @@ def reliability(i_beta, i_fifty):
     return i_beta / (i_beta + i_fifty)
 
 
-@_silent_on_arrays
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_scale(i_sigma, i_fifty):
     """Scale of the lognormal value estimate: 1 - i_sigma / (i_fifty + i_sigma).
 
@@ -204,7 +186,7 @@ def _aggression(c, r, a):
     return 1.0 - (c / r) ** a
 
 
-@_silent_on_arrays
+@np.errstate(over="ignore", invalid="ignore")
 def aggression_probability(c, r, a):
     """Probability 1 - (C/R)^a that a counteroffer provokes walking away.
 
@@ -227,7 +209,7 @@ def _counteroffer_at(r, cap):
     return c if c.ndim else float(c)
 
 
-@_silent_on_arrays
+@np.errstate(over="ignore", invalid="ignore")
 def optimal_counteroffer(r, x, a, beta):
     """The defender's utility-maximizing reply: min(r, a*beta*x/(1+a)).
 
@@ -240,7 +222,7 @@ def optimal_counteroffer(r, x, a, beta):
     return _counteroffer_at(r, demand_factor(a, beta) * x)
 
 
-@_silent_on_arrays
+@np.errstate(over="ignore", invalid="ignore")
 def defender_utility(c, r, x, a, beta):
     """Expected utility -(C/R)^a (C - beta*x) - x of replying C to demand R.
 
@@ -255,7 +237,7 @@ def defender_utility(c, r, x, a, beta):
     return -(c / r) ** a * (c - beta * x) - x
 
 
-@_silent_on_arrays
+@np.errstate(over="ignore", invalid="ignore")
 def attacker_profit_piecewise(r, x, strat: AttackerStrategy, env: GameEnvironment):
     """Expected profit of demanding r against a rational defender of value x.
 
@@ -276,7 +258,7 @@ def attacker_profit_piecewise(r, x, strat: AttackerStrategy, env: GameEnvironmen
     return gross - strat.i_beta - strat.i_sigma
 
 
-@_silent_on_arrays
+@np.errstate(over="ignore", invalid="ignore")
 def optimal_play_profit(x_est, x, strat: AttackerStrategy, env: GameEnvironment):
     """Expected profit when demanding a*beta*x_est/(1+a): gross minus investments.
 

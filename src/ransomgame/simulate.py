@@ -6,8 +6,8 @@ aggression and decryption outcomes, and record both payoffs.
 
 Runs are driven by a counter-based random stream, three 64-bit words per
 run: run i of a batch seeded with (master_seed, stream_index) reads words
-3i .. 3i + 2 of that stream (``stochastics.run_uniforms``).  Results are
-therefore bit-identical for any worker count, and run 0 of a batch equals
+3i .. 3i + 2 of that stream (``run_uniforms``).  Results are therefore
+bit-identical for any worker count, and run 0 of a batch equals
 ``run_single`` with the same seed.
 
 A batch is played in chunks of 65,536 runs.  Each chunk is reduced to
@@ -32,7 +32,7 @@ from .errors import DomainError, NumericalError, _scale
 from .game import (AttackerStrategy, DerivedParameters, FixedValue, GameEnvironment,
                    NegotiationOutcome, OutcomeKind)
 from .profit import ProfitEstimate, ProfitMethod
-from .stochastics import SeedSpec, run_uniforms, uniform_blocks
+from .stochastics import SeedSpec, uniform_blocks
 
 # Runs are generated and simulated in fixed-size blocks so that chunk
 # boundaries do not depend on the worker count.
@@ -134,6 +134,22 @@ def _unscale(value: float, exponent: int) -> float:
         raise NumericalError("a payoff statistic overflows float64") from None
 
 
+def run_uniforms(seed: SeedSpec, first_run: int, n_runs: int) -> np.ndarray:
+    """Open-interval uniforms of runs ``first_run ..``, shape ``(n_runs, 3)``.
+
+    Run ``i`` reads words ``3i .. 3i + 2`` of the stream, so every Philox
+    word is used and run 0 reads words 0 .. 2.  The rows are a view of the
+    ``uniform_blocks`` that cover them; a start that falls mid-block skips
+    that block's first ``3*first_run % 4`` words.
+    """
+    first_word = 3 * first_run
+    start_block = first_word // 4
+    end_block = -(-(first_word + 3 * n_runs) // 4)
+    skip = first_word - 4 * start_block
+    words = uniform_blocks(seed, start_block, end_block - start_block).reshape(-1)
+    return words[skip:skip + 3 * n_runs].reshape(n_runs, 3)
+
+
 def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
                  seed: SeedSpec, workers: int):
     """Yield ``(first_run, chunk)`` for the batch's chunks in run order.
@@ -160,13 +176,10 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
         slot = slots[k % len(slots)]
         chunk = SimulationTrace(x, *(getattr(slot, a)[:m] for a in _TRACE_ARRAYS))
         # Inputs near the float64 limit overflow to inf; run_batch reports a
-        # non-finite payoff as a NumericalError instead of a warning.  This
-        # module's uniform_blocks is passed, so replacing it here (a profiler,
-        # say) sees every call.
+        # non-finite payoff as a NumericalError instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            kernel.simulate_runs(run_uniforms(seed, lo, m, uniform_blocks), strategy.a,
-                                 derived.beta, derived.sigma, x, strategy.i_beta,
-                                 strategy.i_sigma,
+            kernel.simulate_runs(run_uniforms(seed, lo, m), strategy.a, derived.beta,
+                                 derived.sigma, x, strategy.i_beta, strategy.i_sigma,
                                  chunk.x_tilde, chunk.demand, chunk.counteroffer,
                                  chunk.alpha, chunk.attacker_payoff, chunk.defender_payoff,
                                  chunk.kind)

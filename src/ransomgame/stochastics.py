@@ -88,25 +88,6 @@ def uniform_blocks(seed: SeedSpec, start_block: int, n_blocks: int) -> np.ndarra
     return _open_uniforms(raw).reshape(n_blocks, 4)
 
 
-def run_uniforms(seed: SeedSpec, first_run: int, n_runs: int,
-                 blocks=uniform_blocks) -> np.ndarray:
-    """Open-interval uniforms of runs ``first_run ..``, shape ``(n_runs, 3)``.
-
-    Run ``i`` reads words ``3i .. 3i + 2`` of the stream, so every Philox
-    word is used and run 0 reads words 0 .. 2.  The rows are a view of the
-    ``blocks(seed, start_block, n_blocks)`` that cover them; a start that
-    falls mid-block skips that block's first ``3*first_run % 4`` words.
-    ``blocks`` is ``uniform_blocks`` unless a caller passes its own name for
-    it, so that whoever replaces that name sees every call.
-    """
-    first_word = 3 * first_run
-    start_block = first_word // 4
-    end_block = -(-(first_word + 3 * n_runs) // 4)
-    skip = first_word - 4 * start_block
-    words = blocks(seed, start_block, end_block - start_block).reshape(-1)
-    return words[skip:skip + 3 * n_runs].reshape(n_runs, 3)
-
-
 # ---------------------------------------------------------------------------
 # Standard normal inverse CDF, and the scaled complementary error function.
 #

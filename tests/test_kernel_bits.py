@@ -16,9 +16,9 @@ from ransomgame import (AttackerStrategy, FixedValue, GameEnvironment, SeedSpec,
                         SimulationConfig, estimate_scale, reliability, run_batch)
 from ransomgame import _kernel_py
 from ransomgame._kernel_py import _SLICE
-from ransomgame.simulate import _CHUNK
+from ransomgame.simulate import _CHUNK, run_uniforms
 from ransomgame.stochastics import (_AS241_CENTRAL, _AS241_FAR, _AS241_NEAR, _horner,
-                                   _ppf, philox, run_uniforms, uniform_blocks)
+                                   _ppf, philox, uniform_blocks)
 
 
 def _reference_uniforms(raw):

@@ -12,8 +12,8 @@ from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironme
                         optimal_counteroffer, reliability, run_batch, run_single,
                         std_normal_ppf, write_trace_csv)
 from ransomgame import simulate
-from ransomgame.simulate import TRACE_COLUMNS
-from ransomgame.stochastics import run_uniforms, uniform_blocks
+from ransomgame.simulate import TRACE_COLUMNS, run_uniforms
+from ransomgame.stochastics import uniform_blocks
 from conftest import run_traced
 
 I50 = 0.02

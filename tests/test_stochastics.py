@@ -7,8 +7,8 @@ import pytest
 
 from ransomgame import DomainError, LognormalEstimator, SeedSpec, lognormal_pdf, std_normal_ppf
 from ransomgame._quadrature import adaptive_quadrature
-from ransomgame.stochastics import (_erfcx, _open_uniforms, _ppf, philox, run_uniforms,
-                                   uniform_blocks)
+from ransomgame.simulate import run_uniforms
+from ransomgame.stochastics import _erfcx, _open_uniforms, _ppf, philox, uniform_blocks
 from test_kernel_bits import _reference_uniforms
 
 
