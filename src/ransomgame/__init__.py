@@ -13,24 +13,23 @@ through the ``ransomgame`` command-line tool.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, DomainError, NumericalError
-from .game import (AttackerStrategy, DerivedParameters, FixedValue, GameEnvironment,
-                   NegotiationOutcome, OutcomeKind, PopulationMean,
-                   aggression_probability, attacker_profit_piecewise,
-                   defender_utility, demand_factor, estimate_scale, optimal_counteroffer,
-                   optimal_play_profit, reliability)
+from .game import (AttackerStrategy, FixedValue, GameEnvironment, NegotiationOutcome,
+                   OutcomeKind, PopulationMean, aggression_probability,
+                   attacker_profit_piecewise, defender_utility, demand_factor,
+                   estimate_scale, optimal_counteroffer, optimal_play_profit, reliability)
 from .optimize import (AxisSpec, StrategyOptimum, SurfaceResult, SweepGrid,
                        maximize_profit, nelder_mead, profit_surface)
 from .profit import (ProfitEstimate, ProfitMethod, expected_profit,
                      gross_multiplier_closed_form, gross_multiplier_quadrature)
 from .simulate import (SimulationConfig, SimulationReport, SimulationTrace,
                        run_batch, run_single, write_trace_csv)
-from .stochastics import LognormalEstimator, SeedSpec, lognormal_pdf, std_normal_ppf
+from .stochastics import SeedSpec, lognormal_pdf
 
 __all__ = [
     "__version__",
     "ConfigError", "DomainError", "NumericalError",
-    "AttackerStrategy", "DerivedParameters", "FixedValue", "GameEnvironment",
-    "NegotiationOutcome", "OutcomeKind", "PopulationMean",
+    "AttackerStrategy", "FixedValue", "GameEnvironment", "NegotiationOutcome",
+    "OutcomeKind", "PopulationMean",
     "aggression_probability", "attacker_profit_piecewise", "defender_utility",
     "demand_factor", "estimate_scale", "optimal_counteroffer",
     "optimal_play_profit", "reliability",
@@ -40,5 +39,5 @@ __all__ = [
     "gross_multiplier_closed_form", "gross_multiplier_quadrature",
     "SimulationConfig", "SimulationReport", "SimulationTrace",
     "run_batch", "run_single", "write_trace_csv",
-    "LognormalEstimator", "SeedSpec", "lognormal_pdf", "std_normal_ppf",
+    "SeedSpec", "lognormal_pdf",
 ]

@@ -206,7 +206,8 @@ def _load_config(path: str, command: str) -> dict:
     unknown = set(raw) - {"version", "command", "params"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if raw.get("version") != CONFIG_VERSION:
+    # type(), not ==: True == 1 and 1.0 == 1 in Python.
+    if type(raw.get("version")) is not int or raw["version"] != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {raw.get('version')!r}; "
                           f"expected {CONFIG_VERSION}")
     if raw.get("command") != command:
@@ -519,6 +520,22 @@ def _check_trace_fits(path: str, n_runs: int):
                           f"and its file system has {free} free")
 
 
+def _check_distinct_outputs(out: str, trace_out: str):
+    """Refuse one regular file for both the summary and the trace.
+
+    The summary, opened after the batch, would truncate the trace.  Existing
+    paths are compared as files, so a link to the other path is refused too;
+    a path that is not a regular file (``/dev/null``) may be both.
+    """
+    path = Path(trace_out)
+    if path.exists() and Path(out).exists():
+        same = path.is_file() and path.samefile(out)
+    else:
+        same = path.resolve() == Path(out).resolve()
+    if same:
+        raise ConfigError(f"--out and --trace-out name the same file {trace_out}")
+
+
 def cmd_simulate(args, params) -> int:
     config = SimulationConfig(
         strategy=AttackerStrategy(a=params["a"], i_beta=params["i_beta"],
@@ -532,6 +549,8 @@ def cmd_simulate(args, params) -> int:
     # worker count leaves no trace file and an unwritable path fails early.
     if args.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
+    if args.trace_out is not None:
+        _check_distinct_outputs(args.out, args.trace_out)
     trace_file = None if args.trace_out is None else _open_out(args.trace_out)
     try:
         with trace_file or nullcontext():
@@ -587,7 +606,8 @@ def cmd_sweep(args, params) -> int:
     meta = {"argmax_a": argmax.a, "argmax_i_beta": argmax.i_beta,
             "argmax_i_sigma": argmax.i_sigma, "argmax_profit": surface.argmax_profit}
     _emit(args, "sweep", header, [ax.name for ax in grid.axes] + ["profit"],
-          _surface_columns(surface), meta, surface.contours)
+          _surface_columns(surface), meta,
+          surface.contours if args.format == "json" else None)
     return 0
 
 

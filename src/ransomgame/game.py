@@ -96,19 +96,6 @@ class GameEnvironment:
         return self.target_value.mean
 
 
-@dataclass(frozen=True)
-class DerivedParameters:
-    """Reliability and estimate scale implied by a strategy in an environment."""
-
-    beta: float
-    sigma: float
-
-    @classmethod
-    def of(cls, strategy: AttackerStrategy, env: GameEnvironment) -> "DerivedParameters":
-        return cls(beta=reliability(strategy.i_beta, env.i_fifty),
-                   sigma=estimate_scale(strategy.i_sigma, env.i_fifty))
-
-
 class OutcomeKind(enum.Enum):
     AGGRESSIVE_REJECTION = "aggressive_rejection"
     DECRYPTION_SUCCESS = "decryption_success"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Callable, Sequence
 
@@ -93,7 +93,13 @@ class SurfaceResult:
     argmax_index: tuple
     argmax_strategy: AttackerStrategy
     argmax_profit: float
-    contours: list
+
+    @cached_property
+    def contours(self) -> list:
+        """Zero-profit polylines of a 2-D surface, traced on first access; else []."""
+        if len(self.grid.axes) != 2:
+            return []
+        return zero_contours(self.axis_values[0], self.axis_values[1], self.values)
 
 
 @dataclass(frozen=True)
@@ -238,9 +244,9 @@ def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
 def profit_surface(env: GameEnvironment, grid: SweepGrid) -> SurfaceResult:
     """Closed-form expected profit at every node of a sweep grid.
 
-    For 2-D grids the result carries the zero-profit contour polylines and
-    the argmax node; ties break toward the lexicographically smallest
-    (a, i_beta, i_sigma).
+    The result carries the argmax node, ties broken toward the
+    lexicographically smallest (a, i_beta, i_sigma), and for 2-D grids the
+    zero-profit contour polylines.
     """
     names = [ax.name for ax in grid.axes]
     axis_values = tuple(ax.values() for ax in grid.axes)
@@ -255,11 +261,6 @@ def profit_surface(env: GameEnvironment, grid: SweepGrid) -> SurfaceResult:
     values = cube.transpose(order).reshape(tuple(len(v) for v in axis_values))
     argmax_index = tuple(int(best[d]) for d in order[:len(names)])
     argmax_strategy = AttackerStrategy(*(float(axis[k]) for axis, k in zip(canonical, best)))
-
-    contours = []
-    if len(grid.axes) == 2:
-        contours = zero_contours(axis_values[0], axis_values[1], values)
-
     return SurfaceResult(grid=grid, axis_values=axis_values, values=values,
                          argmax_index=argmax_index, argmax_strategy=argmax_strategy,
-                         argmax_profit=float(cube[best]), contours=contours)
+                         argmax_profit=float(cube[best]))

@@ -25,15 +25,14 @@ import numpy as np
 
 from ._quadrature import adaptive_quadrature
 from .errors import DomainError, NumericalError, _positive, _scale
-from .game import (AttackerStrategy, DerivedParameters, GameEnvironment, demand_factor,
-                   estimate_scale, reliability)
+from .game import (AttackerStrategy, GameEnvironment, demand_factor, estimate_scale,
+                   reliability)
 from .stochastics import _SQRT2, _SQRT_2PI, _erfcx
 
 
 class ProfitMethod(enum.Enum):
     CLOSED_FORM = "closed_form"
     QUADRATURE = "quadrature"
-    MONTE_CARLO = "monte_carlo"
 
 
 @dataclass(frozen=True)
@@ -156,18 +155,17 @@ def expected_profit(strat: AttackerStrategy, env: GameEnvironment,
     estimates come from the simulation module, not from here.
     """
     cost = strat.i_beta + strat.i_sigma
+    # strat checked its own fields; the derived sigma is checked here.
+    sigma = _scale("sigma", estimate_scale(strat.i_sigma, env.i_fifty))
     if method is ProfitMethod.CLOSED_FORM:
-        # strat checked its own fields; the derived sigma is checked here.
-        _scale("sigma", estimate_scale(strat.i_sigma, env.i_fifty))
         value = _closed_form_profit(strat.a, strat.i_beta, strat.i_sigma, env)
         # A few ulps of the gross term; the closed form is exact up to erfcx.
         return ProfitEstimate(value=value, method=method,
                               abs_uncertainty=5e-15 * abs(value + cost))
     if method is ProfitMethod.QUADRATURE:
-        derived = DerivedParameters.of(strat, env)
-        m = env.mean_target_value
-        g, err = _quadrature_multiplier(strat.a, _scale("sigma", derived.sigma))
-        scale = demand_factor(strat.a, derived.beta) * m
+        g, err = _quadrature_multiplier(strat.a, sigma)
+        scale = demand_factor(strat.a, reliability(strat.i_beta, env.i_fifty)) \
+            * env.mean_target_value
         return ProfitEstimate(value=scale * g - cost, method=method,
                               abs_uncertainty=scale * err)
     raise DomainError(

@@ -29,9 +29,8 @@ import numpy as np
 from ._backend import get_kernel
 from ._rows import write_rows
 from .errors import DomainError, NumericalError, _scale
-from .game import (AttackerStrategy, DerivedParameters, FixedValue, GameEnvironment,
-                   NegotiationOutcome, OutcomeKind)
-from .profit import ProfitEstimate, ProfitMethod
+from .game import (AttackerStrategy, FixedValue, GameEnvironment, NegotiationOutcome,
+                   OutcomeKind, estimate_scale, reliability)
 from .stochastics import SeedSpec, uniform_blocks
 
 # Runs are generated and simulated in fixed-size blocks so that chunk
@@ -69,7 +68,7 @@ class SimulationConfig:
             raise DomainError(
                 "simulation requires a FixedValue environment; only the mean of a "
                 "value population enters the analytics, so pick a representative x")
-        _scale("sigma", DerivedParameters.of(self.strategy, self.environment).sigma)
+        _scale("sigma", estimate_scale(self.strategy.i_sigma, self.environment.i_fifty))
 
 
 @dataclass(frozen=True)
@@ -104,13 +103,6 @@ class SimulationReport:
     std_error_attacker_profit: Optional[float]
     mean_defender_utility: float
     outcome_counts: dict = field(default_factory=dict)
-
-    def profit_estimate(self) -> ProfitEstimate:
-        """Mean attacker profit as a Monte Carlo profit estimate."""
-        unc = self.std_error_attacker_profit
-        return ProfitEstimate(value=self.mean_attacker_profit,
-                              method=ProfitMethod.MONTE_CARLO,
-                              abs_uncertainty=math.inf if unc is None else unc)
 
 
 def _outcome_from_arrays(trace: SimulationTrace, i: int) -> NegotiationOutcome:
@@ -162,7 +154,8 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
     place, a view of the Philox blocks that hold words 3*lo .. 3*(lo + m) - 1.
     """
     kernel = get_kernel()
-    derived = DerivedParameters.of(strategy, env)
+    beta = reliability(strategy.i_beta, env.i_fifty)
+    sigma = estimate_scale(strategy.i_sigma, env.i_fifty)
     x = env.target_value.value
     starts = range(0, n, _CHUNK)
     workers = min(workers, len(starts))
@@ -178,8 +171,8 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
         # Inputs near the float64 limit overflow to inf; run_batch reports a
         # non-finite payoff as a NumericalError instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            kernel.simulate_runs(run_uniforms(seed, lo, m), strategy.a, derived.beta,
-                                 derived.sigma, x, strategy.i_beta, strategy.i_sigma,
+            kernel.simulate_runs(run_uniforms(seed, lo, m), strategy.a, beta, sigma, x,
+                                 strategy.i_beta, strategy.i_sigma,
                                  chunk.x_tilde, chunk.demand, chunk.counteroffer,
                                  chunk.alpha, chunk.attacker_payoff, chunk.defender_payoff,
                                  chunk.kind)

@@ -1,4 +1,4 @@
-"""Seeded random streams, the lognormal estimate model, and the normal quantile.
+"""Seeded random streams, the normal quantile, and the lognormal density.
 
 Streams are built on the counter-based Philox generator so that any sample
 in a run can be produced independently of execution order: a stream is
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _positive, _require_finite, _scale
+from .errors import DomainError, _positive, _require_finite
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -238,57 +238,6 @@ def _ppf(u: np.ndarray) -> np.ndarray:
     z.put(tail, np.negative(zt, out=zt))
     np.copysign(z, np.subtract(u, 0.5, out=r), out=z)
     return z
-
-
-def std_normal_ppf(u: float) -> float:
-    """Quantile z with Phi(z) = u, for u strictly inside (0, 1)."""
-    u = _require_finite("quantile level", u)
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"quantile level must lie in (0, 1), got {u!r}")
-    return float(_ppf(np.array([u], dtype=np.float64))[0])
-
-
-# ---------------------------------------------------------------------------
-# Lognormal estimate of the target's data value.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LognormalEstimator:
-    """Lognormal(mu, sigma^2) model of the attacker's value estimate.
-
-    The median is ``exp(mu)``; with ``mu = ln(x)`` the estimate has median
-    equal to the true value x, and mean ``x * exp(sigma^2 / 2)``.
-    """
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", _require_finite("mu", self.mu))
-        object.__setattr__(self, "sigma", _scale("sigma", self.sigma))
-
-    @classmethod
-    def for_target(cls, x: float, sigma: float) -> "LognormalEstimator":
-        return cls(mu=math.log(_positive("target value", x)), sigma=sigma)
-
-    @property
-    def median(self) -> float:
-        return math.exp(self.mu)
-
-    @property
-    def mean(self) -> float:
-        return math.exp(self.mu + self.sigma * self.sigma / 2.0)
-
-    def pdf(self, x_est):
-        return lognormal_pdf(x_est, self.mu, self.sigma)
-
-    def sample(self, seed: SeedSpec, n: int) -> np.ndarray:
-        """n samples from the stream, block i supplying sample i."""
-        if n < 1:
-            raise DomainError(f"sample count must be >= 1, got {n}")
-        u = uniform_blocks(seed, 0, n)[:, 0]
-        return np.exp(self.mu + self.sigma * _ppf(u))
 
 
 def lognormal_pdf(x_est, mu: float, sigma: float):

@@ -14,7 +14,7 @@ from ransomgame import (AttackerStrategy, FixedValue, GameEnvironment, Populatio
 from ransomgame.cli import (FIGURE_NAMES, SCHEMAS, STRATEGY_TABLE, _cell,
                             _grid_with_value, _write_csv, main)
 from ransomgame.optimize import DEFAULT_BOUNDS, AxisSpec, SweepGrid, maximize_profit, profit_surface
-from ransomgame import profit
+from ransomgame import optimize, profit
 from ransomgame._rows import BLOCK_ROWS
 from ransomgame.profit import ProfitMethod
 from ransomgame.simulate import SimulationConfig, run_batch
@@ -196,6 +196,23 @@ class TestSimulateCommand:
                      "--trace-out", str(trace)]) == 2
         assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
         assert not trace.exists() and not out.exists()
+
+    def test_out_and_trace_out_naming_one_file_is_config_error(self, tmp_path, capsys):
+        # The summary, opened after the batch, would truncate the trace.
+        path, link, hard = tmp_path / "p.csv", tmp_path / "link.csv", tmp_path / "hard.csv"
+        argv = ["simulate", "--n-runs", "10", "--out", str(path), "--trace-out"]
+        assert main(argv + [str(path)]) == 2
+        assert not path.exists()
+        path.write_text("kept")
+        link.symlink_to(path)
+        hard.hardlink_to(path)
+        for trace in (path, link, hard):
+            assert main(argv + [str(trace)]) == 2
+        assert capsys.readouterr().err.count("name the same file") == 4
+        assert path.read_text() == "kept"
+        # A device is not a regular file, so both outputs may go to it.
+        assert main(["simulate", "--n-runs", "10", "--out", os.devnull,
+                     "--trace-out", os.devnull]) == 0
 
     def test_unwritable_output_leaves_no_trace(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
@@ -386,6 +403,18 @@ class TestSweepCommand:
         assert main(["sweep", *args, "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: not enough memory: ")
         assert not (tmp_path / "x.csv").exists()
+
+    def test_csv_sweep_traces_no_contours(self, tmp_path, monkeypatch):
+        # Only the JSON form carries the contours of a sweep.
+        def no_contours(*args):
+            raise AssertionError("contours traced")
+
+        monkeypatch.setattr(optimize, "zero_contours", no_contours)
+        argv = ["sweep", "--axis", "i_beta:0.001:0.5:40:log",
+                "--axis", "i_sigma:0.001:0.5:40:log", "--fix", "a=4.68"]
+        assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
+        with pytest.raises(AssertionError, match="contours traced"):
+            main(argv + ["--format", "json", "--out", str(tmp_path / "s.json")])
 
     def test_contour_reaches_huge_aggression(self, tmp_path, capsys):
         # The zero line runs along one i_sigma through every a node up to 1e300.
@@ -604,6 +633,17 @@ class TestConfigHandling:
                                       "params": {}}))
         assert main(["simulate", "--config", str(config),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_the_integer_1(self, tmp_path, capsys, version):
+        # True == 1 and 1.0 == 1 in Python; neither is config version 1.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"version": version, "command": "optimize",
+                                      "params": {}}))
+        assert main(["optimize", "--config", str(config),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: unsupported config version ")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_command_mismatch_rejected(self, tmp_path):
         config = tmp_path / "c.json"

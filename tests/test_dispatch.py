@@ -1,5 +1,5 @@
-"""erfcx, G and the output files of simulate, sweep and the five small
-figures give the same bits whichever SIMD loops numpy dispatches to."""
+"""erfcx, G and the output files of simulate, optimize, sweep and the five
+small figures give the same bits whichever SIMD loops numpy dispatches to."""
 
 import hashlib
 import os
@@ -55,6 +55,14 @@ def _simulate_files(out_dir, **env):
     return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
 
 
+def _optimize_file(out_dir, **env):
+    """The CSV of the default optimize, written in a child."""
+    out_dir.mkdir()
+    path = out_dir / "optimum.csv"
+    _run_python(["-m", "ransomgame.cli", "optimize", "--out", str(path)], **env)
+    return path.read_bytes()
+
+
 def _sweep_file(out_dir, **env):
     """The CSV of the 200x200 sweep at a = 4.68, written in a child."""
     out_dir.mkdir()
@@ -99,6 +107,15 @@ def test_simulate_files_do_not_depend_on_avx512_loops(tmp_path):
     # Per-run floats may differ in their last bits (exp, log and power round
     # differently); the files, at 9 significant digits, may not.
     assert _simulate_files(tmp_path / "v4") == _simulate_files(
+        tmp_path / "v3", NPY_DISABLE_CPU_FEATURES=_NO_AVX512)
+
+
+@_needs_avx512_loops
+def test_optimize_file_does_not_depend_on_avx512_loops(tmp_path):
+    # The grid scan's log axes differ in their last bits between the two
+    # levels; the optimum, refined by the simplex and written at 9 digits,
+    # may not differ.
+    assert _optimize_file(tmp_path / "v4") == _optimize_file(
         tmp_path / "v3", NPY_DISABLE_CPU_FEATURES=_NO_AVX512)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ransomgame import (AttackerStrategy, DerivedParameters, DomainError, FixedValue,
+from ransomgame import (AttackerStrategy, DomainError, FixedValue,
                         GameEnvironment, NegotiationOutcome, OutcomeKind,
                         PopulationMean, aggression_probability,
                         attacker_profit_piecewise, defender_utility, demand_factor,
@@ -334,13 +334,6 @@ class TestTypes:
             PopulationMean(-2.0)
         env = GameEnvironment(i_fifty=0.02, target_value=PopulationMean(3.0))
         assert env.mean_target_value == 3.0
-
-    def test_derived_parameters(self, optimal_strategy, fixed_env):
-        d = DerivedParameters.of(optimal_strategy, fixed_env)
-        assert 0.0 <= d.beta < 1.0
-        assert 0.0 < d.sigma <= 1.0
-        assert d.beta == reliability(0.091, I50)
-        assert d.sigma == estimate_scale(0.104, I50)
 
     def test_outcome_invariant(self):
         with pytest.raises(DomainError):

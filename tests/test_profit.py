@@ -178,5 +178,7 @@ class TestExpectedProfit:
             expected_profit(AttackerStrategy(1.0, 0.1, 1.0), env, ProfitMethod.QUADRATURE)
 
     def test_monte_carlo_method_is_rejected_here(self, optimal_strategy, mean_env):
-        with pytest.raises(DomainError, match="simulate.run_batch"):
-            expected_profit(optimal_strategy, mean_env, ProfitMethod.MONTE_CARLO)
+        # Only CLOSED_FORM and QUADRATURE evaluate here; anything else is refused.
+        for method in ("monte_carlo", "closed_form", None):
+            with pytest.raises(DomainError, match="simulate.run_batch"):
+                expected_profit(optimal_strategy, mean_env, method)

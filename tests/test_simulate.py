@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment,
-                        NumericalError, OutcomeKind, PopulationMean, ProfitMethod, SeedSpec,
+                        NumericalError, OutcomeKind, PopulationMean, SeedSpec,
                         SimulationConfig, SimulationTrace, aggression_probability,
                         demand_factor, estimate_scale, expected_profit,
                         optimal_counteroffer, reliability, run_batch, run_single,
-                        std_normal_ppf, write_trace_csv)
+                        write_trace_csv)
 from ransomgame import simulate
 from ransomgame.simulate import TRACE_COLUMNS, run_uniforms
-from ransomgame.stochastics import uniform_blocks
+from ransomgame.stochastics import _ppf, uniform_blocks
 from conftest import run_traced
 
 I50 = 0.02
@@ -69,8 +69,9 @@ class TestRunSingle:
         _, trace = run_traced(cfg)
         u = run_uniforms(cfg.seed, 0, cfg.n_runs)
         beta, sigma = reliability(i_beta, I50), estimate_scale(i_sigma, I50)
+        z = _ppf(u[:, 0])
         for i in range(cfg.n_runs):
-            x_tilde = math.exp(sigma * std_normal_ppf(float(u[i, 0])))
+            x_tilde = math.exp(sigma * float(z[i]))
             r = demand_factor(a, beta) * x_tilde
             c = optimal_counteroffer(r, 1.0, a, beta)
             alpha = aggression_probability(c, r, a)
@@ -301,12 +302,6 @@ class TestRunBatch:
         with pytest.raises(NumericalError, match="payoff is not finite"):
             run_batch(_config(strategy=(1e10, 0.091, 0.104), x=1e308, n=100))
 
-    def test_profit_estimate_tag(self):
-        report = run_batch(_config(n=1000, seed=6))
-        est = report.profit_estimate()
-        assert est.method is ProfitMethod.MONTE_CARLO
-        assert est.value == report.mean_attacker_profit
-
 
 class TestAgainstAnalytics:
     @pytest.mark.parametrize("strategy", [(4.68, 0.091, 0.104),
@@ -375,7 +370,8 @@ def _hand_built_trace():
 class TestTraceExport:
     @pytest.mark.parametrize("n,workers", [(70_001, 1), (70_001, 3), (1, 1)])
     def test_bytes_match_row_by_row_reference(self, n, workers):
-        # 70,001 runs cross both the 65,536-run chunk and a 1,024-row block.
+        # 70,001 runs cross both the 65,536-run chunk and a 3,000-row block
+        # (_rows.BLOCK_ROWS).
         _, trace = run_traced(_config(n=n, seed=9), workers)
         buf = io.StringIO()
         write_trace_csv(trace, buf, header_lines=("config: {}",))

@@ -5,7 +5,8 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from ransomgame import DomainError, LognormalEstimator, SeedSpec, lognormal_pdf, std_normal_ppf
+from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment, SeedSpec,
+                        SimulationConfig, estimate_scale, lognormal_pdf, run_batch)
 from ransomgame._quadrature import adaptive_quadrature
 from ransomgame.simulate import run_uniforms
 from ransomgame.stochastics import _erfcx, _open_uniforms, _ppf, philox, uniform_blocks
@@ -17,8 +18,16 @@ def std_normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def _sample(x: float, sigma: float, seed: SeedSpec, n: int) -> np.ndarray:
-    return LognormalEstimator.for_target(x, sigma).sample(seed, n)
+def _estimates(x: float, i_sigma: float, seed: SeedSpec, n: int) -> np.ndarray:
+    """The x_tilde of a batch's n runs: the estimates the simulation plays.
+
+    With i_fifty = 1 the estimate scale is 1 / (1 + i_sigma).
+    """
+    env = GameEnvironment(i_fifty=1.0, target_value=FixedValue(x))
+    config = SimulationConfig(AttackerStrategy(4.68, 0.091, i_sigma), env, n, seed)
+    parts = []
+    run_batch(config, on_chunk=lambda chunk, first_run: parts.append(chunk.x_tilde.copy()))
+    return np.concatenate(parts)
 
 
 def _cdf_series(z: float) -> float:
@@ -40,9 +49,9 @@ class TestStdNormalCdf:
 
 class TestStdNormalPpf:
     def test_round_trip(self, rng):
-        for u in rng.uniform(1e-12, 1.0 - 1e-12, 2000):
-            z = std_normal_ppf(float(u))
-            assert std_normal_cdf(z) == pytest.approx(float(u), rel=1e-11, abs=1e-14)
+        u = rng.uniform(1e-12, 1.0 - 1e-12, 2000)
+        for v, z in zip(u.tolist(), _ppf(u).tolist()):
+            assert std_normal_cdf(z) == pytest.approx(v, rel=1e-11, abs=1e-14)
 
     def test_reference_quantiles(self):
         # Frozen from an independent high-precision evaluation (scipy ndtri).
@@ -51,18 +60,12 @@ class TestStdNormalPpf:
                 0.841344746068543: 1.0000000000000002,
                 0.0013498980316300933: -3.0,
                 1e-10: -6.361340902404056}
-        for u, z in refs.items():
-            assert std_normal_ppf(u) == pytest.approx(z, abs=1e-12)
+        got = _ppf(np.array(list(refs)))
+        assert got.tolist() == pytest.approx(list(refs.values()), abs=1e-12)
 
     def test_antisymmetry(self, rng):
-        for u in rng.uniform(1e-9, 0.5, 500):
-            assert std_normal_ppf(float(u)) == pytest.approx(
-                -std_normal_ppf(1.0 - float(u)), rel=1e-12, abs=1e-14)
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.5, 1.5, math.nan):
-            with pytest.raises(DomainError):
-                std_normal_ppf(bad)
+        u = rng.uniform(1e-9, 0.5, 500)
+        assert _ppf(u) == pytest.approx(-_ppf(1.0 - u), rel=1e-12, abs=1e-14)
 
 
 def _grid(k) -> np.ndarray:
@@ -101,7 +104,7 @@ class TestAs241Ppf:
     def test_extreme_and_centre_points(self):
         self._assert_within_one_ulp(np.array([2.0 ** -53, 1.0 - 2.0 ** -53, 0.5]))
         ref = self._inv_cdf(1e-300)
-        assert abs(std_normal_ppf(1e-300) - ref) <= math.ulp(ref)
+        assert abs(_ppf(np.array([1e-300]))[0] - ref) <= math.ulp(ref)
 
     def test_exact_antisymmetry_on_generator_grid(self, rng):
         k = rng.integers(0, 2 ** 52, 100_000)
@@ -219,65 +222,53 @@ class TestLognormalDensity:
             lognormal_pdf(0.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             lognormal_pdf(1.0, 0.0, 0.0)
-        with pytest.raises(DomainError):
-            LognormalEstimator(mu=0.0, sigma=1.5)
 
 
 class TestSampling:
+    """The value estimates x_tilde that run_batch plays, as on_chunk sees them."""
+
     def test_determinism(self):
         seed = SeedSpec(master_seed=123456789, stream_index=7)
-        a = _sample(1.0, 0.5, seed, 10000)
-        b = _sample(1.0, 0.5, seed, 10000)
+        a = _estimates(1.0, 1.0, seed, 10000)
+        b = _estimates(1.0, 1.0, seed, 10000)
         assert np.array_equal(a, b)
-        assert _sample(1.0, 0.5, seed, 1)[0] == a[0]
+        assert _estimates(1.0, 1.0, seed, 1)[0] == a[0]
 
     def test_prefix_stability(self):
-        # A longer draw from the same stream extends, not reshuffles.
+        # A longer batch from the same stream extends, not reshuffles.
         seed = SeedSpec(42, 3)
-        short = _sample(2.0, 0.3, seed, 100)
-        long = _sample(2.0, 0.3, seed, 1000)
+        short = _estimates(2.0, 2.5, seed, 100)
+        long = _estimates(2.0, 2.5, seed, 70_000)
         assert np.array_equal(short, long[:100])
 
     def test_near_degenerate_scale(self):
-        samples = _sample(3.0, 1e-9, SeedSpec(5), 1000)
+        samples = _estimates(3.0, 1e9, SeedSpec(5), 1000)  # sigma = 1e-9
         assert np.all(np.abs(samples - 3.0) < 1e-7)
 
     def test_median_of_large_sample(self):
-        samples = _sample(1.0, 0.5, SeedSpec(2024), 1_000_000)
+        samples = _estimates(1.0, 1.0, SeedSpec(2024), 1_000_000)  # sigma = 0.5
         assert np.median(samples) == pytest.approx(1.0, abs=0.005)
 
     def test_mean_of_large_sample(self):
-        samples = _sample(1.0, 0.5, SeedSpec(2024), 1_000_000)
+        samples = _estimates(1.0, 1.0, SeedSpec(2024), 1_000_000)
         assert samples.mean() == pytest.approx(math.exp(0.125), abs=0.01)
 
     def test_stream_independence(self):
         n = 100_000
-        a = _sample(1.0, 0.5, SeedSpec(99, 0), n)
-        b = _sample(1.0, 0.5, SeedSpec(99, 1), n)
+        a = _estimates(1.0, 1.0, SeedSpec(99, 0), n)
+        b = _estimates(1.0, 1.0, SeedSpec(99, 1), n)
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) < 0.01
 
     def test_kolmogorov_smirnov(self):
         n = 100_000
-        est = LognormalEstimator.for_target(1.0, 0.37)
-        samples = np.sort(est.sample(SeedSpec(7, 1), n))
-        cdf = np.array([std_normal_cdf((math.log(v) - est.mu) / est.sigma)
-                        for v in samples.tolist()])
+        sigma = estimate_scale(1.7, 1.0)  # 0.37
+        samples = np.sort(_estimates(1.0, 1.7, SeedSpec(7, 1), n))
+        cdf = np.array([std_normal_cdf(math.log(v) / sigma) for v in samples.tolist()])
         grid = np.arange(1, n + 1) / n
         d = max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n)))
         # 1% critical value of the two-sided KS statistic.
         assert d < 1.6276 / math.sqrt(n)
-
-    def test_estimator_moments(self):
-        est = LognormalEstimator.for_target(2.0, 0.5)
-        assert est.median == pytest.approx(2.0, rel=1e-15)
-        assert est.mean == pytest.approx(2.0 * math.exp(0.125), rel=1e-15)
-
-    def test_invalid_sigma(self):
-        with pytest.raises(DomainError):
-            LognormalEstimator.for_target(1.0, 0.0)
-        with pytest.raises(DomainError):
-            LognormalEstimator.for_target(1.0, 1.2)
 
 
 class TestSeedSpec:
