@@ -1,13 +1,9 @@
-"""Accessor for the Monte Carlo kernel module.
+"""The module whose ``simulate_runs`` plays the games, for a profiler to wrap:
+``simulate`` calls that module global on every chunk."""
 
-``simulate`` looks the kernel up here on every batch, so a caller that
-replaces ``simulate_runs`` on the returned module (a profiler, say) sees
-every call.
-"""
-
-from . import _kernel_py
+from . import simulate
 
 
 def get_kernel():
     """The module whose ``simulate_runs`` plays the games."""
-    return _kernel_py
+    return simulate

@@ -85,7 +85,7 @@ class SweepGrid:
             raise ConfigError(f"parameters both swept and fixed: {sorted(overlap)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceResult:
     grid: SweepGrid
     axis_values: tuple

@@ -10,10 +10,11 @@ run: run i of a batch seeded with (master_seed, stream_index) reads words
 bit-identical for any worker count, and run 0 of a batch equals
 ``run_single`` with the same seed.
 
-A batch is played in chunks of 65,536 runs.  Each chunk is reduced to
-summary statistics, handed to an optional callback (the CLI writes it to the
-trace file there) and dropped, so peak memory is O(chunk x workers) whatever
-the number of runs.
+A batch is played in chunks of 65,536 runs.  The kernel, ``simulate_runs``,
+plays a chunk into its ``SimulationTrace`` arrays in slices of 16,384 runs.
+Each chunk is reduced to summary statistics, handed to an optional callback
+(the CLI writes it to the trace file there) and dropped, so peak memory is
+O(chunk x workers) whatever the number of runs.
 """
 
 from __future__ import annotations
@@ -26,16 +27,29 @@ from typing import IO, Callable, Optional
 
 import numpy as np
 
-from ._backend import get_kernel
 from ._rows import write_rows
 from .errors import DomainError, NumericalError, _scale
 from .game import (AttackerStrategy, FixedValue, GameEnvironment, NegotiationOutcome,
-                   OutcomeKind, estimate_scale, reliability)
-from .stochastics import SeedSpec, uniform_blocks
+                   OutcomeKind, _aggression, _counteroffer_at, demand_factor,
+                   estimate_scale, reliability)
+from .stochastics import SeedSpec, _ppf, uniform_blocks
 
 # Runs are generated and simulated in fixed-size blocks so that chunk
-# boundaries do not depend on the worker count.
+# boundaries do not depend on the worker count.  A chunk is four slices, not
+# one: on a 2-vCPU Xeon, one-slice chunks made a 200k-run traced ``simulate``
+# 10% slower (0.245 against 0.222 s, paying per-chunk writes and hand-offs
+# four times as often), and unsliced 32,768-run chunks made 1M runs slower
+# (0.163 against 0.133 s; fresh processes, interleaved pairs).
 _CHUNK = 65536
+
+# Runs per slice of a kernel call.  A slice's dozen live arrays of up to 8
+# bytes per run (about 1.5 MB at 16,384 runs) stay in a core's L2 cache
+# between the kernel's passes.  On a 2-vCPU Xeon with 2 MB of L2 per core, a
+# 1M-run batch took 142-148 ms of CPU unsliced, 106-116 ms at 16,384-32,768
+# runs a slice, 120 ms at 12,288 and 122 ms at 8,192 (medians of 12-30
+# interleaved batches); 16,384 is the smallest size on that plateau, so its
+# temporaries take the least memory.
+_SLICE = 16384
 
 # Payoffs at or above 2**_SCALE_BITS are scaled down before they are summed
 # or squared.  Scaled deviations stay below 2**449, so the sum of their
@@ -43,6 +57,7 @@ _CHUNK = 65536
 _SCALE_BITS = 448
 _SCALE_LIMIT = 2.0 ** _SCALE_BITS
 
+# The outcome kinds by the code ``_play_slice`` stores in ``kind``.
 _KIND_ORDER = (OutcomeKind.AGGRESSIVE_REJECTION,
                OutcomeKind.DECRYPTION_SUCCESS,
                OutcomeKind.DECRYPTION_FAILURE,
@@ -71,7 +86,7 @@ class SimulationConfig:
         _scale("sigma", estimate_scale(self.strategy.i_sigma, self.environment.i_fifty))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """Per-run records of a batch or of one chunk of it, column-per-array."""
 
@@ -118,6 +133,11 @@ def _empty_trace(x: float, n: int) -> SimulationTrace:
                                 for a in _TRACE_ARRAYS))
 
 
+def _rows_of(trace: SimulationTrace, lo: int, hi: int) -> SimulationTrace:
+    """Runs ``lo .. hi - 1`` of ``trace``, as views of its arrays."""
+    return SimulationTrace(trace.x, *(getattr(trace, a)[lo:hi] for a in _TRACE_ARRAYS))
+
+
 def _unscale(value: float, exponent: int) -> float:
     """value * 2**exponent, or NumericalError if that overflows float64."""
     try:
@@ -142,6 +162,68 @@ def run_uniforms(seed: SeedSpec, first_run: int, n_runs: int) -> np.ndarray:
     return words[skip:skip + 3 * n_runs].reshape(n_runs, 3)
 
 
+def simulate_runs(u3, a, beta, sigma, x, cost, chunk: SimulationTrace):
+    """Play one game per row of u3 (open-interval uniforms, three or more per run).
+
+    Column 0 drives the value estimate, column 1 the aggression draw,
+    column 2 the decryption draw; further columns are not read, so u3 may
+    be the ``(n, 3)`` rows of ``run_uniforms`` or any wider array.  Run i is
+    written in place to run i of ``chunk``.  Each run depends only on its
+    own row, so any split of the rows into calls gives the same results;
+    the rows are played ``_SLICE`` at a time.
+    """
+    k = demand_factor(a, beta)
+    c_max = k * x
+    for lo in range(0, len(u3), _SLICE):
+        _play_slice(u3[lo:lo + _SLICE], a, beta, sigma, x, cost, k, c_max,
+                    _rows_of(chunk, lo, lo + _SLICE))
+
+
+def _play_slice(u3, a, beta, sigma, x, cost, k, c_max, out: SimulationTrace):
+    x_tilde, demand, counteroffer, alpha = out.x_tilde, out.demand, out.counteroffer, out.alpha
+    attacker, defender, kind = out.attacker_payoff, out.defender_payoff, out.kind
+    np.multiply(sigma, _ppf(u3[:, 0]), out=x_tilde)
+    np.exp(x_tilde, out=x_tilde)
+    x_tilde *= x
+    np.multiply(k, x_tilde, out=demand)
+    full = demand <= c_max
+    counteroffer[...] = _counteroffer_at(demand, c_max)
+    # Only demands above the cap risk aggression, and there the counteroffer
+    # is the cap; full payment has alpha 0, and c_max / demand never divides
+    # 0 by 0 (beta = 0).
+    capped = np.flatnonzero(~full)
+    alpha.fill(0.0)
+    alpha.put(capped, _aggression(c_max, demand.take(capped), a))
+
+    aggressive = u3[:, 1] < alpha
+    lost = u3[:, 2] >= beta
+    # The defender pays C and keeps the data if decrypted, pays C and loses
+    # x if not, and loses x with nothing paid after aggression.  Products,
+    # not masked copies, select the payoffs: random masks make a masked
+    # copy branch unpredictably.  attacker first holds -C*keep as
+    # C * (aggressive - 1), which is -C when kept and +0 when not (C is
+    # finite and >= 0), so the payoffs are
+    #   defender = -C*keep - x*(lost or aggressive)
+    #   attacker = -cost - (-C*keep)
+    # with the bits of the -x, -C, -x - C, -cost and C - cost they stand for,
+    # signed zeros included: an aggressive run at cost 0 gets -0.0.
+    np.subtract(aggressive, 1.0, out=attacker)
+    attacker *= counteroffer
+    lost |= aggressive
+    np.multiply(lost, x, out=defender)
+    np.subtract(attacker, defender, out=defender)
+    np.subtract(-cost, attacker, out=attacker)
+    # 0 aggressive; 1/2 negotiated, 3/4 paid in full; odd decrypted.  kind
+    # is doubled as uint8: on the bool full, full + full would be full | full.
+    # lost now includes the aggressive runs, which the product zeroes anyway.
+    np.copyto(kind, full)
+    kind += kind
+    kind += 1
+    kind += lost
+    np.logical_not(aggressive, out=aggressive)
+    kind *= aggressive
+
+
 def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
                  seed: SeedSpec, workers: int):
     """Yield ``(first_run, chunk)`` for the batch's chunks in run order.
@@ -149,11 +231,12 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
     Each chunk is a ``SimulationTrace`` of up to ``_CHUNK`` runs.  With more
     than one worker a thread pool plays at most ``workers`` chunks while the
     caller holds one.  A chunk's arrays are reused once the caller asks for
-    the next chunk: fresh arrays would fault their pages in every time.
-    The kernel reads each chunk's ``(m, 3)`` rows of ``run_uniforms`` in
-    place, a view of the Philox blocks that hold words 3*lo .. 3*(lo + m) - 1.
+    the next chunk: fresh arrays would fault their pages in every time (1M
+    runs took 0.165 s against 0.135 s).  ``simulate_runs``, a module global
+    that a profiler may replace, reads each chunk's ``(m, 3)`` rows of
+    ``run_uniforms`` in place, a view of the Philox blocks that hold words
+    3*lo .. 3*(lo + m) - 1.
     """
-    kernel = get_kernel()
     beta = reliability(strategy.i_beta, env.i_fifty)
     sigma = estimate_scale(strategy.i_sigma, env.i_fifty)
     x = env.target_value.value
@@ -166,16 +249,12 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
     def play(k):
         lo = starts[k]
         m = min(_CHUNK, n - lo)
-        slot = slots[k % len(slots)]
-        chunk = SimulationTrace(x, *(getattr(slot, a)[:m] for a in _TRACE_ARRAYS))
+        chunk = _rows_of(slots[k % len(slots)], 0, m)
         # Inputs near the float64 limit overflow to inf; run_batch reports a
         # non-finite payoff as a NumericalError instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            kernel.simulate_runs(run_uniforms(seed, lo, m), strategy.a, beta, sigma, x,
-                                 strategy.i_beta, strategy.i_sigma,
-                                 chunk.x_tilde, chunk.demand, chunk.counteroffer,
-                                 chunk.alpha, chunk.attacker_payoff, chunk.defender_payoff,
-                                 chunk.kind)
+            simulate_runs(run_uniforms(seed, lo, m), strategy.a, beta, sigma, x,
+                          strategy.cost, chunk)
         return lo, chunk
 
     if workers == 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _positive, _require_finite
+from .errors import DomainError, NumericalError, _positive, _require_finite
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -241,11 +241,14 @@ def _ppf(u: np.ndarray) -> np.ndarray:
 
 
 def lognormal_pdf(x_est, mu: float, sigma: float):
-    """Density of Lognormal(mu, sigma^2) at x_est (scalar or array)."""
+    """Density of Lognormal(mu, sigma^2) at x_est (scalar or array); finite or NumericalError."""
     mu, sigma = _require_finite("mu", mu), _positive("sigma", sigma)
     x_est = np.asarray(x_est, dtype=np.float64)
     if not np.all(np.isfinite(x_est)) or np.any(x_est <= 0.0):
         raise DomainError("density argument must be positive and finite")
-    t = np.log(x_est) - mu
-    out = np.exp(-t * t / (2.0 * sigma * sigma)) / (x_est * sigma * _SQRT_2PI)
+    with np.errstate(over="ignore"):
+        z = (np.log(x_est) - mu) / sigma
+        out = np.exp(-0.5 * z * z) / x_est / (sigma * _SQRT_2PI)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(f"the lognormal density at sigma {sigma!r} overflows float64")
     return out if out.ndim else float(out)

@@ -4,7 +4,6 @@ PASS/FAIL line and enforcing its stated tolerance and runtime budget.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import json
 import math
 import time
 
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from ransomgame import (AttackerStrategy, FixedValue, GameEnvironment,
-                        PopulationMean, ProfitMethod, SeedSpec, SimulationConfig,
+                        PopulationMean, SeedSpec, SimulationConfig,
                         defender_utility, demand_factor, expected_profit,
                         gross_multiplier_closed_form, gross_multiplier_quadrature,
                         maximize_profit, optimal_counteroffer, reliability,

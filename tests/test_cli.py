@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,13 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ransomgame import (AttackerStrategy, FixedValue, GameEnvironment, PopulationMean,
-                        defender_utility, demand_factor, expected_profit,
-                        optimal_counteroffer, reliability)
+from ransomgame import (AttackerStrategy, defender_utility, demand_factor, estimate_scale,
+                        expected_profit, optimal_counteroffer, reliability)
 from ransomgame.cli import (FIGURE_NAMES, SCHEMAS, STRATEGY_TABLE, _cell,
                             _grid_with_value, _write_csv, main)
 from ransomgame.optimize import DEFAULT_BOUNDS, AxisSpec, SweepGrid, maximize_profit, profit_surface
-from ransomgame import optimize, profit
+from ransomgame import optimize, profit, simulate
 from ransomgame._rows import BLOCK_ROWS
 from ransomgame.profit import ProfitMethod
 from ransomgame.simulate import SimulationConfig, run_batch
@@ -106,6 +106,34 @@ class TestFigureCommands:
             assert x_est[peak] == 1.0
             assert vals[peak] == pytest.approx(demand_factor(a, beta) - 0.2, abs=1e-8)
 
+    @pytest.mark.parametrize("flag,value", [("--i-fifty", "1e-320"),
+                                            ("--i-sigma-values", "1e308")])
+    def test_estimate_pdf_infinite_density_is_numerical_error(self, tmp_path, capsys,
+                                                              flag, value):
+        # A subnormal sigma makes the density at the median overflow.
+        out = tmp_path / "p.csv"
+        assert main(["figure", "estimate_pdf", flag, value, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_estimate_pdf_near_float64_limit_keeps_subnormal_densities(self, tmp_path):
+        # x_est * sigma * sqrt(2 pi) overflows here, so one product as the
+        # divisor would turn every density into 0.
+        out = tmp_path / "p.csv"
+        assert main(["figure", "estimate_pdf", "--x", "1e308", "--x-est-max", "1e308",
+                     "--out", str(out)]) == 0
+        _, _, columns, rows = read_csv(out)
+        cells = np.array(rows, dtype=float)
+        x_est = cells[:, 0]
+        for j, col in enumerate(columns[1:], start=1):
+            sigma = estimate_scale(float(col.removeprefix("pdf_i_sigma_")), 0.02)
+            z = (np.log(x_est) - math.log(1e308)) / sigma
+            log_pdf = -0.5 * z * z - np.log(x_est) - math.log(sigma * math.sqrt(2.0 * math.pi))
+            assert np.all(cells[log_pdf > -744.0, j] > 0.0), col
+            normal = log_pdf > -700.0
+            assert np.allclose(cells[normal, j], np.exp(log_pdf[normal]), rtol=1e-6), col
+
     def test_unknown_figure_is_config_error(self, tmp_path):
         assert main(["figure", "spiral", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -162,14 +190,18 @@ class TestSimulateCommand:
         counts = [int(rows[0][j]) for j, c in enumerate(columns) if c.startswith("count_")]
         assert sum(counts) == 5000
 
-    def test_worker_invariance_of_output_bytes(self, tmp_path):
+    def test_worker_invariance_of_output_bytes(self, tmp_path, monkeypatch):
+        # 1,000-run chunks, so the 20,000 runs span 20 chunks and 16 workers
+        # stream the trace from a full pool.
+        monkeypatch.setattr(simulate, "_CHUNK", 1000)
         outs = []
         for w in (1, 4, 16):
-            out = tmp_path / f"w{w}.csv"
-            assert main(["simulate", "--n-runs", "20000", "--seed", "3",
-                         "--workers", str(w), "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
+            out, trace = tmp_path / f"w{w}.csv", tmp_path / f"t{w}.csv"
+            assert main(["simulate", "--n-runs", "20000", "--seed", "3", "--workers", str(w),
+                         "--out", str(out), "--trace-out", str(trace)]) == 0
+            outs.append((out.read_bytes(), trace.read_bytes()))
         assert outs[0] == outs[1] == outs[2]
+        assert outs[0][1].count(b"\n") == 20002
 
     def test_trace_export(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -14,9 +14,7 @@ import pytest
 
 from ransomgame import (AttackerStrategy, FixedValue, GameEnvironment, SeedSpec,
                         SimulationConfig, estimate_scale, reliability, run_batch)
-from ransomgame import _kernel_py
-from ransomgame._kernel_py import _SLICE
-from ransomgame.simulate import _CHUNK, run_uniforms
+from ransomgame.simulate import _CHUNK, _SLICE, _empty_trace, run_uniforms, simulate_runs
 from ransomgame.stochastics import (_AS241_CENTRAL, _AS241_FAR, _AS241_NEAR, _horner,
                                    _ppf, philox, uniform_blocks)
 
@@ -78,12 +76,16 @@ def _reference_simulate_runs(u3, a, beta, sigma, x, i_beta, i_sigma):
 
 
 _OUTPUTS = ("x_tilde", "demand", "counteroffer", "alpha", "attacker", "defender", "kind")
+# The SimulationTrace field that holds each of _OUTPUTS.
+_FIELDS = ("x_tilde", "demand", "counteroffer", "alpha", "attacker_payoff",
+           "defender_payoff", "kind")
 
 
 def _play(u, params):
-    out = [np.empty(len(u)) for _ in range(6)] + [np.empty(len(u), np.uint8)]
-    _kernel_py.simulate_runs(u, *params, *out)
-    return dict(zip(_OUTPUTS, out))
+    a, beta, sigma, x, i_beta, i_sigma = params
+    chunk = _empty_trace(x, len(u))
+    simulate_runs(u, a, beta, sigma, x, i_beta + i_sigma, chunk)
+    return {name: getattr(chunk, f) for name, f in zip(_OUTPUTS, _FIELDS)}
 
 
 def _assert_kernel_matches(u, params):

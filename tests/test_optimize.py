@@ -13,8 +13,8 @@ from operator import add
 import numpy as np
 import pytest
 
-from ransomgame import (AttackerStrategy, ConfigError, DomainError, GameEnvironment,
-                        PopulationMean, ProfitMethod, AxisSpec, SweepGrid,
+from ransomgame import (AttackerStrategy, ConfigError, DomainError, ProfitMethod,
+                        AxisSpec, SweepGrid,
                         expected_profit, maximize_profit, nelder_mead,
                         profit_surface)
 from ransomgame import optimize

@@ -7,13 +7,9 @@ from ransomgame import (AttackerStrategy, DomainError, GameEnvironment, Numerica
                         PopulationMean, ProfitMethod, demand_factor, estimate_scale,
                         expected_profit, gross_multiplier_closed_form,
                         gross_multiplier_quadrature, reliability)
+from conftest import std_normal_cdf
 
 I50 = 0.02
-
-
-def std_normal_cdf(z: float) -> float:
-    """Phi(z) through libm's erfc, the reference the closed form is checked against."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 class TestGrossMultiplierClosedForm:

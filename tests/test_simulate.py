@@ -5,14 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment,
+from ransomgame import (AttackerStrategy, AxisSpec, DomainError, FixedValue, GameEnvironment,
                         NumericalError, OutcomeKind, PopulationMean, SeedSpec,
-                        SimulationConfig, SimulationTrace, aggression_probability,
+                        SimulationConfig, SimulationTrace, SweepGrid, aggression_probability,
                         demand_factor, estimate_scale, expected_profit,
-                        optimal_counteroffer, reliability, run_batch, run_single,
-                        write_trace_csv)
+                        optimal_counteroffer, profit_surface, reliability, run_batch,
+                        run_single, write_trace_csv)
 from ransomgame import simulate
-from ransomgame.simulate import TRACE_COLUMNS, run_uniforms
+from ransomgame.simulate import TRACE_COLUMNS, _empty_trace, run_uniforms, simulate_runs
 from ransomgame.stochastics import _ppf, uniform_blocks
 from conftest import run_traced
 
@@ -121,13 +121,11 @@ class TestDegenerateCases:
     def test_certain_decryption_never_fails(self):
         # beta = 1 is unreachable through investments, so drive the kernel
         # directly to check the Bernoulli wiring.
-        from ransomgame._backend import get_kernel
         n = 4096
         u3 = np.ascontiguousarray(uniform_blocks(SeedSpec(5), 0, n)[:, :3])
-        out = [np.empty(n) for _ in range(6)]
-        kind = np.empty(n, dtype=np.uint8)
-        get_kernel().simulate_runs(u3, 4.68, 1.0, 0.5, 1.0, 0.09, 0.1,
-                                   *out, kind)
+        chunk = _empty_trace(1.0, n)
+        simulate_runs(u3, 4.68, 1.0, 0.5, 1.0, 0.09 + 0.1, chunk)
+        kind = chunk.kind
         assert not np.any((kind == 2) | (kind == 4))
 
     @pytest.mark.filterwarnings("error")
@@ -409,3 +407,14 @@ class TestTraceExport:
             _config(n=True)
         with pytest.raises(DomainError):
             run_batch(_config(n=10), workers=0)
+
+
+def test_array_results_compare_by_identity(mean_env):
+    # Equal fields would compare arrays, whose truth value is ambiguous.
+    grid = SweepGrid(axes=[AxisSpec("a", 1.0, 5.0, 3)], fixed={"i_beta": 0.1, "i_sigma": 0.1})
+    pairs = [(profit_surface(mean_env, grid), profit_surface(mean_env, grid)),
+             (run_traced(_config(n=10))[1], run_traced(_config(n=10))[1])]
+    for a, b in pairs:
+        assert a != b and not a == b
+        assert a == a
+        assert len({a, b}) == 2

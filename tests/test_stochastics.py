@@ -10,12 +10,8 @@ from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironme
 from ransomgame._quadrature import adaptive_quadrature
 from ransomgame.simulate import run_uniforms
 from ransomgame.stochastics import _erfcx, _open_uniforms, _ppf, philox, uniform_blocks
+from conftest import std_normal_cdf
 from test_kernel_bits import _reference_uniforms
-
-
-def std_normal_cdf(z: float) -> float:
-    """Phi(z) through libm's erfc, the reference for the quantile and the sampler."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def _estimates(x: float, i_sigma: float, seed: SeedSpec, n: int) -> np.ndarray:
