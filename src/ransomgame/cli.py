@@ -11,10 +11,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import shutil
 import sys
 from contextlib import nullcontext
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +122,7 @@ def _fix_dict(value):
 
 
 # Parameter schemas: name -> (converter, default).  The effective values are
-# embedded in every output header.
+# embedded in every output header; a figure's None default is its builder's.
 SCHEMAS = {
     "figure": {
         "name": (str, None),
@@ -191,9 +193,12 @@ def _round9(obj):
     return obj
 
 
+def _header(command: str, params: dict) -> dict:
+    return {"version": CONFIG_VERSION, "command": command, "params": params}
+
+
 def _config_json(command: str, params: dict) -> str:
-    payload = {"version": CONFIG_VERSION, "command": command, "params": params}
-    return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
+    return json.dumps(_header(command, params), sort_keys=True, separators=(", ", ": "))
 
 
 def _load_config(path: str, command: str) -> dict:
@@ -305,12 +310,16 @@ def _emit(args, command: str, params: dict, names: list, columns: list,
           meta: dict | None = None, contours: list | None = None):
     """Write one table to ``args.out``; only the JSON form carries contours."""
     if args.format == "json":
-        _write_json(args.out, {"version": CONFIG_VERSION, "command": command,
-                               "params": params,
+        _write_json(args.out, {**_header(command, params),
                                **_json_table(names, columns, meta, contours)})
     else:
         _write_csv(args.out, _config_json(command, params), _meta_lines(meta),
                    names, *columns)
+
+
+def _one_row(args, command: str, params: dict, row: dict):
+    """Write a table of one row, given as column name -> value."""
+    _emit(args, command, params, list(row), [[v] for v in row.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -326,65 +335,53 @@ def _grid_with_value(lo: float, hi: float, n: int, include: float) -> np.ndarray
     return grid
 
 
-def _figure_beta_curve(params):
-    n = params["points"]
-    i_fifty = params["i_fifty"]
-    grid = _grid_with_value(0.0, params["i_beta_max"], n, i_fifty)
-    columns = [grid, reliability(grid, i_fifty)]
-    return ["i_beta", "beta"], columns, {"i_fifty": i_fifty}
+def _figure_beta_curve(i_fifty, i_beta_max, points=251):
+    grid = _grid_with_value(0.0, i_beta_max, points, i_fifty)
+    return ["i_beta", "beta"], [grid, reliability(grid, i_fifty)], {"i_fifty": i_fifty}
 
 
-def _figure_estimate_pdf(params):
-    x, i_fifty = params["x"], params["i_fifty"]
+def _figure_estimate_pdf(x, i_fifty, i_sigma_values, x_est_max, points=600):
     if not x > 0.0:
         raise ConfigError(f"x must be positive, got {x!r}")
-    sigmas = [(isg, estimate_scale(isg, i_fifty)) for isg in params["i_sigma_values"]]
-    grid = _grid_with_value(params["x_est_max"] / params["points"],
-                            params["x_est_max"], params["points"], x)
+    sigmas = [(isg, estimate_scale(isg, i_fifty)) for isg in i_sigma_values]
+    grid = _grid_with_value(x_est_max / points, x_est_max, points, x)
     mu = float(np.log(x))
     names = ["x_est"] + [f"pdf_i_sigma_{isg:g}" for isg, _ in sigmas]
     columns = [grid] + [lognormal_pdf(grid, mu, s) for _, s in sigmas]
     return names, columns, {"x": x, "i_fifty": i_fifty}
 
 
-def _figure_alpha_curve(params):
-    a_values = params["a_values"]
-    grid = np.linspace(0.0, 1.0, params["points"])
+def _figure_alpha_curve(a_values=(0.5, 1.0, 2.0, 5.0, 10.0), points=201):
+    grid = np.linspace(0.0, 1.0, points)
     names = ["c_over_r"] + [f"alpha_a_{a:g}" for a in a_values]
     columns = [grid] + [aggression_probability(grid, 1.0, a) for a in a_values]
     return names, columns, {}
 
 
-def _figure_utility_vs_demand(params):
-    x, a = params["x"], params["a"]
-    beta = reliability(params["i_beta"], params["i_fifty"])
+def _figure_utility_vs_demand(x, i_fifty, i_beta, a, c_max_values, r_max, points=400):
+    beta = reliability(i_beta, i_fifty)
     kink = demand_factor(a, beta) * x
-    grid = _grid_with_value(params["r_max"] / params["points"], params["r_max"],
-                            params["points"], kink)
-    c_values = params["c_max_values"]
-    names = ["demand", "utility_optimal"] + [f"utility_cmax_{c:g}" for c in c_values]
+    grid = _grid_with_value(r_max / points, r_max, points, kink)
+    names = ["demand", "utility_optimal"] + [f"utility_cmax_{c:g}" for c in c_max_values]
     c_optimal = optimal_counteroffer(grid, x, a, beta)
     columns = [grid, defender_utility(c_optimal, grid, x, a, beta)]
     columns += [defender_utility(np.minimum(grid, c_cap), grid, x, a, beta)
-                for c_cap in c_values]
+                for c_cap in c_max_values]
     return names, columns, {"kink_demand": kink, "beta": beta}
 
 
-def _figure_profit_vs_estimate(params):
-    x, i_fifty = params["x"], params["i_fifty"]
+def _figure_profit_vs_estimate(x, i_fifty, i_beta, i_sigma, x_est_max,
+                               a_values=(2.0, 5.0, 10.0, 20.0), points=600):
     env = GameEnvironment(i_fifty=i_fifty, target_value=FixedValue(x))
-    a_values = params["a_values"]
-    grid = _grid_with_value(params["x_est_max"] / params["points"],
-                            params["x_est_max"], params["points"], x)
-    strategies = [AttackerStrategy(a=a, i_beta=params["i_beta"],
-                                   i_sigma=params["i_sigma"]) for a in a_values]
+    grid = _grid_with_value(x_est_max / points, x_est_max, points, x)
+    strategies = [AttackerStrategy(a=a, i_beta=i_beta, i_sigma=i_sigma) for a in a_values]
     names = ["x_est"] + [f"profit_a_{a:g}" for a in a_values]
     columns = [grid] + [optimal_play_profit(grid, x, s, env) for s in strategies]
-    return names, columns, {"x": x, "i_beta": params["i_beta"], "i_sigma": params["i_sigma"]}
+    return names, columns, {"x": x, "i_beta": i_beta, "i_sigma": i_sigma}
 
 
-def _mean_env(params) -> GameEnvironment:
-    return GameEnvironment(i_fifty=params["i_fifty"], target_value=PopulationMean(params["m"]))
+def _mean_env(i_fifty: float, m: float) -> GameEnvironment:
+    return GameEnvironment(i_fifty=i_fifty, target_value=PopulationMean(m))
 
 
 def _surface_columns(surface) -> list:
@@ -398,21 +395,16 @@ _HEATMAP_PANELS = (("i_beta", "i_sigma", "a"),
                    ("a", "i_beta", "i_sigma"))
 
 
-def _figure_profit_heatmaps(params):
+def _figure_profit_heatmaps(i_fifty, m, a_lo, a_hi, inv_lo, inv_hi, points=200):
     """Three 2-D profit surfaces; the hidden parameter sits at its optimum."""
-    env = _mean_env(params)
-    optimum = maximize_profit(env)
-    opt = {"a": optimum.strategy.a, "i_beta": optimum.strategy.i_beta,
-           "i_sigma": optimum.strategy.i_sigma}
-    n = params["points"]
-    ranges = {"a": (params["a_lo"], params["a_hi"]),
-              "i_beta": (params["inv_lo"], params["inv_hi"]),
-              "i_sigma": (params["inv_lo"], params["inv_hi"])}
+    env = _mean_env(i_fifty, m)
+    opt = asdict(maximize_profit(env).strategy)
+    ranges = {"a": (a_lo, a_hi), "i_beta": (inv_lo, inv_hi), "i_sigma": (inv_lo, inv_hi)}
 
     panels = {}
     for p1, p2, hidden in _HEATMAP_PANELS:
-        grid = SweepGrid(axes=[AxisSpec(p1, *ranges[p1], n, "log"),
-                               AxisSpec(p2, *ranges[p2], n, "log")],
+        grid = SweepGrid(axes=[AxisSpec(p1, *ranges[p1], points, "log"),
+                               AxisSpec(p2, *ranges[p2], points, "log")],
                          fixed={hidden: opt[hidden]})
         surface = profit_surface(env, grid)
         argmax = surface.argmax_strategy
@@ -428,8 +420,7 @@ def _figure_profit_heatmaps(params):
 def _emit_panels(args, params: dict, panels: dict):
     """One JSON file of panels, or per panel a table CSV and a contour CSV."""
     if args.format == "json":
-        _write_json(args.out, {"version": CONFIG_VERSION, "command": "figure",
-                               "params": params,
+        _write_json(args.out, {**_header("figure", params),
                                "panels": {k: _json_table(*p) for k, p in panels.items()}})
         return
     config_line = _config_json("figure", params)
@@ -442,22 +433,16 @@ def _emit_panels(args, params: dict, panels: dict):
                    ["polyline", *names[:2]], polyline, points[:, 0], points[:, 1])
 
 
-# name -> (builder, default points, default a_values, parameters in the header).
-# Builders return (column names, columns, meta), the heatmaps one per panel.
+# Each builder takes its parameters as keyword arguments, and the figure's
+# header holds exactly those.  Builders return (column names, columns, meta),
+# the heatmaps one such table per panel.
 _FIGURES = {
-    "beta_curve": (_figure_beta_curve, 251, None, ("i_fifty", "i_beta_max", "points")),
-    "estimate_pdf": (_figure_estimate_pdf, 600, None,
-                     ("x", "i_fifty", "i_sigma_values", "x_est_max", "points")),
-    "alpha_curve": (_figure_alpha_curve, 201, [0.5, 1.0, 2.0, 5.0, 10.0],
-                    ("a_values", "points")),
-    "utility_vs_demand": (_figure_utility_vs_demand, 400, None,
-                          ("x", "i_fifty", "i_beta", "a", "c_max_values", "r_max",
-                           "points")),
-    "profit_vs_estimate": (_figure_profit_vs_estimate, 600, [2.0, 5.0, 10.0, 20.0],
-                           ("x", "i_fifty", "i_beta", "i_sigma", "a_values", "x_est_max",
-                            "points")),
-    "profit_heatmaps": (_figure_profit_heatmaps, 200, None,
-                        ("i_fifty", "m", "points", "a_lo", "a_hi", "inv_lo", "inv_hi")),
+    "beta_curve": _figure_beta_curve,
+    "estimate_pdf": _figure_estimate_pdf,
+    "alpha_curve": _figure_alpha_curve,
+    "utility_vs_demand": _figure_utility_vs_demand,
+    "profit_vs_estimate": _figure_profit_vs_estimate,
+    "profit_heatmaps": _figure_profit_heatmaps,
 }
 FIGURE_NAMES = tuple(_FIGURES)
 
@@ -466,19 +451,16 @@ def cmd_figure(args, params) -> int:
     name = params["name"]
     if name not in _FIGURES:
         raise ConfigError(f"unknown figure {name!r}; expected one of {FIGURE_NAMES}")
-    builder, points, a_values, used = _FIGURES[name]
-    if params["points"] is None:
-        params["points"] = points
-    if params["points"] < 2:
-        raise ConfigError(f"points must be at least 2, got {params['points']}")
-    if params["a_values"] is None:
-        params["a_values"] = a_values
-    # Embed only the parameters the figure actually uses.
-    header = {k: params[k] for k in ("name", *used)}
+    builder = _FIGURES[name]
+    used = {k: p.default if params[k] is None else params[k]
+            for k, p in inspect.signature(builder).parameters.items()}
+    if used["points"] < 2:
+        raise ConfigError(f"points must be at least 2, got {used['points']}")
+    header = {"name": name, **used}
     if name == "profit_heatmaps":
-        _emit_panels(args, header, builder(params))
+        _emit_panels(args, header, builder(**used))
     else:
-        _emit(args, "figure", header, *builder(params))
+        _emit(args, "figure", header, *builder(**used))
     return 0
 
 
@@ -490,7 +472,8 @@ def cmd_figure(args, params) -> int:
 def cmd_table(args, params) -> int:
     if params["what"] != "strategies":
         raise ConfigError(f"unknown table {params['what']!r}; expected 'strategies'")
-    env, i_fifty, m = _mean_env(params), params["i_fifty"], params["m"]
+    i_fifty, m = params["i_fifty"], params["m"]
+    env = _mean_env(i_fifty, m)
     counteroffers = [demand_factor(a, reliability(i_beta, i_fifty)) * m
                      for _, a, i_beta, _ in STRATEGY_TABLE]
     profits = [expected_profit(AttackerStrategy(a=a, i_beta=i_beta, i_sigma=i_sigma), env,
@@ -562,14 +545,10 @@ def cmd_simulate(args, params) -> int:
                 def on_chunk(chunk, first_run):
                     write_trace_csv(chunk, trace_file, header_lines=header,
                                     first_run=first_run)
-            report = run_batch(config, workers=args.workers, on_chunk=on_chunk)
-            names = ["n_runs", "mean_attacker_profit", "std_error_attacker_profit",
-                     "mean_defender_utility"] + \
-                    [f"count_{k.value}" for k in report.outcome_counts]
-            row = [report.n_runs, report.mean_attacker_profit,
-                   report.std_error_attacker_profit, report.mean_defender_utility] + \
-                  list(report.outcome_counts.values())
-            _emit(args, "simulate", params, names, [[v] for v in row])
+            summary = asdict(run_batch(config, workers=args.workers, on_chunk=on_chunk))
+            counts = summary.pop("outcome_counts")
+            _one_row(args, "simulate", params,
+                     {**summary, **{f"count_{k.value}": v for k, v in counts.items()}})
     except BaseException:
         # A failed command leaves no trace behind, not even an empty one.
         if trace_file is not None and Path(args.trace_out).is_file():
@@ -581,13 +560,11 @@ def cmd_simulate(args, params) -> int:
 def cmd_optimize(args, params) -> int:
     bounds = {axis: (params[f"{axis}_lo"], params[f"{axis}_hi"])
               for axis in ("a", "i_beta", "i_sigma")}
-    optimum = maximize_profit(_mean_env(params), bounds=bounds,
+    optimum = maximize_profit(_mean_env(params["i_fifty"], params["m"]), bounds=bounds,
                               grid_points=params["grid_points"])
-    best = optimum.strategy
-    _emit(args, "optimize", params,
-          ["a", "i_beta", "i_sigma", "profit", "evaluations", "converged"],
-          [[best.a], [best.i_beta], [best.i_sigma], [optimum.profit],
-           [optimum.evaluations], [optimum.converged]])
+    _one_row(args, "optimize", params,
+             {**asdict(optimum.strategy), "profit": optimum.profit,
+              "evaluations": optimum.evaluations, "converged": optimum.converged})
     return 0
 
 
@@ -595,16 +572,10 @@ def cmd_sweep(args, params) -> int:
     if not params["axes"]:
         raise ConfigError("sweep needs at least one --axis name:lo:hi:n[:scale]")
     grid = SweepGrid(axes=params["axes"], fixed=params["fixed"])
-    surface = profit_surface(_mean_env(params), grid)
-    header = {
-        "i_fifty": params["i_fifty"], "m": params["m"],
-        "axes": [{"name": ax.name, "lo": ax.lo, "hi": ax.hi, "n": ax.n,
-                  "scale": ax.scale} for ax in grid.axes],
-        "fixed": dict(sorted(grid.fixed.items())),
-    }
-    argmax = surface.argmax_strategy
-    meta = {"argmax_a": argmax.a, "argmax_i_beta": argmax.i_beta,
-            "argmax_i_sigma": argmax.i_sigma, "argmax_profit": surface.argmax_profit}
+    surface = profit_surface(_mean_env(params["i_fifty"], params["m"]), grid)
+    header = {**params, "axes": [asdict(ax) for ax in grid.axes]}
+    meta = {f"argmax_{k}": v for k, v in asdict(surface.argmax_strategy).items()}
+    meta["argmax_profit"] = surface.argmax_profit
     _emit(args, "sweep", header, [ax.name for ax in grid.axes] + ["profit"],
           _surface_columns(surface), meta,
           surface.contours if args.format == "json" else None)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from ransomgame import (AttackerStrategy, defender_utility, demand_factor, estimate_scale,
                         expected_profit, optimal_counteroffer, reliability)
-from ransomgame.cli import (FIGURE_NAMES, SCHEMAS, STRATEGY_TABLE, _cell,
+from ransomgame.cli import (_FIGURES, FIGURE_NAMES, SCHEMAS, STRATEGY_TABLE, _cell,
                             _grid_with_value, _write_csv, main)
 from ransomgame.optimize import DEFAULT_BOUNDS, AxisSpec, SweepGrid, maximize_profit, profit_surface
 from ransomgame import optimize, profit, simulate
@@ -55,6 +56,19 @@ class TestFigureCommands:
         assert rows
         for row in rows[:5]:
             [float(v) for v in row]
+
+    @pytest.mark.parametrize("name", FIGURE_NAMES)
+    def test_header_holds_exactly_the_builder_parameters(self, tmp_path, name):
+        # A header reproduces its file only if it holds every parameter the
+        # builder reads; one it does not read would only make it longer.
+        parameters = inspect.signature(_FIGURES[name]).parameters
+        out = tmp_path / "f.json"
+        assert main(["figure", name, "--points", "5", "--format", "json",
+                     "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())["params"]) == {"name", *parameters}
+        for parameter in parameters.values():
+            if parameter.default is parameter.empty:
+                assert SCHEMAS["figure"][parameter.name][1] is not None, parameter.name
 
     def test_beta_curve_passes_through_half_reliability(self, tmp_path):
         out = tmp_path / "f1.csv"
@@ -529,8 +543,7 @@ class TestCsvWriter:
         grid = SweepGrid(axes=[AxisSpec(n, float(lo), float(hi), int(k), *scale)
                                for n, lo, hi, k, *scale in (ax.split(":") for ax in axes)])
         surface = profit_surface(mean_env, grid)
-        rows = [tuple(v[k] for v, k in zip(surface.axis_values, idx)) + (surface.values[idx],)
-                for idx in np.ndindex(*surface.values.shape)]
+        rows = _surface_rows(surface)
         header = out.read_text().splitlines(keepends=True)
         want = tmp_path / "want.csv"
         _reference_write_csv(want, header[0][len("# config: "):-1],
@@ -539,8 +552,18 @@ class TestCsvWriter:
         assert out.read_bytes() == want.read_bytes()
 
 
-def _reference_json(command, params, names, rows, meta=None, contours=None):
-    """The JSON table built row by row, floats rounded to 9 significant digits."""
+def _reference_table(names, rows, meta=None, contours=None):
+    """A JSON table built row by row."""
+    table = {"columns": names, "rows": [list(row) for row in rows]}
+    if meta:
+        table["meta"] = meta
+    if contours is not None:
+        table["contours"] = [line.tolist() for line in contours]
+    return table
+
+
+def _reference_dump(payload):
+    """A JSON file's text, floats rounded to 9 significant digits."""
     def round9(obj):
         if isinstance(obj, float):
             return float(f"{obj:.9g}")
@@ -550,13 +573,18 @@ def _reference_json(command, params, names, rows, meta=None, contours=None):
             return [round9(v) for v in obj]
         return obj
 
-    payload = {"version": 1, "command": command, "params": params, "columns": names,
-               "rows": [list(row) for row in rows]}
-    if meta:
-        payload["meta"] = meta
-    if contours is not None:
-        payload["contours"] = [line.tolist() for line in contours]
     return json.dumps(round9(payload), sort_keys=True, indent=1) + "\n"
+
+
+def _reference_json(command, params, names, rows, meta=None, contours=None):
+    return _reference_dump({"version": 1, "command": command, "params": params,
+                            **_reference_table(names, rows, meta, contours)})
+
+
+def _surface_rows(surface):
+    """One (axis values..., profit) tuple per node in C order."""
+    return [tuple(v[k] for v, k in zip(surface.axis_values, idx)) + (surface.values[idx],)
+            for idx in np.ndindex(*surface.values.shape)]
 
 
 def _defaults(command, **overrides):
@@ -580,8 +608,7 @@ class TestJsonBytes:
         specs = [AxisSpec(n, float(lo), float(hi), int(k), *scale)
                  for n, lo, hi, k, *scale in (ax.split(":") for ax in axes)]
         surface = profit_surface(mean_env, SweepGrid(axes=specs, fixed=fixed))
-        rows = [tuple(v[k] for v, k in zip(surface.axis_values, idx)) + (surface.values[idx],)
-                for idx in np.ndindex(*surface.values.shape)]
+        rows = _surface_rows(surface)
         best = surface.argmax_strategy
         meta = {"argmax_a": best.a, "argmax_i_beta": best.i_beta,
                 "argmax_i_sigma": best.i_sigma, "argmax_profit": surface.argmax_profit}
@@ -633,6 +660,29 @@ class TestJsonBytes:
                   "a": 10.0, "c_max_values": caps, "r_max": 2.0, "points": 400}
         assert self._json(tmp_path, "figure", "utility_vs_demand") == _reference_json(
             "figure", params, names, rows, {"kink_demand": kink, "beta": beta})
+
+    def test_heatmaps(self, tmp_path, mean_env):
+        got = self._json(tmp_path, "figure", "profit_heatmaps", "--points", "12")
+        opt = maximize_profit(mean_env).strategy
+        ranges = {"a": (0.1, 20.0), "i_beta": (0.001, 0.5), "i_sigma": (0.001, 0.5)}
+        panels = {}
+        for p1, p2, hidden in (("i_beta", "i_sigma", "a"), ("a", "i_sigma", "i_beta"),
+                               ("a", "i_beta", "i_sigma")):
+            fixed = getattr(opt, hidden)
+            grid = SweepGrid(axes=[AxisSpec(p1, *ranges[p1], 12, "log"),
+                                   AxisSpec(p2, *ranges[p2], 12, "log")],
+                             fixed={hidden: fixed})
+            surface = profit_surface(mean_env, grid)
+            best = surface.argmax_strategy
+            meta = {f"fixed_{hidden}": fixed, f"argmax_{p1}": getattr(best, p1),
+                    f"argmax_{p2}": getattr(best, p2), "argmax_profit": surface.argmax_profit}
+            assert surface.contours
+            panels[f"{p1}__{p2}"] = _reference_table([p1, p2, "profit"], _surface_rows(surface),
+                                                     meta, surface.contours)
+        params = {"name": "profit_heatmaps", "i_fifty": 0.02, "m": 1.0, "a_lo": 0.1,
+                  "a_hi": 20.0, "inv_lo": 0.001, "inv_hi": 0.5, "points": 12}
+        assert got == _reference_dump({"version": 1, "command": "figure", "params": params,
+                                       "panels": panels})
 
 
 class TestHeatmapFigure:
@@ -770,6 +820,42 @@ class TestConfigHandling:
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: not enough memory: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,config,message", [
+        (["figure", "alpha_curve", "--a-values", "x"], None,
+         "expected a comma-separated list of numbers, got 'x'"),
+        (["sweep"], {"version": 1, "command": "sweep",
+                     "params": {"axes": [{"name": "a", "lo": 1, "hi": 2, "n": 3, "step": 1}]}},
+         "unknown axis keys: ['step']"),
+        (["sweep"], {"version": 1, "command": "sweep",
+                     "params": {"axes": [{"name": "a", "lo": 1, "hi": 2}]}},
+         "axis spec missing key 'n'"),
+        (["sweep", "--axis", "a:1:2"], None, "axis spec must be name:lo:hi:n[:scale], got 'a:1:2'"),
+        (["sweep", "--axis", "a:1:2:3", "--fix", "i_beta"], None,
+         "fixed parameter must be name=value, got 'i_beta'"),
+        (["sweep", "--axis", "a:1:2:3", "--fix", "i_beta=x"], None,
+         "malformed fixed parameter 'i_beta=x'"),
+        (["table"], [1], "config file {config} must hold a JSON object"),
+        (["table"], {"version": 1, "command": "table", "extra": 1}, "unknown config keys: ['extra']"),
+        (["table"], {"version": 1, "command": "table", "params": [1]},
+         "config params must be an object"),
+        (["figure", "estimate_pdf", "--x", "0"], None, "x must be positive, got 0.0"),
+        (["sweep", "--axis", "a:1:2:3:cubic", "--fix", "i_beta=0.1", "--fix", "i_sigma=0.1"], None,
+         "axis a: scale must be linear or log, got 'cubic'"),
+        (["sweep", "--axis", "a:1:2:3", "--axis", "a:1:2:3", "--fix", "i_beta=0.1",
+          "--fix", "i_sigma=0.1"], None, "duplicate sweep axes: ['a', 'a']"),
+        (["sweep", "--axis", "a:1:2:3", "--fix", "i_beta=0.1", "--fix", "q=0.1"], None,
+         "unknown fixed parameter 'q'"),
+    ])
+    def test_rejected_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config,
+                                                  message):
+        config_path, out = tmp_path / "c.json", tmp_path / "x.csv"
+        if config is not None:
+            config_path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(config_path)]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(config=config_path)}\n"
+        assert not out.exists()
 
     def test_deeply_nested_config_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -1,7 +1,11 @@
 """Property-based checks under a fixed, derandomized Hypothesis profile."""
 
+import contextlib
 import io
+import json
 import math
+import os
+import tempfile
 import warnings
 from dataclasses import astuple
 
@@ -9,7 +13,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment,  # noqa: E402
                         PopulationMean, SeedSpec, SimulationConfig, aggression_probability,
@@ -17,6 +21,7 @@ from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironme
                         estimate_scale, expected_profit, gross_multiplier_closed_form,
                         optimal_counteroffer, optimal_play_profit, reliability, run_single)
 from ransomgame._rows import write_rows  # noqa: E402
+from ransomgame.cli import FIGURE_NAMES, SCHEMAS, main  # noqa: E402
 from ransomgame.optimize import DEFAULT_BOUNDS, maximize_profit  # noqa: E402
 from ransomgame.profit import _closed_form_profit, profit_grid  # noqa: E402
 from ransomgame.simulate import _outcome_from_arrays  # noqa: E402
@@ -313,3 +318,71 @@ def test_written_boundary_floats(value):
 @pytest.mark.parametrize("value,dtype", _INT_EDGES)
 def test_written_boundary_integers(value, dtype):
     assert _written(np.array([value, 1], dtype=dtype)) == ["%d" % value, "1"]
+
+
+# CLI values that are empty, malformed, out of domain, at float64's edges,
+# lists, axes and fixed parameters.  No integer exceeds 50, so that no
+# command runs long.
+_CLI_VALUES = ("", "x", "nan", "-1", "0", "3", "50", "1e308", "1e-320", "1,2",
+               "a:1:2:3", "i_beta:0.01:0.5:3:log", "a:1:2", "a=2", "i_beta=0.1",
+               "i_sigma=0.1")
+_POSITIONAL = {"figure": ("name", FIGURE_NAMES + ("x",)), "table": ("what", ("strategies", "x"))}
+_REPEATED = {"axes": "--axis", "fixed": "--fix"}
+
+
+def _config_value(text):
+    """The JSON value a config file would hold for ``text``."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+@st.composite
+def _cli_calls(draw):
+    """(command, positional args, flag args, config params) for one invocation."""
+    command = draw(st.sampled_from(sorted(SCHEMAS)))
+    positional, choices = _POSITIONAL.get(command, (None, ()))
+    names = [name for name in SCHEMAS[command] if name != positional]
+    drawn = draw(st.dictionaries(st.sampled_from(names),
+                                 st.lists(st.sampled_from(_CLI_VALUES), min_size=1, max_size=3),
+                                 max_size=4))
+    flags, params = [], {}
+    for name, values in drawn.items():
+        if name in _REPEATED:
+            flags += [arg for v in values for arg in (_REPEATED[name], v)]
+            params[name] = [_config_value(v) for v in values]
+        else:
+            flags += ["--" + name.replace("_", "-"), values[0]]
+            params[name] = _config_value(values[0])
+    args = [draw(st.sampled_from(choices))] if choices else []
+    if args:
+        params[positional] = args[0]
+    return command, args, flags + ["--format", draw(st.sampled_from(["csv", "json"]))], params
+
+
+def _run_cli(argv):
+    """Run main, which must exit 0, 2 or 3 and on failure leave no output file."""
+    with tempfile.TemporaryDirectory() as directory:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--out", os.path.join(directory, "o.csv")])
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert os.listdir(directory) == []
+
+
+@given(_cli_calls())
+# Drawn examples seldom complete a sweep or reach a numerical failure.
+@example(("sweep", [], ["--axis", "a:1:2:3", "--fix", "i_beta=0.1", "--fix", "i_sigma=0.1",
+                        "--format", "json"],
+          {"axes": ["a:1:2:3"], "fixed": ["i_beta=0.1", "i_sigma=0.1"]}))
+@example(("figure", ["estimate_pdf"], ["--i-fifty", "1e-320", "--format", "csv"],
+          {"name": "estimate_pdf", "i_fifty": 1e-320}))
+def test_cli_exits_0_2_or_3_and_leaves_no_file_on_failure(call):
+    command, args, flags, params = call
+    _run_cli([command, *args, *flags])
+    with tempfile.TemporaryDirectory() as directory:
+        config = os.path.join(directory, "c.json")
+        with open(config, "w") as f:
+            json.dump({"version": 1, "command": command, "params": params}, f)
+        _run_cli([command, "--config", config, "--format", flags[-1]])
