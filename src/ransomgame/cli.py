@@ -31,10 +31,31 @@ from .game import (AttackerStrategy, FixedValue, GameEnvironment, PopulationMean
 from .optimize import (DEFAULT_BOUNDS, DEFAULT_GRID_POINTS, AxisSpec, SweepGrid,
                        maximize_profit, profit_surface)
 from .profit import ProfitMethod, expected_profit
-from .simulate import SimulationConfig, run_batch, write_trace_csv
 from .stochastics import SeedSpec, lognormal_pdf
 
 CONFIG_VERSION = 1
+
+# The Monte Carlo engine's names, bound on first use: only ``simulate`` runs
+# the engine, so the other commands never load it.
+_ENGINE_NAMES = ("SimulationConfig", "run_batch", "write_trace_csv")
+
+
+def _load_engine():
+    """Bind the engine's names as module globals, keeping any bound already.
+
+    A profiler wraps ``run_batch`` and ``write_trace_csv`` by setting this
+    module's attributes before a command runs; those wrappers stay.
+    """
+    from . import simulate
+    for name in _ENGINE_NAMES:
+        globals().setdefault(name, getattr(simulate, name))
+
+
+def __getattr__(name):
+    if name not in _ENGINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_engine()
+    return globals()[name]
 
 # The seven reference strategies: label, aggression, and the two investments.
 STRATEGY_TABLE = (
@@ -520,6 +541,7 @@ def _check_distinct_outputs(out: str, trace_out: str):
 
 
 def cmd_simulate(args, params) -> int:
+    _load_engine()
     config = SimulationConfig(
         strategy=AttackerStrategy(a=params["a"], i_beta=params["i_beta"],
                                   i_sigma=params["i_sigma"]),
@@ -599,46 +621,63 @@ def _param_flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of all five commands, with the arguments of ``command`` only.
+
+    Every command is registered, so the usage line and argparse's errors
+    list all five; a ``command`` of None adds every command's arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="ransomgame",
         description="Targeted-ransomware negotiation game: figures, tables, "
                     "simulation, optimization, and sweeps.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fig = sub.add_parser("figure", help="emit a figure's data series")
-    p_fig.add_argument("p_name", nargs="?", metavar="name",
-                       help=f"one of {', '.join(FIGURE_NAMES)}")
-    p_table = sub.add_parser("table", help="emit the reference strategy table")
-    p_table.add_argument("p_what", nargs="?", metavar="what", help="'strategies'")
-    p_sim = sub.add_parser("simulate", help="run the Monte Carlo engine")
-    p_opt = sub.add_parser("optimize", help="find the profit-maximizing strategy")
-    p_sweep = sub.add_parser("sweep", help="evaluate expected profit over a grid")
-    for p in (p_fig, p_table, p_sim, p_opt, p_sweep):
-        _add_common(p)
-
-    p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--trace-out", default=None, help="also write per-run trace CSV")
-    p_sweep.add_argument("--axis", dest="p_axes", metavar="AXIS", action="append",
-                         help="name:lo:hi:n[:scale], repeatable")
-    p_sweep.add_argument("--fix", dest="p_fixed", metavar="FIX", action="append",
-                         help="name=value for hidden parameters, repeatable")
-    # No type=: _resolve_params converts flag values as it does config values.
-    for p, names in ((p_fig, [n for n in SCHEMAS["figure"] if n != "name"]),
-                     (p_sim, SCHEMAS["simulate"]), (p_opt, SCHEMAS["optimize"]),
-                     (p_sweep, ("i_fifty", "m"))):
-        for name in names:
-            p.add_argument(_param_flag(name), dest=f"p_{name}")
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            _add_arguments(p, name)
     return parser
 
 
-_COMMANDS = {"figure": cmd_figure, "table": cmd_table, "simulate": cmd_simulate,
-             "optimize": cmd_optimize, "sweep": cmd_sweep}
+def _add_arguments(p, command: str):
+    if command == "figure":
+        p.add_argument("p_name", nargs="?", metavar="name",
+                       help=f"one of {', '.join(FIGURE_NAMES)}")
+    elif command == "table":
+        p.add_argument("p_what", nargs="?", metavar="what", help="'strategies'")
+    _add_common(p)
+    if command == "simulate":
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--trace-out", default=None, help="also write per-run trace CSV")
+    elif command == "sweep":
+        p.add_argument("--axis", dest="p_axes", metavar="AXIS", action="append",
+                       help="name:lo:hi:n[:scale], repeatable")
+        p.add_argument("--fix", dest="p_fixed", metavar="FIX", action="append",
+                       help="name=value for hidden parameters, repeatable")
+    # Every other schema name gets a flag.  No type=: _resolve_params
+    # converts flag values as it does config values.
+    for name in SCHEMAS[command]:
+        if name not in ("name", "what", "axes", "fixed"):
+            p.add_argument(_param_flag(name), dest=f"p_{name}")
+
+
+# Each command's function and help line.
+_COMMANDS = {
+    "figure": (cmd_figure, "emit a figure's data series"),
+    "table": (cmd_table, "emit the reference strategy table"),
+    "simulate": (cmd_simulate, "run the Monte Carlo engine"),
+    "optimize": (cmd_optimize, "find the profit-maximizing strategy"),
+    "sweep": (cmd_sweep, "evaluate expected profit over a grid"),
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the command being run needs its arguments; --help, --version
+    # and a missing or unknown command get every command's.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -648,7 +687,7 @@ def main(argv=None) -> int:
         flags["master_seed"] = args.seed
     try:
         params = _resolve_params(args.command, flags, args.config)
-        return _COMMANDS[args.command](args, params)
+        return _COMMANDS[args.command][0](args, params)
     except (ConfigError, DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

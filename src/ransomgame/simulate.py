@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import IO, Callable, Optional
 
@@ -260,6 +259,8 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
     if workers == 1:
         yield from map(play, range(len(starts)))
         return
+    # Imported here: a one-worker batch, the CLI's default, needs no pool.
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # Chunk k + workers + 1 reuses chunk k's slot, so it is submitted
         # only after the caller has asked for chunk k + 1.

@@ -13,7 +13,7 @@ import pytest
 from ransomgame import (AttackerStrategy, defender_utility, demand_factor, estimate_scale,
                         expected_profit, optimal_counteroffer, reliability)
 from ransomgame.cli import (_FIGURES, FIGURE_NAMES, SCHEMAS, STRATEGY_TABLE, _cell,
-                            _grid_with_value, _write_csv, main)
+                            _grid_with_value, _write_csv, build_parser, main)
 from ransomgame.optimize import DEFAULT_BOUNDS, AxisSpec, SweepGrid, maximize_profit, profit_surface
 from ransomgame import optimize, profit, simulate
 from ransomgame._rows import BLOCK_ROWS
@@ -188,6 +188,19 @@ class TestTableCommand:
 
     def test_unknown_table_rejected(self, tmp_path):
         assert main(["table", "payoffs", "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_flags_write_the_bytes_of_a_config_file(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"version": 1, "command": "table",
+                                      "params": {"i_fifty": 0.03, "m": 2}}))
+        by_flags, by_config = tmp_path / "flags.csv", tmp_path / "config.csv"
+        assert main(["table", "strategies", "--i-fifty", "0.03", "--m", "2",
+                     "--out", str(by_flags)]) == 0
+        assert main(["table", "strategies", "--config", str(config),
+                     "--out", str(by_config)]) == 0
+        assert by_flags.read_bytes() == by_config.read_bytes()
+        assert read_csv(by_flags)[0]["params"] == {"what": "strategies", "i_fifty": 0.03,
+                                                   "m": 2.0}
 
 
 class TestSimulateCommand:
@@ -890,6 +903,55 @@ class TestConfigHandling:
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["simulate"]) == 2  # --out missing
         assert main(["warp", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+# The usage line of a command-less error lists every command.
+_USAGE = "usage: ransomgame [-h] [--version] {figure,table,simulate,optimize,sweep} ...\n"
+
+
+class TestParser:
+    """``main`` adds only its command's arguments to the parser."""
+
+    @staticmethod
+    def _whole_parser_error(argv, capsys) -> str:
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, last_line", [
+        (["bogus"], "ransomgame: error: argument command: invalid choice: 'bogus' "),
+        (["optimize", "--out", "x", "extra"],
+         "ransomgame: error: unrecognized arguments: extra"),
+        (["simulate", "--out", "x", "--workers", "x"],
+         "ransomgame simulate: error: argument --workers: invalid int value: 'x'"),
+    ])
+    def test_errors_match_the_parser_of_every_command(self, tmp_path, capsys, monkeypatch,
+                                                      argv, last_line):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == self._whole_parser_error(argv, capsys)
+        assert err.splitlines()[-1].startswith(last_line)
+        if argv[0] != "simulate":
+            assert err.startswith(_USAGE)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", SCHEMAS)
+    def test_help_lists_every_schema_flag(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: ransomgame {command} ")
+        own = {"name": "name", "what": "what", "axes": "--axis", "fixed": "--fix"}
+        for name in SCHEMAS[command]:
+            assert own.get(name, "--" + name.replace("_", "-")) in text.split()
+
+    def test_arguments_default_to_sys_argv(self, tmp_path, monkeypatch):
+        out = tmp_path / "table.csv"
+        monkeypatch.setattr(sys, "argv", ["ransomgame", "table", "strategies",
+                                          "--out", str(out)])
+        assert main() == 0
+        assert read_csv(out)[0]["command"] == "table"
 
 
 class TestModuleEntryPoint:

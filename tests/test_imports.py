@@ -1,4 +1,4 @@
-"""Every module uses every name it imports.
+"""Every module uses every name it imports, and the package imports lazily.
 
 No linter is installed, so this reads each module's syntax tree instead.
 A name counts as used if any expression of the module reads it; names in
@@ -7,6 +7,10 @@ A name counts as used if any expression of the module reads it; names in
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,31 @@ def test_unused_names_are_found():
               "__all__ = ['loads']\n"
               "print(sys.argv)\n")
     assert _unused_imports(source) == ["d", "os"]
+
+
+# Runs in a fresh interpreter: what each import step adds to sys.modules.
+_FOOTPRINT = """
+import json, sys
+loaded = lambda: sorted(sys.modules)
+import ransomgame
+package = [m for m in loaded() if m.startswith("ransomgame.")]
+import ransomgame.cli
+cli = loaded()
+namespace = {}
+exec("from ransomgame import *", namespace)
+print(json.dumps({"package": package, "cli": cli, "all": ransomgame.__all__,
+                  "star": sorted(namespace), "dir": dir(ransomgame)}))
+"""
+
+
+def test_import_loads_only_what_every_command_needs():
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    seen = json.loads(proc.stdout)
+    assert seen["package"] == []
+    # Only simulate needs the Monte Carlo engine and, with workers, its thread pool.
+    for module in ("ransomgame.simulate", "concurrent.futures", "logging"):
+        assert module not in seen["cli"]
+    assert set(seen["all"]) <= set(seen["star"])
+    assert set(seen["all"]) <= set(seen["dir"])

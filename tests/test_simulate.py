@@ -1,5 +1,6 @@
 import io
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -281,6 +282,23 @@ class TestRunBatch:
                 whole.std_error_attacker_profit.hex()
             assert report.mean_defender_utility.hex() == whole.mean_defender_utility.hex()
             assert report.outcome_counts == whole.outcome_counts
+
+    def test_callback_error_stops_the_batch_and_joins_its_workers(self, monkeypatch):
+        # A batch abandoned mid-way closes its chunk generator, whose thread
+        # pool then finishes the chunks in flight and joins its workers.
+        monkeypatch.setattr(simulate, "_CHUNK", 1000)
+        baseline = threading.active_count()
+        seen = []
+
+        def on_chunk(chunk, first_run):
+            seen.append(first_run)
+            if len(seen) == 2:
+                raise RuntimeError("stop after two chunks")
+
+        with pytest.raises(RuntimeError, match="stop after two chunks"):
+            run_batch(_config(n=10_000), workers=2, on_chunk=on_chunk)
+        assert seen == [0, 1000]
+        assert threading.active_count() == baseline
 
     @pytest.mark.parametrize("n", [100, simulate._CHUNK + 100])
     def test_huge_finite_payoffs_give_finite_statistics(self, n):
