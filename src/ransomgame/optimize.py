@@ -1,8 +1,8 @@
 """Strategy optimization and profit-surface sweeps.
 
-The attacker's expected profit is smooth and cheap in closed form, so the
-optimizer is a coarse grid scan followed by derivative-free simplex
-refinement.  Monte Carlo never enters the optimization loop.
+The attacker's expected profit is cheap in closed form and its best i_beta
+is a formula, so the optimizer scans the (a, i_sigma) plane and refines with
+a derivative-free simplex.  Monte Carlo never enters the optimization loop.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._contour import zero_contours
-from .errors import ConfigError, DomainError
-from .game import AttackerStrategy, GameEnvironment
-from .profit import _closed_form_profit, profit_grid
+from .errors import ConfigError, DomainError, _scale
+from .game import AttackerStrategy, GameEnvironment, estimate_scale
+from .profit import _best_i_beta, _closed_form_profit, _empty, profit_grid
 
 _PARAM_NAMES = ("a", "i_beta", "i_sigma")
 
@@ -26,10 +26,6 @@ _PARAM_NAMES = ("a", "i_beta", "i_sigma")
 # degenerate edges a -> 0 or zero investment.
 DEFAULT_BOUNDS = {"a": (0.1, 20.0), "i_beta": (0.001, 0.5), "i_sigma": (0.001, 0.5)}
 DEFAULT_GRID_POINTS = 64
-
-# Most grid nodes evaluated at once by the scan; the default 64^3 grid is
-# one slab.
-_SLAB_NODES = 1 << 20
 
 # Standard simplex coefficients: reflection, expansion, contraction, shrink.
 NM_COEFFICIENTS = (1.0, 2.0, 0.5, 0.5)
@@ -184,61 +180,46 @@ def nelder_mead(func: Callable[[tuple], float], x0: Sequence[float],
     return points[best], values[best], n_evals, converged, history
 
 
-def _grid_argmax(axes, env: GameEnvironment) -> tuple:
-    """Index of the first maximum in C order of profit_grid(*axes, env).
-
-    The cube is evaluated a slab of a-planes at a time, at most _SLAB_NODES
-    nodes (or one plane) per slab, so memory does not grow with len(axes[0]).
-    A later slab replaces the best node only with a strictly greater profit.
-    """
-    plane = len(axes[1]) * len(axes[2])
-    step = max(1, _SLAB_NODES // plane)
-    best, best_value = None, -math.inf
-    for lo in range(0, len(axes[0]), step):
-        # profit_grid raises on a non-finite node, so the first slab always wins.
-        slab = profit_grid(axes[0][lo:lo + step], axes[1], axes[2], env)
-        k = int(np.argmax(slab))
-        if slab.flat[k] > best_value:
-            best_value = slab.flat[k]
-            j, *rest = np.unravel_index(k, slab.shape)
-            best = (lo + int(j), *(int(r) for r in rest))
-        del slab  # so that only one slab is alive while the next is built
-    return best
-
-
 def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
                     grid_points: int = DEFAULT_GRID_POINTS) -> StrategyOptimum:
     """Profit-maximizing strategy over a box of (a, i_beta, i_sigma).
 
-    Stage one scans a log-spaced grid; stage two refines from the best node
-    with a Nelder-Mead simplex.  Deterministic: grid ties break toward the
-    lexicographically smallest (a, i_beta, i_sigma).  Each side of the box is
-    an ``AxisSpec``, which rejects an unknown name or a degenerate range.
+    Only (a, i_sigma) is searched, with i_beta from ``profit._best_i_beta``:
+    a log-spaced grid_points^2 scan, then a 2-D Nelder-Mead simplex from its
+    best node; ``evaluations`` counts both.  Grid ties break toward the
+    lexicographically smallest (a, i_sigma).  Each side of the box is an
+    ``AxisSpec``, which rejects an unknown name or a degenerate range.
     """
-    specs = [AxisSpec(name, lo, hi, grid_points, "log")
-             for name, (lo, hi) in {**DEFAULT_BOUNDS, **(bounds or {})}.items()]
-    axes = [spec.values() for spec in specs]
+    a_spec, beta_spec, sigma_spec = [
+        AxisSpec(name, lo, hi, grid_points, "log")
+        for name, (lo, hi) in {**DEFAULT_BOUNDS, **(bounds or {})}.items()]
+    beta_box = (float(beta_spec.lo), float(beta_spec.hi))
+
+    def strategy(a, i_sigma):
+        return a, _best_i_beta(a, i_sigma, env, *beta_box), i_sigma
+
+    def profit(a, i_sigma):  # floats, or arrays that broadcast
+        return _closed_form_profit(*strategy(a, i_sigma), env)
+
+    axes = (a_spec.values(), sigma_spec.values())
+    # Allocated before any G, so a plane too large for memory fails at once.
+    plane = _empty((grid_points, grid_points))
+    # Log spacing puts the box in the strategy domain, but sigma may underflow.
+    _scale("sigma", estimate_scale(sigma_spec.hi, env.i_fifty))
+    # Overflow shows as a non-finite P, which raises, so numpy's warning is noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        plane[...] = profit(axes[0][:, None], axes[1])
     # Axes ascend: the first maximum in C order is the lexicographically smallest.
-    best = _grid_argmax(axes, env)
-    best_point = [float(axis[k]) for axis, k in zip(axes, best)]
-
+    best = np.unravel_index(int(np.argmax(plane)), plane.shape)
     # Refinement steps: half the local grid spacing in each coordinate.
-    steps = []
-    for axis, k in zip(axes, best):
-        idx = min(int(k), len(axis) - 2)
-        steps.append(0.5 * (float(axis[idx + 1]) - float(axis[idx])))
-
-    lo = [float(spec.lo) for spec in specs]
-    hi = [float(spec.hi) for spec in specs]
-    # The scan's profit_grid has checked the box, and the simplex stays in it.
+    steps = [0.5 * (float(axis[i + 1]) - float(axis[i]))
+             for axis, i in zip(axes, (min(int(k), grid_points - 2) for k in best))]
     x_best, f_best, nm_evals, converged, history = nelder_mead(
-        lambda p: -_closed_form_profit(*p, env), best_point, steps, lo, hi)
-    n_evals = grid_points ** 3 + nm_evals
-
-    strategy = AttackerStrategy(*x_best)
-    trace = [(p, -v) for p, v in history]
-    return StrategyOptimum(strategy=strategy, profit=-f_best, evaluations=n_evals,
-                           converged=converged, trace=trace)
+        lambda p: -profit(*p), [float(axis[k]) for axis, k in zip(axes, best)], steps,
+        (a_spec.lo, sigma_spec.lo), (a_spec.hi, sigma_spec.hi))
+    return StrategyOptimum(strategy=AttackerStrategy(*strategy(*x_best)), profit=-f_best,
+                           evaluations=grid_points ** 2 + nm_evals, converged=converged,
+                           trace=[(strategy(*p), -v) for p, v in history])
 
 
 def profit_surface(env: GameEnvironment, grid: SweepGrid) -> SurfaceResult:
@@ -254,7 +235,7 @@ def profit_surface(env: GameEnvironment, grid: SweepGrid) -> SurfaceResult:
                  else np.array([grid.fixed[name]], dtype=np.float64)
                  for name in _PARAM_NAMES]
     cube = profit_grid(*canonical, env)
-    # As in maximize_profit: fixed parameters are length-1 axes of the cube.
+    # Fixed parameters are length-1 axes of the cube.
     best = np.unravel_index(int(np.argmax(cube)), cube.shape)
     order = [_PARAM_NAMES.index(name) for name in names]
     order += [d for d in range(3) if d not in order]

@@ -12,7 +12,8 @@ scaled complementary error functions (``stochastics._erfcx``, arithmetic
 only, so its bits do not depend on numpy's SIMD loops), and adaptive
 quadrature of the underlying integral — which must agree to 1e-6 or better.
 The closed form is written for floats and arrays alike: ``profit_grid``
-evaluates it on whole grids, ``_closed_form_profit`` at one node.
+evaluates it on whole grids, ``_closed_form_profit`` at nodes, and
+``_best_i_beta`` is the formula for the best i_beta at (a, i_sigma).
 """
 
 from __future__ import annotations
@@ -102,13 +103,8 @@ def profit_grid(a, i_beta, i_sigma, env: GameEnvironment) -> np.ndarray:
     for pick in (np.min, np.max):
         AttackerStrategy(a=pick(a), i_beta=pick(i_beta), i_sigma=pick(i_sigma))
     # Allocated before any G, so a grid too large for memory fails at once.
-    try:
-        profit = np.empty((len(a), len(i_beta), len(i_sigma)))
-    except ValueError:  # numpy's "array is too big", past what it can address
-        raise MemoryError(f"a {len(a)} x {len(i_beta)} x {len(i_sigma)} profit grid "
-                          "exceeds the largest possible array") from None
-    # Overflow shows as a zero sigma or a non-finite P below, so numpy's
-    # warning is noise.
+    profit = _empty((len(a), len(i_beta), len(i_sigma)))
+    # Overflow shows as a zero sigma or a non-finite P below: numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
         # Never above 1, but 0 once i_fifty + i_sigma overflows or the ratio underflows.
         sigma = estimate_scale(i_sigma, env.i_fifty)
@@ -118,21 +114,30 @@ def profit_grid(a, i_beta, i_sigma, env: GameEnvironment) -> np.ndarray:
                     _gross_multiplier(a[:, None], sigma[None, :])[:, None, :], out=profit)
         profit *= env.mean_target_value
         profit -= i_beta[:, None] + i_sigma[None, :]
-    finite = np.isfinite(profit)
-    if not finite.all():
-        ja, jb, js = np.unravel_index(int(np.argmin(finite)), profit.shape)
-        _raise_not_finite(a[ja], i_beta[jb], i_sigma[js])
-    return profit
+    return _finite(profit, a[:, None, None], i_beta[:, None], i_sigma)
 
 
-def _raise_not_finite(a, i_beta, i_sigma):
-    raise NumericalError(f"closed-form profit is not finite at a={float(a)!r}, "
-                         f"i_beta={float(i_beta)!r}, i_sigma={float(i_sigma)!r}")
+def _empty(shape: tuple) -> np.ndarray:
+    """np.empty(shape) for a profit grid; past what numpy can address, a MemoryError."""
+    try:
+        return np.empty(shape)
+    except ValueError:  # numpy's "array is too big"
+        raise MemoryError(f"a {' x '.join(map(str, shape))} profit grid "
+                          "exceeds the largest possible array") from None
 
 
-def _closed_form_profit(a: float, i_beta: float, i_sigma: float,
-                        env: GameEnvironment) -> float:
-    """profit_grid's P at one node, on floats and with no domain checks.
+def _finite(profit, a, i_beta, i_sigma):
+    """profit if finite at every node, else NumericalError naming the first in C order."""
+    if math.isfinite(profit) if isinstance(profit, float) else np.isfinite(profit).all():
+        return profit
+    k = int(np.argmin(np.isfinite(profit)))
+    node = [float(np.broadcast_to(v, np.shape(profit)).flat[k]) for v in (a, i_beta, i_sigma)]
+    raise NumericalError("closed-form profit is not finite at a={!r}, i_beta={!r}, "
+                         "i_sigma={!r}".format(*node))
+
+
+def _closed_form_profit(a, i_beta, i_sigma, env: GameEnvironment):
+    """profit_grid's P at one node, or at each node of broadcast arrays; unchecked.
 
     Every operation is profit_grid's, in its order, so the two agree bit for
     bit.  Raises NumericalError where P is not finite.
@@ -142,9 +147,22 @@ def _closed_form_profit(a: float, i_beta: float, i_sigma: float,
     sigma = i_fifty / (i_fifty + i_sigma)
     value = demand_factor(a, beta) * _gross_multiplier(a, sigma) * env.mean_target_value \
         - (i_beta + i_sigma)
-    if not math.isfinite(value):
-        _raise_not_finite(a, i_beta, i_sigma)
-    return value
+    return _finite(value, a, i_beta, i_sigma)
+
+
+def _best_i_beta(a, i_sigma, env: GameEnvironment, lo: float, hi: float):
+    """The i_beta in [lo, hi] that maximizes P at (a, i_sigma): floats or arrays, unchecked.
+
+    P = c*beta - i_beta - i_sigma with c = a*G*M/(1+a) is concave in i_beta
+    and peaks at sqrt(c*i_fifty) - i_fifty, which is clipped to the box.
+    Arrays broadcast, and each element rounds as the float would.
+    """
+    i_fifty = env.i_fifty
+    sigma = i_fifty / (i_fifty + i_sigma)
+    c_i_fifty = a * _gross_multiplier(a, sigma) / (1.0 + a) * env.mean_target_value * i_fifty
+    if isinstance(c_i_fifty, np.ndarray):
+        return np.clip(np.sqrt(c_i_fifty) - i_fifty, lo, hi)
+    return min(max(math.sqrt(c_i_fifty) - i_fifty, lo), hi)
 
 
 def expected_profit(strat: AttackerStrategy, env: GameEnvironment,

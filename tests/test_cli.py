@@ -348,7 +348,7 @@ class TestOptimizeCommand:
         assert main(["optimize", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[-2:] == [
             "a,i_beta,i_sigma,profit,evaluations,converged",
-            "4.6744375,0.0904823569,0.103793089,0.305559598,262272,1"]
+            "4.67444222,0.090482309,0.103792814,0.305559598,4164,1"]
 
     @pytest.mark.parametrize("args,message", [
         (["--a-lo", "1", "--a-hi", "1"], "axis a: need lo < hi, got [1.0, 1.0]"),
@@ -359,6 +359,14 @@ class TestOptimizeCommand:
     def test_bad_box_is_an_axis_error(self, tmp_path, capsys, args, message):
         assert main(["optimize", *args, "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_zero_sigma_is_config_error(self, tmp_path, capsys):
+        # i_fifty / (i_fifty + i_sigma) underflows at the top of the i_sigma side.
+        out = tmp_path / "x.csv"
+        assert main(["optimize", "--i-fifty", "1e-300", "--i-sigma-hi", "1e308",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: sigma must lie in (0, 1], got 0.0\n"
+        assert not out.exists()
 
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -411,7 +419,9 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("args", [
         ["sweep", "--axis", "a:1:2:3", "--fix", "i_beta=1e308", "--fix", "i_sigma=1e308"],
-        ["optimize", "--i-beta-hi", "1e308", "--i-sigma-hi", "1e308", "--grid-points", "8"],
+        # Every i_beta + i_sigma in the box overflows.
+        ["optimize", "--i-beta-lo", "1e308", "--i-beta-hi", "1.5e308", "--i-sigma-lo", "1e308",
+         "--i-sigma-hi", "1.5e308", "--grid-points", "8"],
     ])
     def test_non_finite_profit_is_numerical_failure(self, tmp_path, capsys, args):
         # Outside pytest a warning would print to stderr, above the error line.
@@ -428,6 +438,8 @@ class TestSweepCommand:
         ["optimize", "--a-hi", "1e300", "--grid-points", "8"],
         ["sweep", "--i-fifty", "1e-20", "--axis", "a:1e155:1e156:2", "--fix", "i_beta=0.1",
          "--fix", "i_sigma=1e297"],
+        # The box's top corner overflows, but the best i_beta never reaches it.
+        ["optimize", "--i-beta-hi", "1e308", "--i-sigma-hi", "1e308", "--grid-points", "8"],
     ])
     def test_huge_aggression_gives_finite_profit(self, tmp_path, capsys, args):
         out = tmp_path / "x.csv"
@@ -828,6 +840,8 @@ class TestConfigHandling:
         ["optimize", "--grid-points", TOO_BIG],
         ["figure", "beta_curve", "--points", TOO_BIG],
         ["sweep", "--axis", f"a:1:2:{TOO_BIG}", "--fix", "i_beta=0.1", "--fix", "i_sigma=0.1"],
+        # The axes fit in memory, the plane does not.
+        ["optimize", "--grid-points", "1000000"],
     ])
     def test_size_too_large_for_memory_is_config_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,8 +1,10 @@
 """Strategy optimization, sweeps, and the simplex's bits.
 
-``_reference_nelder_mead`` is the numpy simplex that the float one replaced,
-and ``_reference_maximize_profit`` the optimizer that called it.  The float
-simplex must return their bits: every point, value, count and flag.
+``_reference_nelder_mead`` is the numpy simplex that the float one replaced.
+``_reference_maximize_profit`` drives it through the profiled optimizer,
+scanning node by node on floats with i_beta from ``_formula_i_beta``.  The
+float simplex and the vectorised scan must return their bits: every point,
+value, count and flag.
 """
 
 import math
@@ -15,11 +17,11 @@ import pytest
 
 from ransomgame import (AttackerStrategy, ConfigError, DomainError, ProfitMethod,
                         AxisSpec, SweepGrid,
-                        expected_profit, maximize_profit, nelder_mead,
-                        profit_surface)
+                        expected_profit, gross_multiplier_closed_form, maximize_profit,
+                        nelder_mead, profit_surface)
 from ransomgame import optimize
 from ransomgame.optimize import DEFAULT_BOUNDS, NM_COEFFICIENTS
-from ransomgame.profit import _closed_form_profit, profit_grid
+from ransomgame.profit import _best_i_beta, _closed_form_profit, profit_grid
 
 I50 = 0.02
 
@@ -86,26 +88,42 @@ def _reference_nelder_mead(func, x0, steps, bounds_lo, bounds_hi,
     return points[best], values[best], n_evals, converged, history
 
 
+def _formula_i_beta(a, i_sigma, env):
+    """sqrt(c * i_fifty) - i_fifty with c = a*G*M/(1+a), unclipped: the best i_beta."""
+    i50 = env.i_fifty
+    g = gross_multiplier_closed_form(a, i50 / (i50 + i_sigma))
+    return math.sqrt(a * g / (1.0 + a) * env.mean_target_value * i50) - i50
+
+
 def _reference_maximize_profit(env, bounds=None, grid_points=optimize.DEFAULT_GRID_POINTS):
-    specs = [AxisSpec(name, lo, hi, grid_points, "log")
-             for name, (lo, hi) in {**DEFAULT_BOUNDS, **(bounds or {})}.items()]
-    axes = [spec.values() for spec in specs]
-    best = optimize._grid_argmax(axes, env)
-    best_point = np.array([axis[k] for axis, k in zip(axes, best)])
+    """The profiled optimizer node by node on floats, refined by the numpy simplex."""
+    a_spec, beta_spec, sigma_spec = [
+        AxisSpec(name, lo, hi, grid_points, "log")
+        for name, (lo, hi) in {**DEFAULT_BOUNDS, **(bounds or {})}.items()]
+    a_axis, s_axis = a_spec.values(), sigma_spec.values()
+
+    def point(a, i_sigma):
+        i_beta = min(max(_formula_i_beta(a, i_sigma, env), beta_spec.lo), beta_spec.hi)
+        return (a, i_beta, i_sigma)
+
+    # The first strict maximum in C order.
+    best, best_value = None, -math.inf
+    for j, a in enumerate(a_axis.tolist()):
+        for k, i_sigma in enumerate(s_axis.tolist()):
+            value = _closed_form_profit(*point(a, i_sigma), env)
+            if value > best_value:
+                best, best_value = (j, k), value
     steps = []
-    for axis, k in zip(axes, best):
-        idx = min(int(k), len(axis) - 2)
+    for axis, k in zip((a_axis, s_axis), best):
+        idx = min(k, len(axis) - 2)
         steps.append(0.5 * (axis[idx + 1] - axis[idx]))
-    lo = np.array([spec.lo for spec in specs])
-    hi = np.array([spec.hi for spec in specs])
     x_best, f_best, nm_evals, converged, history = _reference_nelder_mead(
-        lambda p: -_closed_form_profit(*p.tolist(), env),
-        best_point, np.asarray(steps), lo, hi)
-    strategy = AttackerStrategy(a=float(x_best[0]), i_beta=float(x_best[1]),
-                                i_sigma=float(x_best[2]))
-    trace = [((float(p[0]), float(p[1]), float(p[2])), -v) for p, v in history]
-    return optimize.StrategyOptimum(strategy=strategy, profit=-f_best,
-                                    evaluations=grid_points ** 3 + nm_evals,
+        lambda p: -_closed_form_profit(*point(*p.tolist()), env),
+        np.array([a_axis[best[0]], s_axis[best[1]]]), np.asarray(steps),
+        np.array([a_spec.lo, sigma_spec.lo]), np.array([a_spec.hi, sigma_spec.hi]))
+    trace = [(point(*p.tolist()), -v) for p, v in history]
+    return optimize.StrategyOptimum(strategy=AttackerStrategy(*point(*x_best.tolist())),
+                                    profit=-f_best, evaluations=grid_points ** 2 + nm_evals,
                                     converged=converged, trace=trace)
 
 
@@ -231,16 +249,18 @@ class TestMaximizeProfit:
         monkeypatch.setattr(optimize, "_closed_form_profit", counter)
         opt = maximize_profit(mean_env, bounds, grid_points)
         assert opt == reference
-        assert opt.evaluations == grid_points ** 3 + len(calls)
+        # One call on the whole scan plane, then one per simplex evaluation.
+        assert [isinstance(a, float) for a, *_ in calls] == [False] + [True] * (len(calls) - 1)
+        assert opt.evaluations == grid_points ** 2 + len(calls) - 1
 
     def test_default_optimum_bits(self, mean_env):
         # The same bits on every Python version and SIMD level CI runs.
         opt = maximize_profit(mean_env)
         assert [v.hex() for v in (opt.strategy.a, opt.strategy.i_beta, opt.strategy.i_sigma,
                                   opt.profit)] == [
-            "0x1.2b29fbe6db22ap+2", "0x1.729da0bcdf5fap-4", "0x1.a922f11e71cdap-4",
-            "0x1.38e49d7b41100p-2"]
-        assert (opt.evaluations, opt.converged, len(opt.trace)) == (262272, True, 72)
+            "0x1.2b2a0fb127625p+2", "0x1.729d93df63cb8p-4", "0x1.a922a77260acdp-4",
+            "0x1.38e49d7b40ce2p-2"]
+        assert (opt.evaluations, opt.converged, len(opt.trace)) == (4164, True, 35)
 
     def test_profit_field_reevaluates(self, mean_env):
         opt = maximize_profit(mean_env, grid_points=16)
@@ -316,31 +336,71 @@ class TestMaximizeProfit:
         assert opt.trace
         assert opt.trace[-1][1] == pytest.approx(opt.profit, abs=1e-9)
 
+    @pytest.mark.parametrize("i_beta_box,where", [
+        ((0.001, 0.5), "inside"), ((0.001, 0.05), "hi"), ((0.2, 0.5), "lo"),
+    ])
+    def test_i_beta_is_the_formula_or_a_box_edge(self, mean_env, i_beta_box, where):
+        opt = maximize_profit(mean_env, {"i_beta": i_beta_box}, grid_points=16)
+        s = opt.strategy
+        lo, hi = i_beta_box
+        formula = _formula_i_beta(s.a, s.i_sigma, mean_env)
+        assert where == ("lo" if formula < lo else "hi" if formula > hi else "inside")
+        assert s.i_beta == {"lo": lo, "hi": hi, "inside": formula}[where]
+        assert opt.profit == _closed_form_profit(s.a, s.i_beta, s.i_sigma, mean_env)
+        assert all(p[1] == min(max(_formula_i_beta(p[0], p[2], mean_env), lo), hi)
+                   for p, _ in opt.trace)
 
-class TestGridScanSlabs:
-    def test_default_grid_is_one_slab(self):
-        assert optimize.DEFAULT_GRID_POINTS ** 3 <= optimize._SLAB_NODES
+    def test_scan_plane_is_the_float_objective(self, mean_env, monkeypatch):
+        # An i_beta box that the formula leaves at some nodes on each side.
+        box = (0.03, 0.06)
+        planes = []
 
-    def test_memory_bounded_by_slab(self, mean_env):
+        def recording(*args):
+            value = _closed_form_profit(*args)
+            if isinstance(value, np.ndarray):
+                planes.append((args[:3], value))
+            return value
+
+        monkeypatch.setattr(optimize, "_closed_form_profit", recording)
+        maximize_profit(mean_env, {"i_beta": box}, grid_points=8)
+        ((a, i_beta, i_sigma), plane), = planes
+        a_axis = AxisSpec("a", 0.1, 20.0, 8, "log").values().tolist()
+        s_axis = AxisSpec("i_sigma", 0.001, 0.5, 8, "log").values().tolist()
+        assert (a.ravel().tolist(), i_sigma.ravel().tolist()) == (a_axis, s_axis)
+        floats = [[_best_i_beta(x, y, mean_env, *box) for y in s_axis] for x in a_axis]
+        assert i_beta.tolist() == floats
+        assert plane.tolist() == [[_closed_form_profit(x, b, y, mean_env)
+                                   for y, b in zip(s_axis, row)]
+                                  for x, row in zip(a_axis, floats)]
+        formulas = [_formula_i_beta(x, y, mean_env) for x in a_axis for y in s_axis]
+        assert min(formulas) < box[0] and max(formulas) > box[1]
+
+    def test_scan_ties_go_to_the_smallest_a_and_i_sigma(self, mean_env, monkeypatch):
+        # A flat profit ties every node, so the simplex starts at the box's low corner.
+        monkeypatch.setattr(optimize, "_closed_form_profit",
+                            lambda a, i_beta, i_sigma, env: 0.0 * a * i_sigma)
+        opt = maximize_profit(mean_env, grid_points=8)
+        (a, _, i_sigma), _ = opt.trace[0]
+        assert (a, i_sigma) == (0.1, 0.001)
+
+    def test_memory_bounded_by_plane(self, mean_env):
         tracemalloc.start()
         try:
             opt = maximize_profit(mean_env, grid_points=160)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert opt.evaluations > 160 ** 3
-        # The whole 160^3 cube alone is 31 MiB; one 2^20-node slab is 8 MiB.
-        assert peak < 16 * 2 ** 20
+        assert opt.evaluations > 160 ** 2
+        # A 160^3 cube alone is 31 MiB, and a 2^20-node slab of it 8 MiB;
+        # a 160^2 plane is 200 KiB.
+        assert peak < 4 * 2 ** 20
 
-    @pytest.mark.parametrize("slab_nodes", [1, 10, 20, 1 << 20])
-    def test_first_maximum_matches_whole_cube(self, mean_env, monkeypatch, slab_nodes):
-        # i_beta = 0 makes profit -i_sigma at every a, so every a-plane ties.
-        axes = [np.linspace(0.5, 8.0, 9), np.array([0.0]), np.linspace(0.0, 0.2, 5)]
-        cube = profit_grid(*axes, mean_env)
-        assert np.sum(cube == cube.max()) == 9
-        monkeypatch.setattr(optimize, "_SLAB_NODES", slab_nodes)
-        best = optimize._grid_argmax(axes, mean_env)
-        assert best == np.unravel_index(int(np.argmax(cube)), cube.shape)
+    def test_plane_past_numpy_addressing_is_memory_error(self, mean_env, monkeypatch):
+        # Axes of 2^31 nodes take no memory as broadcast views, but a plane
+        # of 2^62 floats is past what numpy can address.
+        monkeypatch.setattr(AxisSpec, "values", lambda spec: np.broadcast_to(spec.lo, (spec.n,)))
+        with pytest.raises(MemoryError, match="^a 2147483648 x 2147483648 profit grid "):
+            maximize_profit(mean_env, grid_points=2 ** 31)
 
 
 class TestProfitSurface:

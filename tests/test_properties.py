@@ -22,8 +22,8 @@ from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironme
                         optimal_counteroffer, optimal_play_profit, reliability, run_single)
 from ransomgame._rows import write_rows  # noqa: E402
 from ransomgame.cli import FIGURE_NAMES, SCHEMAS, main  # noqa: E402
-from ransomgame.optimize import DEFAULT_BOUNDS, maximize_profit  # noqa: E402
-from ransomgame.profit import _closed_form_profit, profit_grid  # noqa: E402
+from ransomgame.optimize import DEFAULT_BOUNDS, AxisSpec, maximize_profit  # noqa: E402
+from ransomgame.profit import _best_i_beta, _closed_form_profit, profit_grid  # noqa: E402
 from ransomgame.simulate import _outcome_from_arrays  # noqa: E402
 from ransomgame.stochastics import _ERFCX_EDGES, _erfcx, _ppf  # noqa: E402
 from conftest import run_traced  # noqa: E402
@@ -254,6 +254,43 @@ def test_float_simplex_is_numpy_simplex_bit_for_bit(a, i_beta, i_sigma, fraction
     steps = [f * (h - l) for f, l, h in zip(fractions, lo, hi)]
     func = lambda p: -_closed_form_profit(*map(float, p), _MEAN_ENV)
     assert_same_simplex(*run_both(func, [a, i_beta, i_sigma], steps, list(lo), list(hi)))
+
+
+_ENV = st.builds(lambda i_fifty, m: GameEnvironment(i_fifty, PopulationMean(m)),
+                 _log_floats(-3.0, 0.0), _log_floats(-1.0, 1.0))
+
+
+def _box(lo_exp, hi_exp):
+    """(lo, hi) with lo = 10**e for e in [lo_exp, hi_exp] and hi/lo in [2, 100]."""
+    return st.tuples(_log_floats(lo_exp, hi_exp), _log_floats(math.log10(2.0), 2.0)).map(
+        lambda t: (t[0], t[0] * t[1]))
+
+
+def _slack(peak, cost):
+    """1e-12 of the larger of the terms that P is the difference of."""
+    return 1e-12 * (abs(peak) + cost)
+
+
+@given(env=_ENV, a=_log_floats(-1.0, 1.3), i_sigma=_log_floats(-3.0, 0.0), box=_box(-3.0, -0.5))
+def test_best_i_beta_is_the_argmax_along_i_beta(env, a, i_sigma, box):
+    axis = np.linspace(*box, 1001)
+    profits = profit_grid([a], axis, [i_sigma], env)[0, :, 0]
+    k = int(np.argmax(profits))
+    best = _best_i_beta(a, i_sigma, env, *box)
+    assert abs(best - axis[k]) <= axis[1] - axis[0]
+    assert _closed_form_profit(a, best, i_sigma, env) >= profits[k] - _slack(profits[k],
+                                                                              box[1] + i_sigma)
+
+
+@given(env=_ENV, a_box=_box(-1.0, 1.0), beta_box=_box(-3.0, -0.5),
+       sigma_box=_box(-3.0, -0.5), n=st.integers(3, 10))
+def test_profiled_optimum_beats_the_3d_grid(env, a_box, beta_box, sigma_box, n):
+    bounds = {"a": a_box, "i_beta": beta_box, "i_sigma": sigma_box}
+    opt = maximize_profit(env, bounds, grid_points=n)
+    cube = profit_grid(*(AxisSpec(name, lo, hi, n, "log").values()
+                         for name, (lo, hi) in bounds.items()), env)
+    peak = float(cube.max())
+    assert opt.profit >= peak - _slack(peak, beta_box[1] + sigma_box[1])
 
 
 # Near each branch edge as well as log-uniform over the whole range.
