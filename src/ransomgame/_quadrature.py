@@ -44,6 +44,15 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """An integral and what it cost.
+
+    ``value`` sums the 15-point Kronrod estimates over the final intervals
+    and ``error_bound`` their |K15 - G7| gauges: an estimate, below
+    ``rel_tol * |value|`` on return, not a proven bound.  ``n_intervals``
+    counts the final intervals (one more than the bisections made) and
+    ``n_evals`` the integrand's points, 15 per panel.
+    """
+
     value: float
     error_bound: float
     n_intervals: int

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import shutil
 import sys
@@ -24,20 +23,15 @@ import numpy as np
 from . import __version__
 from ._rows import write_rows
 from .errors import ConfigError, DomainError, NumericalError
-from .game import (AttackerStrategy, FixedValue, GameEnvironment, PopulationMean,
-                   aggression_probability, defender_utility, demand_factor,
-                   estimate_scale, optimal_counteroffer, optimal_play_profit,
-                   reliability)
+from .game import AttackerStrategy, FixedValue, GameEnvironment, PopulationMean
 from .optimize import (DEFAULT_BOUNDS, DEFAULT_GRID_POINTS, AxisSpec, SweepGrid,
                        maximize_profit, profit_surface)
-from .profit import ProfitMethod, expected_profit
-from .stochastics import SeedSpec, lognormal_pdf
 
 CONFIG_VERSION = 1
 
 # The Monte Carlo engine's names, bound on first use: only ``simulate`` runs
-# the engine, so the other commands never load it.
-_ENGINE_NAMES = ("SimulationConfig", "run_batch", "write_trace_csv")
+# the engine, so the other commands never load it or its random streams.
+_ENGINE_NAMES = ("SeedSpec", "SimulationConfig", "run_batch", "write_trace_csv")
 
 
 def _load_engine():
@@ -56,17 +50,6 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load_engine()
     return globals()[name]
-
-# The seven reference strategies: label, aggression, and the two investments.
-STRATEGY_TABLE = (
-    ("optimal", 4.68, 0.091, 0.104),
-    ("low_aggression", 2.34, 0.091, 0.104),
-    ("high_aggression", 9.36, 0.091, 0.104),
-    ("low_reliability", 4.68, 0.041, 0.104),
-    ("high_reliability", 4.68, 0.182, 0.104),
-    ("low_accuracy", 4.68, 0.091, 0.052),
-    ("high_accuracy", 4.68, 0.091, 0.208),
-)
 
 
 def _float_list(text):
@@ -344,61 +327,18 @@ def _one_row(args, command: str, params: dict, row: dict):
 
 
 # ---------------------------------------------------------------------------
-# figure command
+# commands; figure and table live in _figures, imported only when they run
 # ---------------------------------------------------------------------------
 
 
-def _grid_with_value(lo: float, hi: float, n: int, include: float) -> np.ndarray:
-    """Linear grid on [lo, hi] with the node nearest ``include`` snapped to it."""
-    grid = np.linspace(lo, hi, n)
-    if lo <= include <= hi:
-        grid[int(np.argmin(np.abs(grid - include)))] = include
-    return grid
+def cmd_figure(args, params) -> int:
+    from . import _figures
+    return _figures.cmd_figure(args, params)
 
 
-def _figure_beta_curve(i_fifty, i_beta_max, points=251):
-    grid = _grid_with_value(0.0, i_beta_max, points, i_fifty)
-    return ["i_beta", "beta"], [grid, reliability(grid, i_fifty)], {"i_fifty": i_fifty}
-
-
-def _figure_estimate_pdf(x, i_fifty, i_sigma_values, x_est_max, points=600):
-    if not x > 0.0:
-        raise ConfigError(f"x must be positive, got {x!r}")
-    sigmas = [(isg, estimate_scale(isg, i_fifty)) for isg in i_sigma_values]
-    grid = _grid_with_value(x_est_max / points, x_est_max, points, x)
-    mu = float(np.log(x))
-    names = ["x_est"] + [f"pdf_i_sigma_{isg:g}" for isg, _ in sigmas]
-    columns = [grid] + [lognormal_pdf(grid, mu, s) for _, s in sigmas]
-    return names, columns, {"x": x, "i_fifty": i_fifty}
-
-
-def _figure_alpha_curve(a_values=(0.5, 1.0, 2.0, 5.0, 10.0), points=201):
-    grid = np.linspace(0.0, 1.0, points)
-    names = ["c_over_r"] + [f"alpha_a_{a:g}" for a in a_values]
-    columns = [grid] + [aggression_probability(grid, 1.0, a) for a in a_values]
-    return names, columns, {}
-
-
-def _figure_utility_vs_demand(x, i_fifty, i_beta, a, c_max_values, r_max, points=400):
-    beta = reliability(i_beta, i_fifty)
-    kink = demand_factor(a, beta) * x
-    grid = _grid_with_value(r_max / points, r_max, points, kink)
-    names = ["demand", "utility_optimal"] + [f"utility_cmax_{c:g}" for c in c_max_values]
-    c_optimal = optimal_counteroffer(grid, x, a, beta)
-    columns = [grid, defender_utility(c_optimal, grid, x, a, beta)]
-    columns += [defender_utility(np.minimum(grid, c_cap), grid, x, a, beta)
-                for c_cap in c_max_values]
-    return names, columns, {"kink_demand": kink, "beta": beta}
-
-
-def _figure_profit_vs_estimate(x, i_fifty, i_beta, i_sigma, x_est_max,
-                               a_values=(2.0, 5.0, 10.0, 20.0), points=600):
-    env = GameEnvironment(i_fifty=i_fifty, target_value=FixedValue(x))
-    grid = _grid_with_value(x_est_max / points, x_est_max, points, x)
-    strategies = [AttackerStrategy(a=a, i_beta=i_beta, i_sigma=i_sigma) for a in a_values]
-    names = ["x_est"] + [f"profit_a_{a:g}" for a in a_values]
-    columns = [grid] + [optimal_play_profit(grid, x, s, env) for s in strategies]
-    return names, columns, {"x": x, "i_beta": i_beta, "i_sigma": i_sigma}
+def cmd_table(args, params) -> int:
+    from . import _figures
+    return _figures.cmd_table(args, params)
 
 
 def _mean_env(i_fifty: float, m: float) -> GameEnvironment:
@@ -409,101 +349,6 @@ def _surface_columns(surface) -> list:
     """One column per swept axis plus the profit, one row per node in C order."""
     grids = np.meshgrid(*surface.axis_values, indexing="ij")
     return [g.ravel() for g in grids] + [surface.values.ravel()]
-
-
-_HEATMAP_PANELS = (("i_beta", "i_sigma", "a"),
-                   ("a", "i_sigma", "i_beta"),
-                   ("a", "i_beta", "i_sigma"))
-
-
-def _figure_profit_heatmaps(i_fifty, m, a_lo, a_hi, inv_lo, inv_hi, points=200):
-    """Three 2-D profit surfaces; the hidden parameter sits at its optimum."""
-    env = _mean_env(i_fifty, m)
-    opt = asdict(maximize_profit(env).strategy)
-    ranges = {"a": (a_lo, a_hi), "i_beta": (inv_lo, inv_hi), "i_sigma": (inv_lo, inv_hi)}
-
-    panels = {}
-    for p1, p2, hidden in _HEATMAP_PANELS:
-        grid = SweepGrid(axes=[AxisSpec(p1, *ranges[p1], points, "log"),
-                               AxisSpec(p2, *ranges[p2], points, "log")],
-                         fixed={hidden: opt[hidden]})
-        surface = profit_surface(env, grid)
-        argmax = surface.argmax_strategy
-        meta = {f"fixed_{hidden}": opt[hidden],
-                f"argmax_{p1}": getattr(argmax, p1),
-                f"argmax_{p2}": getattr(argmax, p2),
-                "argmax_profit": surface.argmax_profit}
-        panels[f"{p1}__{p2}"] = ([p1, p2, "profit"], _surface_columns(surface), meta,
-                                 surface.contours)
-    return panels
-
-
-def _emit_panels(args, params: dict, panels: dict):
-    """One JSON file of panels, or per panel a table CSV and a contour CSV."""
-    if args.format == "json":
-        _write_json(args.out, {**_header("figure", params),
-                               "panels": {k: _json_table(*p) for k, p in panels.items()}})
-        return
-    config_line = _config_json("figure", params)
-    stem = args.out.removesuffix(".csv")
-    for key, (names, columns, meta, lines) in panels.items():
-        _write_csv(f"{stem}.{key}.csv", config_line, _meta_lines(meta), names, *columns)
-        polyline = np.repeat(np.arange(len(lines)), [len(line) for line in lines])
-        points = np.concatenate(lines) if lines else np.empty((0, 2))
-        _write_csv(f"{stem}.{key}.contour.csv", config_line, [],
-                   ["polyline", *names[:2]], polyline, points[:, 0], points[:, 1])
-
-
-# Each builder takes its parameters as keyword arguments, and the figure's
-# header holds exactly those.  Builders return (column names, columns, meta),
-# the heatmaps one such table per panel.
-_FIGURES = {
-    "beta_curve": _figure_beta_curve,
-    "estimate_pdf": _figure_estimate_pdf,
-    "alpha_curve": _figure_alpha_curve,
-    "utility_vs_demand": _figure_utility_vs_demand,
-    "profit_vs_estimate": _figure_profit_vs_estimate,
-    "profit_heatmaps": _figure_profit_heatmaps,
-}
-FIGURE_NAMES = tuple(_FIGURES)
-
-
-def cmd_figure(args, params) -> int:
-    name = params["name"]
-    if name not in _FIGURES:
-        raise ConfigError(f"unknown figure {name!r}; expected one of {FIGURE_NAMES}")
-    builder = _FIGURES[name]
-    used = {k: p.default if params[k] is None else params[k]
-            for k, p in inspect.signature(builder).parameters.items()}
-    if used["points"] < 2:
-        raise ConfigError(f"points must be at least 2, got {used['points']}")
-    header = {"name": name, **used}
-    if name == "profit_heatmaps":
-        _emit_panels(args, header, builder(**used))
-    else:
-        _emit(args, "figure", header, *builder(**used))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# table / simulate / optimize / sweep commands
-# ---------------------------------------------------------------------------
-
-
-def cmd_table(args, params) -> int:
-    if params["what"] != "strategies":
-        raise ConfigError(f"unknown table {params['what']!r}; expected 'strategies'")
-    i_fifty, m = params["i_fifty"], params["m"]
-    env = _mean_env(i_fifty, m)
-    counteroffers = [demand_factor(a, reliability(i_beta, i_fifty)) * m
-                     for _, a, i_beta, _ in STRATEGY_TABLE]
-    profits = [expected_profit(AttackerStrategy(a=a, i_beta=i_beta, i_sigma=i_sigma), env,
-                               ProfitMethod.CLOSED_FORM).value
-               for _, a, i_beta, i_sigma in STRATEGY_TABLE]
-    _emit(args, "table", params,
-          ["strategy", "a", "i_beta", "i_sigma", "counteroffer", "expected_profit"],
-          [*zip(*STRATEGY_TABLE), counteroffers, profits])
-    return 0
 
 
 # A trace row is ten fields, nine commas and a newline: 20 bytes at least.
@@ -642,6 +487,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def _add_arguments(p, command: str):
     if command == "figure":
+        from ._figures import FIGURE_NAMES
         p.add_argument("p_name", nargs="?", metavar="name",
                        help=f"one of {', '.join(FIGURE_NAMES)}")
     elif command == "table":

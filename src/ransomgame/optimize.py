@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._contour import zero_contours
 from .errors import ConfigError, DomainError, _scale
 from .game import AttackerStrategy, GameEnvironment, estimate_scale
 from .profit import _best_i_beta, _closed_form_profit, _empty, profit_grid
@@ -29,6 +28,24 @@ DEFAULT_GRID_POINTS = 64
 
 # Standard simplex coefficients: reflection, expansion, contraction, shrink.
 NM_COEFFICIENTS = (1.0, 2.0, 0.5, 0.5)
+
+
+def _load_contour():
+    """Bind ``zero_contours`` as a module global, keeping one bound already.
+
+    Only a 2-D surface's contours are traced, so the optimizer and a CSV
+    sweep never load ``_contour``; a profiler's wrapper, set with
+    ``setattr``, stays.
+    """
+    from ._contour import zero_contours
+    globals().setdefault("zero_contours", zero_contours)
+
+
+def __getattr__(name):
+    if name != "zero_contours":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_contour()
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -83,6 +100,16 @@ class SweepGrid:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceResult:
+    """Closed-form profit at every node of a sweep grid.
+
+    ``axis_values`` holds each swept axis's nodes in the grid's axis order,
+    and ``values`` the profit with one dimension per swept axis.
+    ``argmax_index`` indexes ``values`` at the best node, ties broken
+    toward the lexicographically smallest (a, i_beta, i_sigma);
+    ``argmax_strategy`` and ``argmax_profit`` are that node's strategy and
+    profit.
+    """
+
     grid: SweepGrid
     axis_values: tuple
     values: np.ndarray
@@ -95,16 +122,30 @@ class SurfaceResult:
         """Zero-profit polylines of a 2-D surface, traced on first access; else []."""
         if len(self.grid.axes) != 2:
             return []
+        _load_contour()
         return zero_contours(self.axis_values[0], self.axis_values[1], self.values)
 
 
 @dataclass(frozen=True)
 class StrategyOptimum:
+    """The best strategy ``maximize_profit`` found in its box, and how.
+
+    ``evaluations`` counts closed-form profit evaluations: the
+    grid_points^2 nodes of the scan plus every point the simplex tried.
+    ``converged`` says that the simplex's vertices came within its absolute
+    diameter tolerance (1e-5 in a and in i_sigma) before its iteration
+    limit.  It does not promise the box's maximum: the simplex is local,
+    and its steps and tolerance are linear, so on a side that spans many
+    decades it can stop, converged, far from the best point.  ``trace``
+    holds one ((a, i_beta, i_sigma), profit) entry per simplex iteration,
+    the best vertex at its start.
+    """
+
     strategy: AttackerStrategy
     profit: float
     evaluations: int
     converged: bool
-    trace: list  # ((a, i_beta, i_sigma), profit) of the best vertex per iteration
+    trace: list
 
 
 def nelder_mead(func: Callable[[tuple], float], x0: Sequence[float],

@@ -8,7 +8,7 @@ where M is the mean target data value and G is the gross multiplier: the
 expected revenue per unit of mean value, relative to the perfect-information
 cap a*beta*M/(1+a).  G is evaluated by two independent routes — a closed
 form built from lognormal partial expectations, which is a sum of two
-scaled complementary error functions (``stochastics._erfcx``, arithmetic
+scaled complementary error functions (``_erfcx._erfcx``, arithmetic
 only, so its bits do not depend on numpy's SIMD loops), and adaptive
 quadrature of the underlying integral — which must agree to 1e-6 or better.
 The closed form is written for floats and arrays alike: ``profit_grid``
@@ -24,11 +24,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import adaptive_quadrature
+from ._erfcx import _erfcx
 from .errors import DomainError, NumericalError, _positive, _scale
 from .game import (AttackerStrategy, GameEnvironment, demand_factor, estimate_scale,
                    reliability)
-from .stochastics import _SQRT2, _SQRT_2PI, _erfcx
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _load_quadrature():
+    """Bind ``adaptive_quadrature`` as a module global, keeping one bound already.
+
+    Only the quadrature route integrates, so the closed form never loads
+    ``_quadrature``; a profiler's wrapper, set with ``setattr``, stays.
+    """
+    from ._quadrature import adaptive_quadrature
+    globals().setdefault("adaptive_quadrature", adaptive_quadrature)
+
+
+def __getattr__(name):
+    if name != "adaptive_quadrature":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_quadrature()
+    return globals()[name]
 
 
 class ProfitMethod(enum.Enum):
@@ -80,6 +99,7 @@ def _quadrature_multiplier(a: float, sigma: float):
         return np.exp(-a * t - t * t / two_s2) * inv_norm
 
     span = 12.0 * sigma
+    _load_quadrature()
     r1 = adaptive_quadrature(under, -span, 0.0)
     r2 = adaptive_quadrature(over, 0.0, span)
     return r1.value + r2.value, r1.error_bound + r2.error_bound

@@ -69,6 +69,10 @@ TRACE_COLUMNS = ("run_index", "x", "x_tilde", "R", "C", "alpha",
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """One Monte Carlo batch: a strategy, an environment with a fixed target
+    value, the number of runs, and the random stream the runs read.
+    """
+
     strategy: AttackerStrategy
     environment: GameEnvironment
     n_runs: int
@@ -112,6 +116,14 @@ _TRACE_ARRAYS = tuple(f.name for f in fields(SimulationTrace)[1:])
 
 @dataclass(frozen=True)
 class SimulationReport:
+    """What a batch reduces to: the means over its ``n_runs`` runs, and
+    ``outcome_counts``, the number of runs that ended in each ``OutcomeKind``.
+
+    ``std_error_attacker_profit`` is the standard error of the mean
+    attacker profit, the sample standard deviation over sqrt(n_runs); it is
+    None for a batch of one run, where the sample deviation is undefined.
+    """
+
     n_runs: int
     mean_attacker_profit: float
     std_error_attacker_profit: Optional[float]

@@ -12,8 +12,8 @@ import pytest
 
 from ransomgame import (AttackerStrategy, defender_utility, demand_factor, estimate_scale,
                         expected_profit, optimal_counteroffer, reliability)
-from ransomgame.cli import (_FIGURES, FIGURE_NAMES, SCHEMAS, STRATEGY_TABLE, _cell,
-                            _grid_with_value, _write_csv, build_parser, main)
+from ransomgame._figures import _FIGURES, FIGURE_NAMES, STRATEGY_TABLE, _grid_with_value
+from ransomgame.cli import SCHEMAS, _cell, _write_csv, build_parser, main
 from ransomgame.optimize import DEFAULT_BOUNDS, AxisSpec, SweepGrid, maximize_profit, profit_surface
 from ransomgame import optimize, profit, simulate
 from ransomgame._rows import BLOCK_ROWS

@@ -26,8 +26,8 @@ _HAS_AVX512_LOOPS = ("X86_V4" in _umath.__cpu_dispatch__
 _CHILD = """
 import hashlib
 import numpy as np
+from ransomgame._erfcx import _erfcx
 from ransomgame.profit import _gross_multiplier
-from ransomgame.stochastics import _erfcx
 x = np.concatenate([np.arange(1 << 16) / 4096.0,
                     np.ldexp(1.0 + np.arange(2090) / 2090.0, np.arange(-1074, 1016))])
 a = np.ldexp(1.0 + np.arange(500) / 500.0, np.arange(-100, 900, 2))

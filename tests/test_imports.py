@@ -1,4 +1,5 @@
-"""Every module uses every name it imports, and the package imports lazily.
+"""Every module uses every name it imports, the package imports lazily, and
+the names a profiler wraps are the ones the program calls.
 
 No linter is installed, so this reads each module's syntax tree instead.
 A name counts as used if any expression of the module reads it; names in
@@ -52,29 +53,112 @@ def test_unused_names_are_found():
     assert _unused_imports(source) == ["d", "os"]
 
 
-# Runs in a fresh interpreter: what each import step adds to sys.modules.
+# Runs in a fresh interpreter: what each import step and command adds to sys.modules.
 _FOOTPRINT = """
-import json, sys
+import json, os, sys
 loaded = lambda: sorted(sys.modules)
 import ransomgame
 package = [m for m in loaded() if m.startswith("ransomgame.")]
 import ransomgame.cli
 cli = loaded()
+out = lambda name: os.path.join(sys.argv[1], name)
+sweep = ["sweep", "--axis", "i_beta:0.001:0.5:20:log", "--axis", "i_sigma:0.001:0.5:20:log",
+         "--fix", "a=4.68"]
+assert ransomgame.cli.main(["optimize", "--out", out("o.csv")]) == 0
+assert ransomgame.cli.main(sweep + ["--out", out("s.csv")]) == 0
+commands = loaded()
+assert ransomgame.cli.main(sweep + ["--format", "json", "--out", out("s.json")]) == 0
+json_sweep = loaded()
+assert ransomgame.cli.main(["figure", "beta_curve", "--out", out("f.csv")]) == 0
+figure = loaded()
 namespace = {}
 exec("from ransomgame import *", namespace)
-print(json.dumps({"package": package, "cli": cli, "all": ransomgame.__all__,
+print(json.dumps({"package": package, "cli": cli, "commands": commands,
+                  "json_sweep": json_sweep, "figure": figure, "all": ransomgame.__all__,
                   "star": sorted(namespace), "dir": dir(ransomgame)}))
 """
 
+# What only some commands run: the Monte Carlo engine and its random streams
+# (simulate), the figure and table builders, quadrature (no command) and
+# contours (a JSON 2-D sweep and the heatmaps).
+_NOT_SHARED = ("ransomgame.simulate", "ransomgame.stochastics", "ransomgame._figures",
+               "ransomgame._quadrature", "ransomgame._contour")
 
-def test_import_loads_only_what_every_command_needs():
+
+def _run_fresh(script: str, *args) -> dict:
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    seen = json.loads(proc.stdout)
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_only_what_every_command_needs(tmp_path):
+    seen = _run_fresh(_FOOTPRINT, tmp_path)
     assert seen["package"] == []
-    # Only simulate needs the Monte Carlo engine and, with workers, its thread pool.
-    for module in ("ransomgame.simulate", "concurrent.futures", "logging"):
+    # Only simulate needs the thread pool, and only with workers.
+    for module in (*_NOT_SHARED, "concurrent.futures", "logging"):
         assert module not in seen["cli"]
+    # optimize and a CSV sweep run none of it either.
+    for module in _NOT_SHARED:
+        assert module not in seen["commands"]
+    assert "ransomgame._contour" in seen["json_sweep"]
+    assert "ransomgame._figures" not in seen["json_sweep"]
+    assert "ransomgame._figures" in seen["figure"]
     assert set(seen["all"]) <= set(seen["star"])
     assert set(seen["all"]) <= set(seen["dir"])
+
+
+# The names perfbench's tracer wraps (``perfbench/tracing.py``, CLI_TARGETS
+# and QUADRATURE_TARGETS, less the one it has no longer found since the
+# optimizer stopped importing ``expected_profit``).  Some are bound on first
+# use; the tracer reads each with getattr and replaces it with setattr after
+# ``import ransomgame.cli``, and its wrapper must be what the program calls.
+_TRACED = (("ransomgame.cli", "_write_csv"), ("ransomgame.cli", "_write_json"),
+           ("ransomgame.cli", "run_batch"), ("ransomgame.cli", "write_trace_csv"),
+           ("ransomgame.cli", "maximize_profit"), ("ransomgame.cli", "profit_surface"),
+           ("ransomgame.optimize", "nelder_mead"), ("ransomgame.optimize", "zero_contours"),
+           ("ransomgame.profit", "adaptive_quadrature"))
+# Each module binds only its own lazy names.
+_UNKNOWN = (("ransomgame.cli", "no_such_name"), ("ransomgame.cli", "expected_profit"),
+            ("ransomgame.optimize", "no_such_name"), ("ransomgame.optimize", "expected_profit"),
+            ("ransomgame.profit", "no_such_name"), ("ransomgame.profit", "zero_contours"))
+
+_TRACER = """
+import functools, importlib, json, os, sys
+import ransomgame.cli
+targets, unknown_names = json.loads(sys.argv[2])
+calls = dict.fromkeys(".".join(t) for t in targets)
+for module, attr in targets:
+    mod = importlib.import_module(module)
+    def wrap(fn, key=f"{module}.{attr}"):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[key] = (calls[key] or 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+    setattr(mod, attr, wrap(getattr(mod, attr)))
+unknown = []
+for module, attr in unknown_names:
+    try:
+        getattr(importlib.import_module(module), attr)
+    except AttributeError:
+        unknown.append([module, attr])
+out = lambda name: os.path.join(sys.argv[1], name)
+main = ransomgame.cli.main
+assert main(["optimize", "--out", out("o.csv")]) == 0
+assert main(["sweep", "--axis", "i_beta:0.001:0.5:20:log", "--axis", "i_sigma:0.001:0.5:20:log",
+             "--fix", "a=4.68", "--format", "json", "--out", out("s.json")]) == 0
+assert main(["simulate", "--n-runs", "100", "--out", out("r.csv"),
+             "--trace-out", out("t.csv")]) == 0
+from ransomgame import AttackerStrategy, GameEnvironment, PopulationMean
+from ransomgame.profit import ProfitMethod, expected_profit
+expected_profit(AttackerStrategy(4.68, 0.091, 0.104), GameEnvironment(0.02, PopulationMean(1.0)),
+                ProfitMethod.QUADRATURE)
+print(json.dumps({"calls": calls, "unknown": unknown}))
+"""
+
+
+def test_traced_names_resolve_and_their_wrappers_run(tmp_path):
+    seen = _run_fresh(_TRACER, tmp_path, json.dumps([_TRACED, _UNKNOWN]))
+    assert [key for key, n in seen["calls"].items() if not n] == []
+    assert seen["unknown"] == [list(name) for name in _UNKNOWN]

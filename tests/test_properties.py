@@ -21,11 +21,13 @@ from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironme
                         estimate_scale, expected_profit, gross_multiplier_closed_form,
                         optimal_counteroffer, optimal_play_profit, reliability, run_single)
 from ransomgame._rows import write_rows  # noqa: E402
-from ransomgame.cli import FIGURE_NAMES, SCHEMAS, main  # noqa: E402
+from ransomgame._erfcx import _ERFCX_EDGES, _erfcx  # noqa: E402
+from ransomgame._figures import FIGURE_NAMES  # noqa: E402
+from ransomgame.cli import SCHEMAS, main  # noqa: E402
 from ransomgame.optimize import DEFAULT_BOUNDS, AxisSpec, maximize_profit  # noqa: E402
 from ransomgame.profit import _best_i_beta, _closed_form_profit, profit_grid  # noqa: E402
 from ransomgame.simulate import _outcome_from_arrays  # noqa: E402
-from ransomgame.stochastics import _ERFCX_EDGES, _erfcx, _ppf  # noqa: E402
+from ransomgame.stochastics import _ppf  # noqa: E402
 from conftest import run_traced  # noqa: E402
 from test_kernel_bits import _reference_ppf  # noqa: E402
 from test_optimize import assert_same_simplex, run_both  # noqa: E402

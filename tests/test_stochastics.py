@@ -7,9 +7,10 @@ import pytest
 
 from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment, SeedSpec,
                         SimulationConfig, estimate_scale, lognormal_pdf, run_batch)
+from ransomgame._erfcx import _erfcx
 from ransomgame._quadrature import adaptive_quadrature
 from ransomgame.simulate import run_uniforms
-from ransomgame.stochastics import _erfcx, _open_uniforms, _ppf, philox, uniform_blocks
+from ransomgame.stochastics import _open_uniforms, _ppf, philox, uniform_blocks
 from conftest import std_normal_cdf
 from test_kernel_bits import _reference_uniforms
 
