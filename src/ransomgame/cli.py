@@ -521,9 +521,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # Only the command being run needs its arguments; --help, --version
-    # and a missing or unknown command get every command's.
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    # Only the command being run needs its arguments.  argparse takes the
+    # first word that is not an option as the command; with none (--help,
+    # --version) or an unknown one, no command's arguments are built.
+    parser = build_parser(next((word for word in argv if not word.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

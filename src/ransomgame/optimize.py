@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, _scale
 from .game import AttackerStrategy, GameEnvironment, estimate_scale
-from .profit import _best_i_beta, _closed_form_profit, _empty, profit_grid
+from .profit import _best_i_beta, _closed_form_profit
 
 _PARAM_NAMES = ("a", "i_beta", "i_sigma")
 
@@ -46,6 +46,15 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load_contour()
     return globals()[name]
+
+
+def _empty(shape: tuple) -> np.ndarray:
+    """np.empty(shape) for a profit grid; past what numpy can address, a MemoryError."""
+    try:
+        return np.empty(shape)
+    except ValueError:  # numpy's "array is too big"
+        raise MemoryError(f"a {' x '.join(map(str, shape))} profit grid "
+                          "exceeds the largest possible array") from None
 
 
 @dataclass(frozen=True)
@@ -243,13 +252,13 @@ def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
         return _closed_form_profit(*strategy(a, i_sigma), env)
 
     axes = (a_spec.values(), sigma_spec.values())
-    # Allocated before any G, so a plane too large for memory fails at once.
-    plane = _empty((grid_points, grid_points))
+    # Allocated and freed before any G, so a plane too large for memory fails at once.
+    _empty((grid_points, grid_points))
     # Log spacing puts the box in the strategy domain, but sigma may underflow.
     _scale("sigma", estimate_scale(sigma_spec.hi, env.i_fifty))
     # Overflow shows as a non-finite P, which raises, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        plane[...] = profit(axes[0][:, None], axes[1])
+        plane = profit(axes[0][:, None], axes[1])
     # Axes ascend: the first maximum in C order is the lexicographically smallest.
     best = np.unravel_index(int(np.argmax(plane)), plane.shape)
     # Refinement steps: half the local grid spacing in each coordinate.
@@ -275,7 +284,17 @@ def profit_surface(env: GameEnvironment, grid: SweepGrid) -> SurfaceResult:
     canonical = [axis_values[names.index(name)] if name in names
                  else np.array([grid.fixed[name]], dtype=np.float64)
                  for name in _PARAM_NAMES]
-    cube = profit_grid(*canonical, env)
+    a, i_beta, i_sigma = canonical
+    # Every bound is monotone, so a node fails iff an axis extreme does.
+    for pick in (np.min, np.max):
+        AttackerStrategy(a=pick(a), i_beta=pick(i_beta), i_sigma=pick(i_sigma))
+    # Allocated and freed before any G, so a grid too large for memory fails at once.
+    _empty((len(a), len(i_beta), len(i_sigma)))
+    # The smallest sigma, at the largest i_sigma, may underflow to 0.
+    _scale("sigma", estimate_scale(float(i_sigma.max()), env.i_fifty))
+    # Overflow shows as a non-finite P, which raises, so numpy's warning is noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cube = _closed_form_profit(a[:, None, None], i_beta[:, None], i_sigma, env)
     # Fixed parameters are length-1 axes of the cube.
     best = np.unravel_index(int(np.argmax(cube)), cube.shape)
     order = [_PARAM_NAMES.index(name) for name in names]

@@ -11,9 +11,10 @@ form built from lognormal partial expectations, which is a sum of two
 scaled complementary error functions (``_erfcx._erfcx``, arithmetic
 only, so its bits do not depend on numpy's SIMD loops), and adaptive
 quadrature of the underlying integral — which must agree to 1e-6 or better.
-The closed form is written for floats and arrays alike: ``profit_grid``
-evaluates it on whole grids, ``_closed_form_profit`` at nodes, and
-``_best_i_beta`` is the formula for the best i_beta at (a, i_sigma).
+The closed form is one function for floats and broadcast arrays alike:
+``_closed_form_profit`` evaluates one node, the optimizer's scan plane or a
+sweep's whole cube, and ``_best_i_beta`` is the formula for the best i_beta
+at (a, i_sigma).
 """
 
 from __future__ import annotations
@@ -110,42 +111,6 @@ def gross_multiplier_quadrature(a: float, sigma: float) -> float:
     return _quadrature_multiplier(_positive("aggression a", a), _scale("sigma", sigma))[0]
 
 
-def profit_grid(a, i_beta, i_sigma, env: GameEnvironment) -> np.ndarray:
-    """Closed-form profit P[j, k, l] of (a[j], i_beta[k], i_sigma[l]) for three 1-D axes.
-
-    G is one erfcx expression on the whole (a, sigma) plane, broadcast over
-    i_beta; the grouping ((k * G) * M) - (i_beta + i_sigma) keeps P exactly
-    linear in M.  Raises DomainError for an axis value outside the strategy
-    domain and NumericalError naming a node where P is not finite.
-    """
-    a, i_beta, i_sigma = (np.asarray(v, dtype=np.float64) for v in (a, i_beta, i_sigma))
-    # Every bound is monotone, so a node fails iff an axis extreme does.
-    for pick in (np.min, np.max):
-        AttackerStrategy(a=pick(a), i_beta=pick(i_beta), i_sigma=pick(i_sigma))
-    # Allocated before any G, so a grid too large for memory fails at once.
-    profit = _empty((len(a), len(i_beta), len(i_sigma)))
-    # Overflow shows as a zero sigma or a non-finite P below: numpy's warning is noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Never above 1, but 0 once i_fifty + i_sigma overflows or the ratio underflows.
-        sigma = estimate_scale(i_sigma, env.i_fifty)
-        _scale("sigma", float(sigma.min()))
-        beta = reliability(i_beta, env.i_fifty)
-        np.multiply(demand_factor(a[:, None], beta[None, :])[:, :, None],
-                    _gross_multiplier(a[:, None], sigma[None, :])[:, None, :], out=profit)
-        profit *= env.mean_target_value
-        profit -= i_beta[:, None] + i_sigma[None, :]
-    return _finite(profit, a[:, None, None], i_beta[:, None], i_sigma)
-
-
-def _empty(shape: tuple) -> np.ndarray:
-    """np.empty(shape) for a profit grid; past what numpy can address, a MemoryError."""
-    try:
-        return np.empty(shape)
-    except ValueError:  # numpy's "array is too big"
-        raise MemoryError(f"a {' x '.join(map(str, shape))} profit grid "
-                          "exceeds the largest possible array") from None
-
-
 def _finite(profit, a, i_beta, i_sigma):
     """profit if finite at every node, else NumericalError naming the first in C order."""
     if math.isfinite(profit) if isinstance(profit, float) else np.isfinite(profit).all():
@@ -157,16 +122,20 @@ def _finite(profit, a, i_beta, i_sigma):
 
 
 def _closed_form_profit(a, i_beta, i_sigma, env: GameEnvironment):
-    """profit_grid's P at one node, or at each node of broadcast arrays; unchecked.
+    """Closed-form P at one node, or at each node of broadcast arrays; unchecked.
 
-    Every operation is profit_grid's, in its order, so the two agree bit for
-    bit.  Raises NumericalError where P is not finite.
+    The grouping ((k * G) * M) - (i_beta + i_sigma) keeps P exactly linear in
+    M.  Arrays broadcast, and each element rounds as the float would; M and
+    the cost are applied in place, so a grid holds one result array, not two.
+    Raises NumericalError naming the first node in C order where P is not
+    finite.
     """
     i_fifty = env.i_fifty
     beta = i_beta / (i_beta + i_fifty)
     sigma = i_fifty / (i_fifty + i_sigma)
-    value = demand_factor(a, beta) * _gross_multiplier(a, sigma) * env.mean_target_value \
-        - (i_beta + i_sigma)
+    value = demand_factor(a, beta) * _gross_multiplier(a, sigma)
+    value *= env.mean_target_value
+    value -= i_beta + i_sigma
     return _finite(value, a, i_beta, i_sigma)
 
 
@@ -206,6 +175,5 @@ def expected_profit(strat: AttackerStrategy, env: GameEnvironment,
             * env.mean_target_value
         return ProfitEstimate(value=scale * g - cost, method=method,
                               abs_uncertainty=scale * err)
-    raise DomainError(
-        f"method must be CLOSED_FORM or QUADRATURE here, got {method!r}; "
-        "Monte Carlo estimates are produced by simulate.run_batch")
+    raise DomainError(f"method must be ProfitMethod.CLOSED_FORM or ProfitMethod.QUADRATURE, "
+                      f"got {method!r}")

@@ -55,12 +55,15 @@ def test_unused_names_are_found():
 
 # Runs in a fresh interpreter: what each import step and command adds to sys.modules.
 _FOOTPRINT = """
-import json, os, sys
+import contextlib, io, json, os, sys
 loaded = lambda: sorted(sys.modules)
 import ransomgame
 package = [m for m in loaded() if m.startswith("ransomgame.")]
 import ransomgame.cli
 cli = loaded()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert [ransomgame.cli.main(argv) for argv in (["--version"], ["--help"], [])] == [0, 0, 2]
+top_level = loaded()
 out = lambda name: os.path.join(sys.argv[1], name)
 sweep = ["sweep", "--axis", "i_beta:0.001:0.5:20:log", "--axis", "i_sigma:0.001:0.5:20:log",
          "--fix", "a=4.68"]
@@ -73,7 +76,7 @@ assert ransomgame.cli.main(["figure", "beta_curve", "--out", out("f.csv")]) == 0
 figure = loaded()
 namespace = {}
 exec("from ransomgame import *", namespace)
-print(json.dumps({"package": package, "cli": cli, "commands": commands,
+print(json.dumps({"package": package, "cli": cli, "top_level": top_level, "commands": commands,
                   "json_sweep": json_sweep, "figure": figure, "all": ransomgame.__all__,
                   "star": sorted(namespace), "dir": dir(ransomgame)}))
 """
@@ -98,8 +101,11 @@ def test_import_loads_only_what_every_command_needs(tmp_path):
     # Only simulate needs the thread pool, and only with workers.
     for module in (*_NOT_SHARED, "concurrent.futures", "logging"):
         assert module not in seen["cli"]
-    # optimize and a CSV sweep run none of it either.
+    # --version, --help and an argv with no command build no command's
+    # arguments, so they need no figure names; optimize and a CSV sweep run
+    # none of it either.
     for module in _NOT_SHARED:
+        assert module not in seen["top_level"]
         assert module not in seen["commands"]
     assert "ransomgame._contour" in seen["json_sweep"]
     assert "ransomgame._figures" not in seen["json_sweep"]

@@ -21,7 +21,7 @@ from ransomgame import (AttackerStrategy, ConfigError, DomainError, ProfitMethod
                         nelder_mead, profit_surface)
 from ransomgame import optimize
 from ransomgame.optimize import DEFAULT_BOUNDS, NM_COEFFICIENTS
-from ransomgame.profit import _best_i_beta, _closed_form_profit, profit_grid
+from ransomgame.profit import _best_i_beta, _closed_form_profit
 
 I50 = 0.02
 
@@ -298,8 +298,7 @@ class TestMaximizeProfit:
         assert opt.profit < 0.304
 
     def test_restart_stability(self, mean_env, rng):
-        from ransomgame.profit import profit_grid
-        profit = lambda a, ib, isg: profit_grid([a], [ib], [isg], mean_env)[0, 0, 0]
+        profit = lambda a, ib, isg: _closed_form_profit(a, ib, isg, mean_env)
         lo = np.array([0.1, 0.001, 0.001])
         hi = np.array([20.0, 0.5, 0.5])
         steps = 0.25 * (hi - lo)
@@ -433,6 +432,24 @@ class TestProfitSurface:
         assert surface.argmax_index == best_idx
         assert surface.argmax_strategy == AttackerStrategy(*best_params)
         assert surface.argmax_profit == surface.values[best_idx]
+
+    @pytest.mark.parametrize("axes,fixed,grids", [
+        # The cube, then its boolean finiteness mask.
+        ([AxisSpec(name, 0.01, 0.5, 80, "log") for name in ("a", "i_beta", "i_sigma")], {}, 1.25),
+        # The plane, while its cost i_beta + i_sigma, a plane too, is subtracted.
+        ([AxisSpec("i_beta", 0.001, 0.5, 400, "log"), AxisSpec("i_sigma", 0.001, 0.5, 400, "log")],
+         {"a": 4.68}, 2.25),
+    ], ids=["3d", "2d"])
+    def test_memory_bounded_by_the_result(self, mean_env, axes, fixed, grids):
+        # A copy of the grid for M or for the cost would add one grid more.
+        grid = SweepGrid(axes=axes, fixed=fixed)
+        tracemalloc.start()
+        try:
+            surface = profit_surface(mean_env, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grids * surface.values.nbytes
 
     def test_argmax_and_zero_contour(self, mean_env):
         grid = SweepGrid(axes=[AxisSpec("i_beta", 0.001, 0.5, 60, "log"),

@@ -24,8 +24,9 @@ from ransomgame._rows import write_rows  # noqa: E402
 from ransomgame._erfcx import _ERFCX_EDGES, _erfcx  # noqa: E402
 from ransomgame._figures import FIGURE_NAMES  # noqa: E402
 from ransomgame.cli import SCHEMAS, main  # noqa: E402
-from ransomgame.optimize import DEFAULT_BOUNDS, AxisSpec, maximize_profit  # noqa: E402
-from ransomgame.profit import _best_i_beta, _closed_form_profit, profit_grid  # noqa: E402
+from ransomgame.optimize import (DEFAULT_BOUNDS, AxisSpec, SweepGrid, maximize_profit,  # noqa: E402
+                                 profit_surface)
+from ransomgame.profit import _best_i_beta, _closed_form_profit  # noqa: E402
 from ransomgame.simulate import _outcome_from_arrays  # noqa: E402
 from ransomgame.stochastics import _ppf  # noqa: E402
 from conftest import run_traced  # noqa: E402
@@ -194,7 +195,7 @@ _ELEMENT = st.one_of(st.floats(0.0, 2.0),
                      st.floats())
 
 
-# demand_factor checks nothing: the kernel and profit_grid call it on checked values.
+# demand_factor checks nothing: the kernel and _closed_form_profit call it on checked values.
 @given(name=st.sampled_from(sorted(set(_STEPS) - {"demand_factor"})), n=st.integers(0, 6),
        data=st.data())
 def test_array_step_raises_iff_a_float_step_does(name, n, data):
@@ -234,18 +235,21 @@ def _in_box(name):
 _MEAN_ENV = GameEnvironment(0.02, PopulationMean(1.0))
 
 
-def _grid_profit(a, i_beta, i_sigma):
-    return float(profit_grid([a], [i_beta], [i_sigma], _MEAN_ENV)[0, 0, 0])
+def _array_profit(a, i_beta, i_sigma):
+    """P at the node as the centre of a 3x3x3 cube, broadcast as a sweep broadcasts it."""
+    a, i_beta, i_sigma = (np.array([0.5 * v, v, 2.0 * v]) for v in (a, i_beta, i_sigma))
+    return float(_closed_form_profit(a[:, None, None], i_beta[:, None], i_sigma,
+                                     _MEAN_ENV)[1, 1, 1])
 
 
 @given(a=_in_box("a"), i_beta=_in_box("i_beta"), i_sigma=_in_box("i_sigma"))
-def test_float_profit_is_profit_grid_bit_for_bit(a, i_beta, i_sigma):
-    assert _closed_form_profit(a, i_beta, i_sigma, _MEAN_ENV) == _grid_profit(a, i_beta, i_sigma)
+def test_float_profit_is_the_array_element_bit_for_bit(a, i_beta, i_sigma):
+    assert _closed_form_profit(a, i_beta, i_sigma, _MEAN_ENV) == _array_profit(a, i_beta, i_sigma)
 
 
-def test_float_profit_is_profit_grid_on_the_default_trace():
+def test_float_profit_is_the_array_element_on_the_default_trace():
     trace = maximize_profit(_MEAN_ENV).trace
-    assert [profit for _, profit in trace] == [_grid_profit(*point) for point, _ in trace]
+    assert [profit for _, profit in trace] == [_array_profit(*point) for point, _ in trace]
 
 
 @given(a=_in_box("a"), i_beta=_in_box("i_beta"), i_sigma=_in_box("i_sigma"),
@@ -276,7 +280,7 @@ def _slack(peak, cost):
 @given(env=_ENV, a=_log_floats(-1.0, 1.3), i_sigma=_log_floats(-3.0, 0.0), box=_box(-3.0, -0.5))
 def test_best_i_beta_is_the_argmax_along_i_beta(env, a, i_sigma, box):
     axis = np.linspace(*box, 1001)
-    profits = profit_grid([a], axis, [i_sigma], env)[0, :, 0]
+    profits = _closed_form_profit(a, axis, i_sigma, env)
     k = int(np.argmax(profits))
     best = _best_i_beta(a, i_sigma, env, *box)
     assert abs(best - axis[k]) <= axis[1] - axis[0]
@@ -289,9 +293,8 @@ def test_best_i_beta_is_the_argmax_along_i_beta(env, a, i_sigma, box):
 def test_profiled_optimum_beats_the_3d_grid(env, a_box, beta_box, sigma_box, n):
     bounds = {"a": a_box, "i_beta": beta_box, "i_sigma": sigma_box}
     opt = maximize_profit(env, bounds, grid_points=n)
-    cube = profit_grid(*(AxisSpec(name, lo, hi, n, "log").values()
-                         for name, (lo, hi) in bounds.items()), env)
-    peak = float(cube.max())
+    peak = profit_surface(env, SweepGrid([AxisSpec(name, lo, hi, n, "log")
+                                          for name, (lo, hi) in bounds.items()])).argmax_profit
     assert opt.profit >= peak - _slack(peak, beta_box[1] + sigma_box[1])
 
 
