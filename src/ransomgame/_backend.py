@@ -1,5 +1,5 @@
 """The module whose ``simulate_runs`` plays the games, for a profiler to wrap:
-``simulate`` calls that module global on every chunk."""
+``simulate`` calls that module global on every slice."""
 
 from . import simulate
 

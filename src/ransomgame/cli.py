@@ -467,21 +467,27 @@ def _param_flag(name: str) -> str:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of all five commands, with the arguments of ``command`` only.
+    """The parser of ``command`` alone, or of all five commands.
 
-    Every command is registered, so the usage line and argparse's errors
-    list all five; a ``command`` of None adds every command's arguments.
+    For one of the five commands only its subparser is registered, with a
+    metavar that keeps the usage line listing all five.  Otherwise (None,
+    an unknown word or none) all five are registered without one, so
+    argparse's errors still name the argument ``command``; a ``command`` of
+    None adds every command's arguments.
     """
     parser = argparse.ArgumentParser(
         prog="ransomgame",
         description="Targeted-ransomware negotiation game: figures, tables, "
                     "simulation, optimization, and sweeps.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    alone = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if alone else None)
     for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            _add_arguments(p, name)
+        if name == command or not alone:
+            p = sub.add_parser(name, help=help_text)
+            if command in (None, name):
+                _add_arguments(p, name)
     return parser
 
 
@@ -523,8 +529,11 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     # Only the command being run needs its arguments.  argparse takes the
     # first word that is not an option as the command; with none (--help,
-    # --version) or an unknown one, no command's arguments are built.
-    parser = build_parser(next((word for word in argv if not word.startswith("-")), ""))
+    # --version) or an unknown one, no command's arguments are built.  A
+    # command word after other words gets every command's arguments: argparse
+    # may read "-", "--" or "-1" as the command, and "-h" lists all five.
+    word = next((word for word in argv if not word.startswith("-")), "")
+    parser = build_parser(None if word in _COMMANDS and argv[0] != word else word)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, _scale
 from .game import AttackerStrategy, GameEnvironment, estimate_scale
-from .profit import _best_i_beta, _closed_form_profit
+from .profit import _best_i_beta, _closed_form_profit, _gross_multiplier, _profit_at
 
 _PARAM_NAMES = ("a", "i_beta", "i_sigma")
 
@@ -245,11 +245,19 @@ def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
         for name, (lo, hi) in {**DEFAULT_BOUNDS, **(bounds or {})}.items()]
     beta_box = (float(beta_spec.lo), float(beta_spec.hi))
 
-    def strategy(a, i_sigma):
-        return a, _best_i_beta(a, i_sigma, env, *beta_box), i_sigma
+    def profit(a, i_sigma):  # (i_beta, P): floats, or arrays that broadcast
+        g = _gross_multiplier(a, env.i_fifty / (env.i_fifty + i_sigma))
+        i_beta = _best_i_beta(a, g, env, *beta_box)
+        return i_beta, _profit_at(a, i_beta, i_sigma, g, env)
 
-    def profit(a, i_sigma):  # floats, or arrays that broadcast
-        return _closed_form_profit(*strategy(a, i_sigma), env)
+    i_betas = {}  # the i_beta of each point the simplex evaluated
+
+    def objective(p):
+        i_betas[p], value = profit(*p)
+        return -value
+
+    def strategy(p):
+        return p[0], i_betas[p], p[1]
 
     axes = (a_spec.values(), sigma_spec.values())
     # Allocated and freed before any G, so a plane too large for memory fails at once.
@@ -258,18 +266,18 @@ def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
     _scale("sigma", estimate_scale(sigma_spec.hi, env.i_fifty))
     # Overflow shows as a non-finite P, which raises, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        plane = profit(axes[0][:, None], axes[1])
+        plane = profit(axes[0][:, None], axes[1])[1]
     # Axes ascend: the first maximum in C order is the lexicographically smallest.
     best = np.unravel_index(int(np.argmax(plane)), plane.shape)
     # Refinement steps: half the local grid spacing in each coordinate.
     steps = [0.5 * (float(axis[i + 1]) - float(axis[i]))
              for axis, i in zip(axes, (min(int(k), grid_points - 2) for k in best))]
     x_best, f_best, nm_evals, converged, history = nelder_mead(
-        lambda p: -profit(*p), [float(axis[k]) for axis, k in zip(axes, best)], steps,
+        objective, [float(axis[k]) for axis, k in zip(axes, best)], steps,
         (a_spec.lo, sigma_spec.lo), (a_spec.hi, sigma_spec.hi))
-    return StrategyOptimum(strategy=AttackerStrategy(*strategy(*x_best)), profit=-f_best,
+    return StrategyOptimum(strategy=AttackerStrategy(*strategy(x_best)), profit=-f_best,
                            evaluations=grid_points ** 2 + nm_evals, converged=converged,
-                           trace=[(strategy(*p), -v) for p, v in history])
+                           trace=[(strategy(p), -v) for p, v in history])
 
 
 def profit_surface(env: GameEnvironment, grid: SweepGrid) -> SurfaceResult:

@@ -12,9 +12,10 @@ scaled complementary error functions (``_erfcx._erfcx``, arithmetic
 only, so its bits do not depend on numpy's SIMD loops), and adaptive
 quadrature of the underlying integral — which must agree to 1e-6 or better.
 The closed form is one function for floats and broadcast arrays alike:
-``_closed_form_profit`` evaluates one node, the optimizer's scan plane or a
-sweep's whole cube, and ``_best_i_beta`` is the formula for the best i_beta
-at (a, i_sigma).
+``_closed_form_profit`` evaluates one node or a sweep's whole cube, and its
+arithmetic after G, ``_profit_at``, is also the optimizer's objective, which
+shares one G with ``_best_i_beta``, the formula for the best i_beta at
+(a, i_sigma).
 """
 
 from __future__ import annotations
@@ -124,31 +125,36 @@ def _finite(profit, a, i_beta, i_sigma):
 def _closed_form_profit(a, i_beta, i_sigma, env: GameEnvironment):
     """Closed-form P at one node, or at each node of broadcast arrays; unchecked.
 
-    The grouping ((k * G) * M) - (i_beta + i_sigma) keeps P exactly linear in
-    M.  Arrays broadcast, and each element rounds as the float would; M and
-    the cost are applied in place, so a grid holds one result array, not two.
-    Raises NumericalError naming the first node in C order where P is not
-    finite.
+    Arrays broadcast, and each element rounds as the float would.  Raises
+    NumericalError naming the first node in C order where P is not finite.
     """
-    i_fifty = env.i_fifty
-    beta = i_beta / (i_beta + i_fifty)
-    sigma = i_fifty / (i_fifty + i_sigma)
-    value = demand_factor(a, beta) * _gross_multiplier(a, sigma)
+    g = _gross_multiplier(a, env.i_fifty / (env.i_fifty + i_sigma))
+    return _profit_at(a, i_beta, i_sigma, g, env)
+
+
+def _profit_at(a, i_beta, i_sigma, g, env: GameEnvironment):
+    """``_closed_form_profit`` given g, the G(a, sigma) of (a, i_sigma).
+
+    The grouping ((k * G) * M) - (i_beta + i_sigma) keeps P exactly linear in
+    M.  M and the cost are applied in place, so a grid holds one result
+    array, not two.
+    """
+    value = demand_factor(a, i_beta / (i_beta + env.i_fifty)) * g
     value *= env.mean_target_value
     value -= i_beta + i_sigma
     return _finite(value, a, i_beta, i_sigma)
 
 
-def _best_i_beta(a, i_sigma, env: GameEnvironment, lo: float, hi: float):
-    """The i_beta in [lo, hi] that maximizes P at (a, i_sigma): floats or arrays, unchecked.
+def _best_i_beta(a, g, env: GameEnvironment, lo: float, hi: float):
+    """The i_beta in [lo, hi] that maximizes P at (a, i_sigma), given g = G(a, sigma).
 
     P = c*beta - i_beta - i_sigma with c = a*G*M/(1+a) is concave in i_beta
     and peaks at sqrt(c*i_fifty) - i_fifty, which is clipped to the box.
-    Arrays broadcast, and each element rounds as the float would.
+    Floats or arrays, unchecked; arrays broadcast, and each element rounds
+    as the float would.
     """
     i_fifty = env.i_fifty
-    sigma = i_fifty / (i_fifty + i_sigma)
-    c_i_fifty = a * _gross_multiplier(a, sigma) / (1.0 + a) * env.mean_target_value * i_fifty
+    c_i_fifty = a * g / (1.0 + a) * env.mean_target_value * i_fifty
     if isinstance(c_i_fifty, np.ndarray):
         return np.clip(np.sqrt(c_i_fifty) - i_fifty, lo, hi)
     return min(max(math.sqrt(c_i_fifty) - i_fifty, lo), hi)

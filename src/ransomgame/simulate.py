@@ -10,11 +10,13 @@ run: run i of a batch seeded with (master_seed, stream_index) reads words
 bit-identical for any worker count, and run 0 of a batch equals
 ``run_single`` with the same seed.
 
-A batch is played in chunks of 65,536 runs.  The kernel, ``simulate_runs``,
-plays a chunk into its ``SimulationTrace`` arrays in slices of 16,384 runs.
-Each chunk is reduced to summary statistics, handed to an optional callback
-(the CLI writes it to the trace file there) and dropped, so peak memory is
-O(chunk x workers) whatever the number of runs.
+A batch is played in chunks of 65,536 runs, and a chunk in slices of 16,384
+runs: each slice's random words are drawn just before the kernel,
+``simulate_runs``, plays it into the chunk's ``SimulationTrace`` arrays, so
+only one slice's words are alive at a time.  Each chunk is reduced to
+summary statistics, handed to an optional callback (the CLI writes it to the
+trace file there) and dropped, so peak memory is O(chunk x workers) whatever
+the number of runs.
 """
 
 from __future__ import annotations
@@ -41,9 +43,11 @@ from .stochastics import SeedSpec, _ppf, uniform_blocks
 # (0.163 against 0.133 s; fresh processes, interleaved pairs).
 _CHUNK = 65536
 
-# Runs per slice of a kernel call.  A slice's dozen live arrays of up to 8
-# bytes per run (about 1.5 MB at 16,384 runs) stay in a core's L2 cache
-# between the kernel's passes.  On a 2-vCPU Xeon with 2 MB of L2 per core, a
+# Runs per kernel call.  A slice's uniforms (24 bytes per run, drawn just
+# before the call) and the kernel's dozen live arrays of up to 8 bytes per
+# run (about 1.5 MB at 16,384 runs) stay in a core's L2 cache between the
+# kernel's passes.  A slice starts on a 4-word Philox block, as 3 * 16,384
+# words is a multiple of 4.  On a 2-vCPU Xeon with 2 MB of L2 per core, a
 # 1M-run batch took 142-148 ms of CPU unsliced, 106-116 ms at 16,384-32,768
 # runs a slice, 120 ms at 12,288 and 122 ms at 8,192 (medians of 12-30
 # interleaved batches); 16,384 is the smallest size on that plateau, so its
@@ -56,7 +60,7 @@ _SLICE = 16384
 _SCALE_BITS = 448
 _SCALE_LIMIT = 2.0 ** _SCALE_BITS
 
-# The outcome kinds by the code ``_play_slice`` stores in ``kind``.
+# The outcome kinds by the code ``simulate_runs`` stores in ``kind``.
 _KIND_ORDER = (OutcomeKind.AGGRESSIVE_REJECTION,
                OutcomeKind.DECRYPTION_SUCCESS,
                OutcomeKind.DECRYPTION_FAILURE,
@@ -180,19 +184,14 @@ def simulate_runs(u3, a, beta, sigma, x, cost, chunk: SimulationTrace):
     column 2 the decryption draw; further columns are not read, so u3 may
     be the ``(n, 3)`` rows of ``run_uniforms`` or any wider array.  Run i is
     written in place to run i of ``chunk``.  Each run depends only on its
-    own row, so any split of the rows into calls gives the same results;
-    the rows are played ``_SLICE`` at a time.
+    own row, so any split of the rows into calls gives the same results; a
+    batch plays ``_SLICE`` rows a call.
     """
     k = demand_factor(a, beta)
     c_max = k * x
-    for lo in range(0, len(u3), _SLICE):
-        _play_slice(u3[lo:lo + _SLICE], a, beta, sigma, x, cost, k, c_max,
-                    _rows_of(chunk, lo, lo + _SLICE))
-
-
-def _play_slice(u3, a, beta, sigma, x, cost, k, c_max, out: SimulationTrace):
-    x_tilde, demand, counteroffer, alpha = out.x_tilde, out.demand, out.counteroffer, out.alpha
-    attacker, defender, kind = out.attacker_payoff, out.defender_payoff, out.kind
+    x_tilde, demand, counteroffer, alpha = (chunk.x_tilde, chunk.demand, chunk.counteroffer,
+                                            chunk.alpha)
+    attacker, defender, kind = chunk.attacker_payoff, chunk.defender_payoff, chunk.kind
     np.multiply(sigma, _ppf(u3[:, 0]), out=x_tilde)
     np.exp(x_tilde, out=x_tilde)
     x_tilde *= x
@@ -243,10 +242,11 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
     than one worker a thread pool plays at most ``workers`` chunks while the
     caller holds one.  A chunk's arrays are reused once the caller asks for
     the next chunk: fresh arrays would fault their pages in every time (1M
-    runs took 0.165 s against 0.135 s).  ``simulate_runs``, a module global
-    that a profiler may replace, reads each chunk's ``(m, 3)`` rows of
-    ``run_uniforms`` in place, a view of the Philox blocks that hold words
-    3*lo .. 3*(lo + m) - 1.
+    runs took 0.165 s against 0.135 s).  A chunk is played ``_SLICE`` runs at
+    a time: ``simulate_runs``, a module global that a profiler may replace,
+    reads a slice's ``(n, 3)`` rows of ``run_uniforms`` in place, a view of
+    the Philox blocks that hold the slice's words, drawn just before the
+    call, so no other slice's words (0.4 MB each) wait beside it.
     """
     beta = reliability(strategy.i_beta, env.i_fifty)
     sigma = estimate_scale(strategy.i_sigma, env.i_fifty)
@@ -264,8 +264,10 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
         # Inputs near the float64 limit overflow to inf; run_batch reports a
         # non-finite payoff as a NumericalError instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            simulate_runs(run_uniforms(seed, lo, m), strategy.a, beta, sigma, x,
-                          strategy.cost, chunk)
+            for s in range(0, m, _SLICE):
+                n_slice = min(_SLICE, m - s)
+                simulate_runs(run_uniforms(seed, lo + s, n_slice), strategy.a, beta, sigma,
+                              x, strategy.cost, _rows_of(chunk, s, s + n_slice))
         return lo, chunk
 
     if workers == 1:

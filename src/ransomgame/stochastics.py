@@ -23,7 +23,7 @@ _MASK64 = (1 << 64) - 1
 # numerator keeps every value exactly representable and strictly inside
 # (0, 1); a half-offset mapping would round to 1.0 at the top word.
 _U64_SHIFT = np.uint64(12)
-_U64_BASE = 2.0 ** -53
+_ONE_BELOW = 1.0 - 2.0 ** -53
 # The bits of 1.0: OR-ed onto w >> 12 they make the double 1 + (w >> 12) * 2^-52.
 _ONE_BITS = np.uint64(0x3FF0000000000000)
 
@@ -65,15 +65,16 @@ def philox(seed: SeedSpec, counter: int = 0) -> np.random.Philox:
 def _open_uniforms(raw: np.ndarray) -> np.ndarray:
     """The doubles (2*(w >> 12) + 1) * 2^-53 of uint64 words w, in raw's own buffer.
 
-    The 52 kept bits become the mantissa of a double in [1, 2).  Subtracting
-    1 and adding 2^-53 are exact, so the result has the bits of converting
-    w >> 12 to float and scaling it, without allocating a second array.
+    The 52 kept bits k = w >> 12 become the mantissa of u = 1 + k * 2^-52 in
+    [1, 2).  One subtraction of the double 1 - 2^-53 is exact: the result
+    k * 2^-52 + 2^-53 = (2k + 1) * 2^-53 has an odd numerator below 2^53, so
+    at most 53 significant bits.  The result therefore has the bits of
+    converting k to float and scaling it, without allocating a second array.
     """
     raw >>= _U64_SHIFT
     raw |= _ONE_BITS
     u = raw.view(np.float64)
-    u -= 1.0
-    u += _U64_BASE
+    u -= _ONE_BELOW
     return u
 
 

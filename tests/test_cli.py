@@ -939,6 +939,9 @@ class TestParser:
          "ransomgame: error: unrecognized arguments: extra"),
         (["simulate", "--out", "x", "--workers", "x"],
          "ransomgame simulate: error: argument --workers: invalid int value: 'x'"),
+        # argparse reads "-1" as the command, not the later command word.
+        (["-1", "optimize", "--out", "x"],
+         "ransomgame: error: argument command: invalid choice: '-1' "),
     ])
     def test_errors_match_the_parser_of_every_command(self, tmp_path, capsys, monkeypatch,
                                                       argv, last_line):
@@ -950,6 +953,13 @@ class TestParser:
         if argv[0] != "simulate":
             assert err.startswith(_USAGE)
         assert list(tmp_path.iterdir()) == []
+
+    def test_help_before_a_command_lists_all_five(self, capsys):
+        assert main(["--help"]) == 0
+        whole = capsys.readouterr().out
+        assert main(["-h", "optimize"]) == 0
+        assert capsys.readouterr().out == whole
+        assert all(f"    {name} " in whole for name in SCHEMAS)
 
     @pytest.mark.parametrize("command", SCHEMAS)
     def test_help_lists_every_schema_flag(self, capsys, command):

@@ -21,7 +21,7 @@ from ransomgame import (AttackerStrategy, ConfigError, DomainError, ProfitMethod
                         nelder_mead, profit_surface)
 from ransomgame import optimize
 from ransomgame.optimize import DEFAULT_BOUNDS, NM_COEFFICIENTS
-from ransomgame.profit import _best_i_beta, _closed_form_profit
+from ransomgame.profit import _closed_form_profit, _profit_at
 
 I50 = 0.02
 
@@ -245,8 +245,8 @@ class TestMaximizeProfit:
     ], ids=["default", "8", "16", "24", "a-below-optimum"])
     def test_bits_match_numpy_reference(self, mean_env, monkeypatch, bounds, grid_points):
         reference = _reference_maximize_profit(mean_env, bounds, grid_points)
-        counter, calls = counted(_closed_form_profit)
-        monkeypatch.setattr(optimize, "_closed_form_profit", counter)
+        counter, calls = counted(_profit_at)
+        monkeypatch.setattr(optimize, "_profit_at", counter)
         opt = maximize_profit(mean_env, bounds, grid_points)
         assert opt == reference
         # One call on the whole scan plane, then one per simplex evaluation.
@@ -355,18 +355,19 @@ class TestMaximizeProfit:
         planes = []
 
         def recording(*args):
-            value = _closed_form_profit(*args)
+            value = _profit_at(*args)
             if isinstance(value, np.ndarray):
                 planes.append((args[:3], value))
             return value
 
-        monkeypatch.setattr(optimize, "_closed_form_profit", recording)
+        monkeypatch.setattr(optimize, "_profit_at", recording)
         maximize_profit(mean_env, {"i_beta": box}, grid_points=8)
         ((a, i_beta, i_sigma), plane), = planes
         a_axis = AxisSpec("a", 0.1, 20.0, 8, "log").values().tolist()
         s_axis = AxisSpec("i_sigma", 0.001, 0.5, 8, "log").values().tolist()
         assert (a.ravel().tolist(), i_sigma.ravel().tolist()) == (a_axis, s_axis)
-        floats = [[_best_i_beta(x, y, mean_env, *box) for y in s_axis] for x in a_axis]
+        floats = [[min(max(_formula_i_beta(x, y, mean_env), box[0]), box[1]) for y in s_axis]
+                  for x in a_axis]
         assert i_beta.tolist() == floats
         assert plane.tolist() == [[_closed_form_profit(x, b, y, mean_env)
                                    for y, b in zip(s_axis, row)]
@@ -376,8 +377,8 @@ class TestMaximizeProfit:
 
     def test_scan_ties_go_to_the_smallest_a_and_i_sigma(self, mean_env, monkeypatch):
         # A flat profit ties every node, so the simplex starts at the box's low corner.
-        monkeypatch.setattr(optimize, "_closed_form_profit",
-                            lambda a, i_beta, i_sigma, env: 0.0 * a * i_sigma)
+        monkeypatch.setattr(optimize, "_profit_at",
+                            lambda a, i_beta, i_sigma, g, env: 0.0 * a * i_sigma)
         opt = maximize_profit(mean_env, grid_points=8)
         (a, _, i_sigma), _ = opt.trace[0]
         assert (a, i_sigma) == (0.1, 0.001)

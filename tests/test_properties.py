@@ -26,7 +26,7 @@ from ransomgame._figures import FIGURE_NAMES  # noqa: E402
 from ransomgame.cli import SCHEMAS, main  # noqa: E402
 from ransomgame.optimize import (DEFAULT_BOUNDS, AxisSpec, SweepGrid, maximize_profit,  # noqa: E402
                                  profit_surface)
-from ransomgame.profit import _best_i_beta, _closed_form_profit  # noqa: E402
+from ransomgame.profit import _best_i_beta, _closed_form_profit, _gross_multiplier  # noqa: E402
 from ransomgame.simulate import _outcome_from_arrays  # noqa: E402
 from ransomgame.stochastics import _ppf  # noqa: E402
 from conftest import run_traced  # noqa: E402
@@ -282,7 +282,8 @@ def test_best_i_beta_is_the_argmax_along_i_beta(env, a, i_sigma, box):
     axis = np.linspace(*box, 1001)
     profits = _closed_form_profit(a, axis, i_sigma, env)
     k = int(np.argmax(profits))
-    best = _best_i_beta(a, i_sigma, env, *box)
+    best = _best_i_beta(a, _gross_multiplier(a, estimate_scale(i_sigma, env.i_fifty)), env,
+                        *box)
     assert abs(best - axis[k]) <= axis[1] - axis[0]
     assert _closed_form_profit(a, best, i_sigma, env) >= profits[k] - _slack(profits[k],
                                                                               box[1] + i_sigma)

@@ -225,13 +225,26 @@ class TestRunBatch:
             finally:
                 tracemalloc.stop()
 
-        # A chunk in flight holds its arrays, its uniforms, the kernel's
-        # temporaries and, traced, its text.  Up to workers + 1 chunks are
-        # alive at once and two chunks keep two alive, so sixteen chunks may
-        # add workers - 1 of them, and nothing per run.
+        # A chunk in flight holds its arrays, one slice's uniforms, the
+        # kernel's temporaries and, traced, its text.  Up to workers + 1
+        # chunks are alive at once and two chunks keep two alive, so sixteen
+        # chunks may add workers - 1 of them, and nothing per run.
         one_chunk = peak(1, 1)
         few, many = peak(2, workers), peak(16, workers)
         assert many - few < (workers - 1) * one_chunk + 64 * 1024
+
+    def test_one_chunk_allocates_under_1_mb_beyond_its_arrays(self):
+        # Beside the chunk's seven arrays (49 bytes a run) live only one
+        # slice's uniforms and the kernel's temporaries on that slice; the
+        # whole chunk's uniforms alone would be 1.5 MB.
+        run_batch(_config(n=2, seed=2))  # warm-up
+        tracemalloc.start()
+        try:
+            run_batch(_config(n=simulate._CHUNK, seed=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 49 * simulate._CHUNK < 1_000_000
 
     def test_merged_moments_match_full_array_reference(self):
         # Four chunks, the last of one run, merged in chunk order against

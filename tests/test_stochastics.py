@@ -293,9 +293,13 @@ class TestSeedSpec:
 
     def test_uniform_mapping_never_reaches_endpoints(self):
         # The extreme raw words must map strictly inside (0, 1); a naive
-        # half-offset mapping rounds the top word to exactly 1.0.
-        words = np.array([0, np.iinfo(np.uint64).max], dtype=np.uint64)
-        want = [2.0 ** -53, 1.0 - 2.0 ** -53]
+        # half-offset mapping rounds the top word to exactly 1.0.  Between
+        # them: the edges of the 12 dropped bits, the lowest kept bit and the
+        # top bit, each to (2*(w >> 12) + 1) * 2^-53 exactly.
+        edges = [0, 1, 4095, 4096, 2 ** 52, 2 ** 63, 2 ** 64 - 1]
+        words = np.array(edges, dtype=np.uint64)
+        want = [math.ldexp(2 * (w >> 12) + 1, -53) for w in edges]
+        assert (want[0], want[-1]) == (2.0 ** -53, 1.0 - 2.0 ** -53)
         assert _reference_uniforms(words).tolist() == want
         assert _open_uniforms(words).tolist() == want
 
