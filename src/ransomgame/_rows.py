@@ -24,6 +24,13 @@ those of ``'%d' % i``, by construction:
   Plus signs, leading integer zeros, trailing fraction zeros and a bare dot
   are NUL.  One gather puts the slots in row order, and deleting the NULs
   from the block's bytes leaves the CSV text, so no cell may contain NUL.
+- Gathered columns.  The row r cell of ``Gathered(values, index)`` is the
+  cell of ``values[index[r]]``.  ``values`` is formatted once, by the same
+  code in blocks of at most BLOCK_ROWS rows, so each cell keeps the bytes of
+  ``'%.9g'``, ``'%d'`` or the str; each block then copies its rows' cells
+  from that byte table with ``index[lo:hi]`` into slot rows laid out like
+  those of str cells.  A column that repeats a few values, such as a sweep
+  axis or a trace flag, costs one byte copy per row and character.
 """
 
 from __future__ import annotations
@@ -63,24 +70,68 @@ def _digit_tables():
     return np.concatenate([full, lead, units], axis=1), np.concatenate([full, trail], axis=1)
 
 
+class Gathered:
+    """A column whose row r is the cell of ``values[index[r]]``.
+
+    ``values`` is a float, integer or boolean array or a list of ``str``
+    cells, and ``index`` an integer array.  It is neither a tuple nor
+    iterable, so it cannot pass for a column of cells.
+    """
+
+    __slots__ = ("values", "index")
+
+    def __init__(self, values, index):
+        self.values, self.index = values, index
+
+    def __len__(self):
+        return len(self.index)
+
+
 def write_rows(f: IO[str], columns: Sequence):
     """Write one CSV line per row of ``columns``.
 
     A column is a float array (cells as ``%.9g``), an integer or boolean
-    array or a ``range`` (cells as ``%d``), a list of ``str`` cells, or one
-    ``str``: the same cell in every row.  The other columns have equal length.
+    array or a ``range`` (cells as ``%d``), a list of ``str`` cells, a
+    ``Gathered`` column, or one ``str``: the same cell in every row.  The
+    other columns have equal length.  A gathered column's ``values`` are
+    formatted once, and each block copies its rows' cells from those bytes.
     """
+    columns = [Gathered(_cell_slots(c.values), c.index) if isinstance(c, Gathered) else c
+               for c in columns]
     n = next(len(c) for c in columns if not isinstance(c, str))
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
-        table = _table([c if isinstance(c, str) else c[lo:hi] for c in columns], hi - lo)
+        table = _table([_block(c, lo, hi) for c in columns], hi - lo)
         f.write(table.tobytes().translate(None, b"\0").decode())
+
+
+def _block(c, lo: int, hi: int):
+    """Rows lo:hi of column c; a gathered column's cells as slot rows."""
+    if isinstance(c, str):
+        return c
+    if isinstance(c, Gathered):
+        return c.values.take(c.index[lo:hi], axis=1)
+    return c[lo:hi]
+
+
+def _cell_slots(values) -> np.ndarray:
+    """The cells of the column ``values`` as ``(width, len(values))`` uint8
+    slot rows, NUL-padded, formatted by ``_table`` at most BLOCK_ROWS at a time."""
+    n = len(values)
+    starts = range(0, n, BLOCK_ROWS)
+    blocks = [_table([values[lo:lo + BLOCK_ROWS]], min(BLOCK_ROWS, n - lo))[:, :-1].T
+              for lo in starts]
+    slots = np.zeros((max((len(b) for b in blocks), default=0), n), np.uint8)
+    for lo, b in zip(starts, blocks):
+        slots[:len(b), lo:lo + b.shape[1]] = b
+    return slots
 
 
 def _table(columns: list, n: int) -> np.ndarray:
     """The ``(n, line length)`` uint8 bytes of ``n`` rows of ``columns``, NULs
-    included: every slot row, gathered in the order of a CSV line."""
-    fields, floats, ints, cells, const = [], [], [], [], bytearray(_SEP)
+    included: every slot row, gathered in the order of a CSV line.  A 2-D
+    column is formatted cells, as ``(width, n)`` slot rows."""
+    fields, floats, ints, cells, texts, const = [], [], [], [], [], bytearray(_SEP)
     for c in columns:
         if isinstance(c, range):
             c = np.arange(c.start, c.stop, c.step, dtype=np.int64)
@@ -89,8 +140,12 @@ def _table(columns: list, n: int) -> np.ndarray:
             fields.append(("const", len(const), len(cell)))
             const += cell
         elif not isinstance(c, np.ndarray):
-            fields.append(("cells", len(cells) // n))
+            fields.append(("text", len(texts)))
+            texts.append(len(cells) // n)  # the list's place among the str cells
             cells.extend(c)
+        elif c.ndim == 2:
+            fields.append(("text", len(texts)))
+            texts.append(c)
         elif c.dtype.kind == "f":
             fields.append(("float", len(floats)))
             floats.append(c)
@@ -98,18 +153,23 @@ def _table(columns: list, n: int) -> np.ndarray:
             fields.append(("int", len(ints)))
             ints.append(c)
 
-    # The numbers' slot rows, the constant bytes, then the str cells as a
-    # (cell column, character) block of rows.
+    # The numbers' slot rows, the constant bytes, then each text column's
+    # (character, row) slot rows; the str cells are encoded together.
     numbers = _Numbers(floats, ints, n) if floats or ints else None
     o_const = numbers.rows if numbers else 0
-    o_cells = o_const + len(const)
-    text = _ascii(cells)
-    text = text.reshape(len(cells) // n, n, text.shape[1]).transpose(0, 2, 1)
-    slots = np.empty((o_cells + text.shape[0] * text.shape[1], n), np.uint8)
+    if cells:
+        text = _ascii(cells)
+        text = text.reshape(len(cells) // n, n, text.shape[1]).transpose(0, 2, 1)
+        texts = [text[t] if isinstance(t, int) else t for t in texts]
+    starts = [o_const + len(const)]
+    for t in texts:
+        starts.append(starts[-1] + len(t))
+    slots = np.empty((starts[-1], n), np.uint8)
     if numbers:
         numbers.write(slots)
-    slots[o_const:o_cells] = np.frombuffer(const, np.uint8)[:, None]
-    slots[o_cells:].reshape(text.shape)[...] = text
+    slots[o_const:starts[0]] = np.frombuffer(const, np.uint8)[:, None]
+    for t, start in zip(texts, starts):
+        slots[start:start + len(t)] = t
 
     # A fallback cell's field gets NUL slots where the text is wider.
     order, spans = [], []
@@ -118,9 +178,8 @@ def _table(columns: list, n: int) -> np.ndarray:
             order.append(o_const)
         if kind == "const":
             order.extend(range(o_const + j, o_const + j + length[0]))
-        elif kind == "cells":
-            w = text.shape[1]
-            order.extend(range(o_cells + j * w, o_cells + (j + 1) * w))
+        elif kind == "text":
+            order.extend(range(starts[j], starts[j + 1]))
         else:
             c = j if kind == "float" else len(floats) + j
             start = len(order)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._rows import write_rows
+from ._rows import Gathered, write_rows
 from .errors import ConfigError, DomainError, NumericalError
 from .game import AttackerStrategy, FixedValue, GameEnvironment, PopulationMean
 from .optimize import (DEFAULT_BOUNDS, DEFAULT_GRID_POINTS, AxisSpec, SweepGrid,
@@ -263,10 +263,11 @@ def _write_csv(path: str, config_line: str, meta: list, names: list, *columns):
     """Write a table given as one sequence per column.
 
     Float arrays are written with ``%.9g`` and integer and boolean arrays
-    with ``%d``, which give the same bytes as ``_cell``; other columns go
-    cell by cell through ``_cell``.
+    with ``%d``, which give the same bytes as ``_cell``, and so are the
+    values of a ``Gathered`` column; other columns go cell by cell through
+    ``_cell``.
     """
-    cells = [c if isinstance(c, np.ndarray) and c.dtype.kind in "fiub"
+    cells = [c if isinstance(c, Gathered) or isinstance(c, np.ndarray) and c.dtype.kind in "fiub"
              else [_cell(v) for v in c] for c in columns]
     with _open_out(path) as f:
         f.write(f"# config: {config_line}\n")
@@ -301,6 +302,7 @@ def _meta_lines(meta: dict | None) -> list:
 def _json_table(names: list, columns: list, meta: dict | None = None,
                 contours: list | None = None) -> dict:
     """A table given as one sequence per column, as JSON rows."""
+    columns = [c.values.take(c.index) if isinstance(c, Gathered) else c for c in columns]
     lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     table = {"columns": names, "rows": [list(row) for row in zip(*lists)]}
     if meta:
@@ -346,9 +348,21 @@ def _mean_env(i_fifty: float, m: float) -> GameEnvironment:
 
 
 def _surface_columns(surface) -> list:
-    """One column per swept axis plus the profit, one row per node in C order."""
-    grids = np.meshgrid(*surface.axis_values, indexing="ij")
-    return [g.ravel() for g in grids] + [surface.values.ravel()]
+    """One column per swept axis plus the profit, one row per node in C order.
+
+    The axes of a sweep over more than one axis repeat their values, so each
+    is a ``Gathered`` column: the axis values, and for each node the index of
+    its value in the smallest unsigned dtype that holds it.
+    """
+    shape = surface.values.shape
+    if len(shape) == 1:
+        return [*surface.axis_values, surface.values]
+    columns = []
+    for k, values in enumerate(surface.axis_values):
+        index = np.arange(len(values), dtype=np.min_scalar_type(len(values) - 1))
+        along_k = [len(values) if j == k else 1 for j in range(len(shape))]
+        columns.append(Gathered(values, np.broadcast_to(index.reshape(along_k), shape).ravel()))
+    return columns + [surface.values.ravel()]
 
 
 # A trace row is ten fields, nine commas and a newline: 20 bytes at least.

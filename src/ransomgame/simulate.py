@@ -28,7 +28,7 @@ from typing import IO, Callable, Optional
 
 import numpy as np
 
-from ._rows import write_rows
+from ._rows import Gathered, write_rows
 from .errors import DomainError, NumericalError, _scale
 from .game import (AttackerStrategy, FixedValue, GameEnvironment, NegotiationOutcome,
                    OutcomeKind, _aggression, _counteroffer_at, demand_factor,
@@ -40,7 +40,10 @@ from .stochastics import SeedSpec, _ppf, uniform_blocks
 # one: on a 2-vCPU Xeon, one-slice chunks made a 200k-run traced ``simulate``
 # 10% slower (0.245 against 0.222 s, paying per-chunk writes and hand-offs
 # four times as often), and unsliced 32,768-run chunks made 1M runs slower
-# (0.163 against 0.133 s; fresh processes, interleaved pairs).
+# (0.163 against 0.133 s; fresh processes, interleaved pairs).  The price is
+# memory: in perfbench pairs, one-slice chunks lowered peak RSS from 49.4 to
+# 42.3 MB on the traced 200k runs and from 39.6 to 37.3 MB on 1M untraced
+# runs, at 8-20% more time on both.
 _CHUNK = 65536
 
 # Runs per kernel call.  A slice's uniforms (24 bytes per run, drawn just
@@ -66,6 +69,10 @@ _KIND_ORDER = (OutcomeKind.AGGRESSIVE_REJECTION,
                OutcomeKind.DECRYPTION_FAILURE,
                OutcomeKind.FULL_PAYMENT_SUCCESS,
                OutcomeKind.FULL_PAYMENT_FAILURE)
+# Each code's aggressive and decrypted flag.
+_AGGRESSIVE = np.array([k is OutcomeKind.AGGRESSIVE_REJECTION for k in _KIND_ORDER])
+_DECRYPTED = np.array([k in (OutcomeKind.DECRYPTION_SUCCESS, OutcomeKind.FULL_PAYMENT_SUCCESS)
+                       for k in _KIND_ORDER])
 
 TRACE_COLUMNS = ("run_index", "x", "x_tilde", "R", "C", "alpha",
                  "aggressive", "decrypted", "attacker_payoff", "defender_payoff")
@@ -108,11 +115,11 @@ class SimulationTrace:
 
     @property
     def aggressive(self) -> np.ndarray:
-        return self.kind == 0
+        return _AGGRESSIVE.take(self.kind)
 
     @property
     def decrypted(self) -> np.ndarray:
-        return (self.kind == 1) | (self.kind == 3)
+        return _DECRYPTED.take(self.kind)
 
 
 _TRACE_ARRAYS = tuple(f.name for f in fields(SimulationTrace)[1:])
@@ -389,7 +396,8 @@ def write_trace_csv(trace: SimulationTrace, f: IO[str], header_lines: tuple = ()
     that starts at run 0 writes them: the chunks of a batch written in run
     order give the same bytes as the whole trace written at once.  Floats are
     written as ``%.9g`` (``format(v, ".9g")`` gives the same bytes) and the
-    run index and flags as ``%d``.
+    run index and flags as ``%d``.  The flags are gathered columns: each
+    code's flag, indexed by ``kind``.
     """
     if first_run == 0:
         for line in header_lines:
@@ -397,5 +405,6 @@ def write_trace_csv(trace: SimulationTrace, f: IO[str], header_lines: tuple = ()
         f.write(",".join(TRACE_COLUMNS) + "\n")
     write_rows(f, (range(first_run, first_run + len(trace.kind)), f"{trace.x:.9g}",
                    trace.x_tilde, trace.demand, trace.counteroffer, trace.alpha,
-                   trace.aggressive, trace.decrypted, trace.attacker_payoff,
+                   Gathered(_AGGRESSIVE, trace.kind), Gathered(_DECRYPTED, trace.kind),
+                   trace.attacker_payoff,
                    trace.defender_payoff))

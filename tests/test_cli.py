@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from ransomgame import (AttackerStrategy, defender_utility, demand_factor, estim
 from ransomgame._figures import _FIGURES, FIGURE_NAMES, STRATEGY_TABLE, _grid_with_value
 from ransomgame.cli import SCHEMAS, _cell, _write_csv, build_parser, main
 from ransomgame.optimize import DEFAULT_BOUNDS, AxisSpec, SweepGrid, maximize_profit, profit_surface
-from ransomgame import optimize, profit, simulate
+from ransomgame import cli, optimize, profit, simulate
 from ransomgame._rows import BLOCK_ROWS
 from ransomgame.profit import ProfitMethod
 from ransomgame.simulate import SimulationConfig, run_batch
@@ -517,6 +518,50 @@ class TestSweepCommand:
         assert payload["command"] == "sweep"
         assert len(payload["rows"]) == 1600
         assert payload["contours"]
+
+    def test_csv_sweep_peak_memory_stays_under_three_profit_arrays(self, tmp_path):
+        # The axes are written from their 400 values and a small index each,
+        # not from float copies as large as the profit array.
+        argv = ["sweep", "--axis", "i_beta:0.001:0.5:400:log",
+                "--axis", "i_sigma:0.001:0.5:400:log", "--fix", "a=4.68",
+                "--out", str(tmp_path / "s.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 400 * 400 * 8
+
+
+def _reference_surface_columns(surface) -> list:
+    """The sweep's columns as float copies of the grid, one per axis."""
+    grids = np.meshgrid(*surface.axis_values, indexing="ij")
+    return [g.ravel() for g in grids] + [surface.values.ravel()]
+
+
+class TestSurfaceColumns:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "a:0.05:20:300", "--fix", "i_beta=0.05", "--fix", "i_sigma=0.1"],
+        # 3,600 rows: the gathered axes cross a block boundary.
+        ["sweep", "--axis", "i_beta:0.001:0.5:60:log", "--axis", "i_sigma:0.001:0.5:60:log",
+         "--fix", "a=4.68"],
+        ["sweep", "--axis", "i_sigma:0.001:0.5:60:log", "--axis", "i_beta:0.001:0.5:60:log",
+         "--fix", "a=4.68"],
+        ["sweep", "--axis", "i_sigma:0.001:0.5:20:log", "--axis", "a:0.1:20:30:log",
+         "--axis", "i_beta:0.001:0.5:25"],
+        ["figure", "profit_heatmaps", "--points", "12"],
+    ])
+    def test_bytes_match_meshgrid_columns(self, tmp_path, monkeypatch, argv, fmt):
+        def write(name):
+            (tmp_path / name).mkdir()
+            assert main([*argv, "--format", fmt, "--out", str(tmp_path / name / "out")]) == 0
+            return {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+
+        got = write("got")
+        monkeypatch.setattr(cli, "_surface_columns", _reference_surface_columns)
+        assert got == write("want")
 
 
 def _reference_write_csv(path, config_line, meta, names, rows):

@@ -20,7 +20,7 @@ from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironme
                         attacker_profit_piecewise, defender_utility, demand_factor,
                         estimate_scale, expected_profit, gross_multiplier_closed_form,
                         optimal_counteroffer, optimal_play_profit, reliability, run_single)
-from ransomgame._rows import write_rows  # noqa: E402
+from ransomgame._rows import Gathered, write_rows  # noqa: E402
 from ransomgame._erfcx import _ERFCX_EDGES, _erfcx  # noqa: E402
 from ransomgame._figures import FIGURE_NAMES  # noqa: E402
 from ransomgame.cli import SCHEMAS, main  # noqa: E402
@@ -333,6 +333,15 @@ _HALFWAY = st.builds(lambda m, e, sign: sign * float(f"{m}5e{e - 9}"),
 def test_written_floats_are_percent_9g(values):
     # Subnormals, -0.0, infinities and nan included.
     assert _written(np.array(values)) == ["%.9g" % v for v in values]
+
+
+@given(st.lists(st.one_of(st.floats(), _HALFWAY), min_size=1, max_size=64).flatmap(
+    lambda values: st.tuples(st.just(values),
+                             st.lists(st.integers(0, len(values) - 1), min_size=1, max_size=64))))
+def test_gathered_floats_write_the_cells_of_their_values(values_index):
+    # Subnormals, -0.0, infinities and nan included; the index may repeat.
+    values, index = np.array(values_index[0]), np.array(values_index[1], np.uint8)
+    assert _written(Gathered(values, index)) == _written(values[index])
 
 
 @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=64),

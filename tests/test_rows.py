@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ransomgame import SimulationTrace, write_trace_csv
-from ransomgame._rows import BLOCK_ROWS, write_rows
+from ransomgame._rows import BLOCK_ROWS, Gathered, write_rows
 
 
 def _reference_write_rows(f, row, columns, block=1024):
@@ -30,11 +30,30 @@ def _exponent_span(n, rng):
         np.resize([1.0, -1.0, 1.0], n)
 
 
+_SPECIALS = np.array([0.0, -0.0, 5e-324, 1e16, -1e16, 1e-05, 9.9999999995e-05, 123456789.5,
+                      999999999.5, 0.1, -2.5, float("nan"), float("inf"), float("-inf")])
+
+
+def _gathered(n, rng):
+    """(gathered column, the column it stands for, its template) for float,
+    int and str values, with indexes that repeat and run out of order, and
+    float values longer than a block."""
+    strs = ["NA", "", "optimal", "é"]
+    ints = np.array([-2 ** 63, 0, 7, 2 ** 62, -1])
+    long = _exponent_span(BLOCK_ROWS + 7, rng)
+    specials_index = ((np.arange(n) * 5 + 3) % len(_SPECIALS)).astype(np.uint8)
+    ints_index = rng.integers(0, len(ints), n)
+    strs_index = (n - np.arange(n)) % len(strs)
+    long_index = rng.integers(0, len(long), n).astype(np.uint16)
+    return [(Gathered(_SPECIALS, specials_index), _SPECIALS[specials_index], "%.9g"),
+            (Gathered(ints, ints_index), ints[ints_index], "%d"),
+            (Gathered(strs, strs_index), [strs[i] for i in strs_index], "%s"),
+            (Gathered(long, long_index), long[long_index], "%.9g")]
+
+
 def _columns(n):
     rng = np.random.default_rng(n)
-    specials = np.resize(np.array([0.0, -0.0, 5e-324, 1e16, -1e16, 1e-05, 9.9999999995e-05,
-                                   123456789.5, 999999999.5, 0.1, -2.5, float("nan"),
-                                   float("inf"), float("-inf")]), n)
+    specials = np.resize(_SPECIALS, n)
     return {
         "%d": range(7 * n, 8 * n),
         "x": "-3.25",
@@ -43,18 +62,22 @@ def _columns(n):
                 np.resize(np.array([0, 2 ** 64 - 1], np.uint64), n),
                 (np.arange(n) % 7).astype(np.int8) - 3],
         "%s": [["NA", "", "optimal", "é"][k % 4] for k in range(n)],
+        "gathered": _gathered(n, rng),
     }
 
 
 def _both(n):
     """(write_rows text, reference text) of the same mixed columns."""
     cols = _columns(n)
-    floats, ints = cols["%.9g"], cols["%d "]
+    floats, ints, gathered = cols["%.9g"], cols["%d "], cols["gathered"]
     got = io.StringIO()
-    write_rows(got, [cols["%d"], cols["x"], *floats, *ints, cols["%s"]])
+    write_rows(got, [cols["%d"], cols["x"], *floats, *ints, cols["%s"],
+                     *(g for g, _, _ in gathered)])
     want = io.StringIO()
-    row = ",".join(["%d", cols["x"]] + ["%.9g"] * len(floats) + ["%d"] * len(ints) + ["%s"])
-    _reference_write_rows(want, row + "\n", [cols["%d"], *floats, *ints, cols["%s"]])
+    row = ",".join(["%d", cols["x"]] + ["%.9g"] * len(floats) + ["%d"] * len(ints) + ["%s"]
+                   + [template for _, _, template in gathered])
+    _reference_write_rows(want, row + "\n", [cols["%d"], *floats, *ints, cols["%s"],
+                                             *(column for _, column, _ in gathered)])
     return got.getvalue(), want.getvalue()
 
 
