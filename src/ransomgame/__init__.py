@@ -26,7 +26,7 @@ __all__ = [
     "demand_factor", "estimate_scale", "optimal_counteroffer",
     "optimal_play_profit", "reliability",
     "AxisSpec", "StrategyOptimum", "SurfaceResult", "SweepGrid",
-    "maximize_profit", "nelder_mead", "profit_surface",
+    "maximize_profit", "profit_surface",
     "ProfitEstimate", "ProfitMethod", "expected_profit",
     "gross_multiplier_closed_form", "gross_multiplier_quadrature",
     "SimulationConfig", "SimulationReport", "SimulationTrace",
@@ -43,7 +43,7 @@ _SUBMODULE = {name: module for module, names in (
               "estimate_scale", "optimal_counteroffer", "optimal_play_profit",
               "reliability")),
     ("optimize", ("AxisSpec", "StrategyOptimum", "SurfaceResult", "SweepGrid",
-                  "maximize_profit", "nelder_mead", "profit_surface")),
+                  "maximize_profit", "profit_surface")),
     ("profit", ("ProfitEstimate", "ProfitMethod", "expected_profit",
                 "gross_multiplier_closed_form", "gross_multiplier_quadrature")),
     ("simulate", ("SimulationConfig", "SimulationReport", "SimulationTrace",

@@ -66,6 +66,21 @@ _ERFCX_BRANCHES = (lambda x: _horner(_ERFCX_SERIES, x),
                    lambda x: _RSQRT_PI / x)
 
 
+def _x_slope(x: float, erfcx_x: float) -> float:
+    """x (x erfcx(x) - 1/sqrt pi) = x erfcx'(x)/2 for a float x >= 0, given erfcx_x = erfcx(x).
+
+    Past 4 the direct form cancels, so there it is the Cody tail's own
+    correction -x z P(z)/Q(z), z = 1/x^2, and past 6.71e7, where erfcx drops
+    it, the leading term -1/(2 sqrt(pi) x).  Never positive.
+    """
+    if x < _ERFCX_EDGES[1]:
+        return x * (x * erfcx_x - _RSQRT_PI)
+    if x < _ERFCX_EDGES[2]:
+        z = 1.0 / (x * x)
+        return -x * z * _horner(_CODY_TAIL[0], z) / _horner(_CODY_TAIL[1], z)
+    return -0.5 * _RSQRT_PI / x
+
+
 def _erfcx(x):
     """e^{x^2} erfc(x) for x >= 0, a float or an array, unvalidated.
 

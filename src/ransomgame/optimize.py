@@ -1,23 +1,23 @@
 """Strategy optimization and profit-surface sweeps.
 
-The attacker's expected profit is cheap in closed form and its best i_beta
-is a formula, so the optimizer scans the (a, i_sigma) plane and refines with
-a derivative-free simplex.  Monte Carlo never enters the optimization loop.
+The optimizer solves the closed-form profit's first-order conditions, two
+nested 1-D roots in log coordinates with i_beta from its formula, and checks
+them against a scan of the (a, i_sigma) plane.  Monte Carlo never enters it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import add
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, _scale
-from .game import AttackerStrategy, GameEnvironment, estimate_scale
-from .profit import _best_i_beta, _closed_form_profit, _gross_multiplier, _profit_at
+from ._erfcx import _erfcx, _x_slope
+from .errors import ConfigError, _scale
+from .game import AttackerStrategy, GameEnvironment, demand_factor, estimate_scale
+from .profit import _SQRT2, _best_i_beta, _closed_form_profit, _gross_multiplier, _profit_at
 
 _PARAM_NAMES = ("a", "i_beta", "i_sigma")
 
@@ -26,8 +26,10 @@ _PARAM_NAMES = ("a", "i_beta", "i_sigma")
 DEFAULT_BOUNDS = {"a": (0.1, 20.0), "i_beta": (0.001, 0.5), "i_sigma": (0.001, 0.5)}
 DEFAULT_GRID_POINTS = 64
 
-# Standard simplex coefficients: reflection, expansion, contraction, shrink.
-NM_COEFFICIENTS = (1.0, 2.0, 0.5, 0.5)
+# Width of the optimizer's roots in ln a and ln i_sigma, a relative width in
+# a and i_sigma: P is flat to second order at its peak, so its value is exact
+# to rounding.  Every ln x is below 710, whose ulp is 1e-13, so each step moves.
+_ROOT_TOL = 1e-10
 
 
 def _load_contour():
@@ -139,15 +141,11 @@ class SurfaceResult:
 class StrategyOptimum:
     """The best strategy ``maximize_profit`` found in its box, and how.
 
-    ``evaluations`` counts closed-form profit evaluations: the
-    grid_points^2 nodes of the scan plus every point the simplex tried.
-    ``converged`` says that the simplex's vertices came within its absolute
-    diameter tolerance (1e-5 in a and in i_sigma) before its iteration
-    limit.  It does not promise the box's maximum: the simplex is local,
-    and its steps and tolerance are linear, so on a side that spans many
-    decades it can stop, converged, far from the best point.  ``trace``
-    holds one ((a, i_beta, i_sigma), profit) entry per simplex iteration,
-    the best vertex at its start.
+    ``evaluations`` counts the grid_points^2 scan nodes and every first-order
+    condition the solves evaluated.  ``converged`` is False when a scan node
+    beat the solved point, a sign of a second local maximum; that node is
+    then the strategy.  ``trace`` has one ((a, i_beta, i_sigma), profit) per
+    i_sigma the outer solve tried, in order, at the best a and i_beta there.
     """
 
     strategy: AttackerStrategy
@@ -157,127 +155,113 @@ class StrategyOptimum:
     trace: list
 
 
-def nelder_mead(func: Callable[[tuple], float], x0: Sequence[float],
-                steps: Sequence[float], bounds_lo: Sequence[float],
-                bounds_hi: Sequence[float], diameter_tol: float = 1e-5, max_iter: int = 2000):
-    """Minimize func over a box with the standard simplex method.
+def _peak(slope, lo: float, hi: float) -> float:
+    """Where slope, of the sign of an objective's derivative, falls through 0 in [lo, hi].
 
-    x0, steps and the bounds are float sequences (numpy arrays too); points
-    are tuples of floats.  Candidate points are projected onto the box.
-    Converged when the vertex spread is below diameter_tol in every
-    coordinate.  Returns (x_best, f_best, n_evals, converged, history) with
-    one history entry (best point, best value) per iteration.
+    The edge it points to if it keeps one sign across the side; else a
+    Brent-Dekker zeroin (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) in t = ln x, so that a side spanning many
+    decades takes few steps: inverse quadratic or secant steps inside the
+    bracket, bisection when they stall, until it is _ROOT_TOL wide.  Signs
+    are compared, not multiplied, so tiny slopes cannot underflow to 0.
     """
-    refl, expa, contr, shrink = NM_COEFFICIENTS
-    dim = len(x0)
-    box = [(float(lo), float(hi)) for lo, hi in zip(bounds_lo, bounds_hi)]
-    for lo, hi in box:
-        if not lo <= hi:
-            raise DomainError(f"bounds must satisfy lo <= hi, got lo={lo!r} hi={hi!r}")
-
-    def clip(x):  # min(max(v, lo), hi) bit for bit, as lo <= hi
-        return tuple([lo if v < lo else hi if v > hi else v for v, (lo, hi) in zip(x, box)])
-
-    start = clip([float(v) for v in x0])
-    points = [start] + [clip(start[:k] + (start[k] + float(steps[k]),) + start[k + 1:])
-                        for k in range(dim)]
-    values = [func(p) for p in points]
-    n_evals = dim + 1
-    history = []
-    converged = False
-
-    for _ in range(max_iter):
-        order = sorted(range(dim + 1), key=values.__getitem__)
-        points = [points[i] for i in order]
-        values = [values[i] for i in order]
-        history.append((points[0], values[0]))
-
-        if all([max(col) - min(col) < diameter_tol for col in zip(*points)]):
-            converged = True
-            break
-
-        # Left-to-right, then divided, as np.mean(axis=0); sum() is compensated from 3.12.
-        centroid = [reduce(add, col) / dim for col in zip(*points[:-1])]
-        worst = points[-1]
-        reflected = clip([c + refl * (c - w) for c, w in zip(centroid, worst)])
-        f_reflected = func(reflected)
-        n_evals += 1
-
-        if values[0] <= f_reflected < values[-2]:
-            points[-1], values[-1] = reflected, f_reflected
-            continue
-        if f_reflected < values[0]:
-            expanded = clip([c + expa * (c - w) for c, w in zip(centroid, worst)])
-            f_expanded = func(expanded)
-            n_evals += 1
-            if f_expanded < f_reflected:
-                points[-1], values[-1] = expanded, f_expanded
-            else:
-                points[-1], values[-1] = reflected, f_reflected
-            continue
-        contracted = clip([c + contr * (w - c) for c, w in zip(centroid, worst)])
-        f_contracted = func(contracted)
-        n_evals += 1
-        if f_contracted < values[-1]:
-            points[-1], values[-1] = contracted, f_contracted
-            continue
-        for i in range(1, dim + 1):
-            points[i] = clip([b + shrink * (v - b) for b, v in zip(points[0], points[i])])
-            values[i] = func(points[i])
-        n_evals += dim
-
-    best = values.index(min(values))  # the first minimum, as np.argmin
-    return points[best], values[best], n_evals, converged, history
+    fa = slope(lo)
+    if fa <= 0.0:
+        return lo
+    fb = slope(hi)
+    if fb >= 0.0:
+        return hi
+    at = lambda t: min(max(math.exp(t), lo), hi)
+    tol = 0.5 * _ROOT_TOL
+    a, b = math.log(lo), math.log(hi)
+    c, fc = b, fb  # of fb's sign, so the first pass brackets [a, b]
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return at(b)
+        interpolate = abs(e) >= tol and abs(fa) > abs(fb)
+        if interpolate:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            interpolate = 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q))
+        e, d = (d, p / q) if interpolate else (m, m)
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = slope(at(b))
 
 
 def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
                     grid_points: int = DEFAULT_GRID_POINTS) -> StrategyOptimum:
     """Profit-maximizing strategy over a box of (a, i_beta, i_sigma).
 
-    Only (a, i_sigma) is searched, with i_beta from ``profit._best_i_beta``:
-    a log-spaced grid_points^2 scan, then a 2-D Nelder-Mead simplex from its
-    best node; ``evaluations`` counts both.  Grid ties break toward the
-    lexicographically smallest (a, i_sigma).  Each side of the box is an
-    ``AxisSpec``, which rejects an unknown name or a degenerate range.
+    i_beta is ``profit._best_i_beta``'s, and at a fixed i_sigma the best a
+    maximizes h(a) = a G(a, sigma)/(1 + a) alone, as P rises with h at every
+    i_beta.  So ``_peak`` solves d ln h/d ln a = 0 nested in dP/d i_sigma = 0,
+    the partial derivative at the best a and i_beta (the envelope theorem).
+    The best node of a log-spaced grid_points^2 scan of (a, i_sigma), ties
+    broken toward the smallest (a, i_sigma), is the result if it beats the
+    solve.  Each side of the box is an ``AxisSpec``.
     """
-    a_spec, beta_spec, sigma_spec = [
-        AxisSpec(name, lo, hi, grid_points, "log")
-        for name, (lo, hi) in {**DEFAULT_BOUNDS, **(bounds or {})}.items()]
-    beta_box = (float(beta_spec.lo), float(beta_spec.hi))
-
-    def profit(a, i_sigma):  # (i_beta, P): floats, or arrays that broadcast
-        g = _gross_multiplier(a, env.i_fifty / (env.i_fifty + i_sigma))
-        i_beta = _best_i_beta(a, g, env, *beta_box)
-        return i_beta, _profit_at(a, i_beta, i_sigma, g, env)
-
-    i_betas = {}  # the i_beta of each point the simplex evaluated
-
-    def objective(p):
-        i_betas[p], value = profit(*p)
-        return -value
-
-    def strategy(p):
-        return p[0], i_betas[p], p[1]
-
-    axes = (a_spec.values(), sigma_spec.values())
+    specs = [AxisSpec(name, lo, hi, grid_points, "log")
+             for name, (lo, hi) in {**DEFAULT_BOUNDS, **(bounds or {})}.items()]
+    a_box, beta_box, sigma_box = [(float(spec.lo), float(spec.hi)) for spec in specs]
+    i_fifty = env.i_fifty
+    a_axis, s_axis = specs[0].values()[:, None], specs[2].values()
     # Allocated and freed before any G, so a plane too large for memory fails at once.
     _empty((grid_points, grid_points))
     # Log spacing puts the box in the strategy domain, but sigma may underflow.
-    _scale("sigma", estimate_scale(sigma_spec.hi, env.i_fifty))
+    _scale("sigma", estimate_scale(sigma_box[1], i_fifty))
     # Overflow shows as a non-finite P, which raises, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        plane = profit(axes[0][:, None], axes[1])[1]
+        g = _gross_multiplier(a_axis, i_fifty / (i_fifty + s_axis))
+        plane_i_beta = _best_i_beta(a_axis, g, env, *beta_box)
+        plane = _profit_at(a_axis, plane_i_beta, s_axis, g, env)
+
+    evaluations, trace = [grid_points ** 2], []
+
+    def sigma_slope(i_sigma):  # dP/d i_sigma at the best a and i_beta
+        sigma = i_fifty / (i_fifty + i_sigma)
+        s = sigma / _SQRT2
+        erfcx_s = _erfcx(s)
+
+        def a_slope(a):  # d ln h/d ln a
+            evaluations[0] += 1
+            y = (a * sigma) / _SQRT2
+            erfcx_y = _erfcx(y)
+            return 1.0 / (1.0 + a) + 2.0 * _x_slope(y, erfcx_y) / (erfcx_s + erfcx_y)
+
+        a = _peak(a_slope, *a_box)
+        evaluations[0] += 1
+        y = (a * sigma) / _SQRT2
+        erfcx_y = _erfcx(y)
+        g = 0.5 * (erfcx_s + erfcx_y)  # _gross_multiplier(a, sigma), bit for bit
+        i_beta = _best_i_beta(a, g, env, *beta_box)
+        trace.append(((a, i_beta, i_sigma), _profit_at(a, i_beta, i_sigma, g, env)))
+        # d sigma/d i_sigma = -sigma^2/i_fifty = -sigma/(i_fifty + i_sigma).
+        return -(demand_factor(a, i_beta / (i_beta + i_fifty)) * env.mean_target_value
+                 * (_x_slope(s, erfcx_s) + _x_slope(y, erfcx_y)) / (i_fifty + i_sigma)) - 1.0
+
+    _peak(sigma_slope, *sigma_box)
+    # The outer solve ends on the root; its best iterate is the answer.
+    point, value = max(trace, key=lambda entry: entry[1])
     # Axes ascend: the first maximum in C order is the lexicographically smallest.
-    best = np.unravel_index(int(np.argmax(plane)), plane.shape)
-    # Refinement steps: half the local grid spacing in each coordinate.
-    steps = [0.5 * (float(axis[i + 1]) - float(axis[i]))
-             for axis, i in zip(axes, (min(int(k), grid_points - 2) for k in best))]
-    x_best, f_best, nm_evals, converged, history = nelder_mead(
-        objective, [float(axis[k]) for axis, k in zip(axes, best)], steps,
-        (a_spec.lo, sigma_spec.lo), (a_spec.hi, sigma_spec.hi))
-    return StrategyOptimum(strategy=AttackerStrategy(*strategy(x_best)), profit=-f_best,
-                           evaluations=grid_points ** 2 + nm_evals, converged=converged,
-                           trace=[(strategy(p), -v) for p, v in history])
+    j, k = np.unravel_index(int(np.argmax(plane)), plane.shape)
+    converged = not plane[j, k] > value
+    if not converged:
+        point = (float(a_axis[j, 0]), float(plane_i_beta[j, k]), float(s_axis[k]))
+        value = float(plane[j, k])
+    return StrategyOptimum(AttackerStrategy(*point), value, evaluations[0], converged, trace)
 
 
 def profit_surface(env: GameEnvironment, grid: SweepGrid) -> SurfaceResult:

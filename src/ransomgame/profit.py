@@ -13,9 +13,8 @@ only, so its bits do not depend on numpy's SIMD loops), and adaptive
 quadrature of the underlying integral — which must agree to 1e-6 or better.
 The closed form is one function for floats and broadcast arrays alike:
 ``_closed_form_profit`` evaluates one node or a sweep's whole cube, and its
-arithmetic after G, ``_profit_at``, is also the optimizer's objective, which
-shares one G with ``_best_i_beta``, the formula for the best i_beta at
-(a, i_sigma).
+arithmetic after G, ``_profit_at``, gives the optimizer's profits from the G
+it shares with ``_best_i_beta``, the best i_beta at (a, i_sigma).
 """
 
 from __future__ import annotations

@@ -349,7 +349,19 @@ class TestOptimizeCommand:
         assert main(["optimize", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[-2:] == [
             "a,i_beta,i_sigma,profit,evaluations,converged",
-            "4.67444222,0.090482309,0.103792814,0.305559598,4164,1"]
+            "4.67444338,0.0904823312,0.103793015,0.305559598,4226,1"]
+
+    @pytest.mark.parametrize("args", [
+        ["--a-hi", "1e300", "--grid-points", "8"],
+        ["--i-beta-hi", "1e308", "--i-sigma-hi", "1e308"],
+    ])
+    def test_boxes_spanning_many_decades_reach_the_optimum(self, tmp_path, args):
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", *args, "--out", str(out)]) == 0
+        _, _, columns, rows = read_csv(out)
+        row = dict(zip(columns, rows[0]))
+        assert float(row["profit"]) == pytest.approx(0.3055595976, abs=1e-9)
+        assert (row["profit"], row["converged"]) == ("0.305559598", "1")
 
     @pytest.mark.parametrize("args,message", [
         (["--a-lo", "1", "--a-hi", "1"], "axis a: need lo < hi, got [1.0, 1.0]"),

@@ -112,9 +112,10 @@ def test_simulate_files_do_not_depend_on_avx512_loops(tmp_path):
 
 @_needs_avx512_loops
 def test_optimize_file_does_not_depend_on_avx512_loops(tmp_path):
-    # The grid scan's log axes differ in their last bits between the two
-    # levels; the optimum, refined by the simplex and written at 9 digits,
-    # may not differ.
+    # The guard scan's log axes differ in their last bits between the two
+    # levels; the solved optimum reads none of them, only a scan node that
+    # beat it would, and the solves use erfcx's arithmetic and libm's exp and
+    # log, so the file may not differ.
     assert _optimize_file(tmp_path / "v4") == _optimize_file(
         tmp_path / "v3", NPY_DISABLE_CPU_FEATURES=_NO_AVX512)
 

@@ -115,14 +115,16 @@ def test_import_loads_only_what_every_command_needs(tmp_path):
 
 
 # The names perfbench's tracer wraps (``perfbench/tracing.py``, CLI_TARGETS
-# and QUADRATURE_TARGETS, less the one it has no longer found since the
-# optimizer stopped importing ``expected_profit``).  Some are bound on first
-# use; the tracer reads each with getattr and replaces it with setattr after
-# ``import ransomgame.cli``, and its wrapper must be what the program calls.
+# and QUADRATURE_TARGETS, less the two it no longer finds: ``expected_profit``,
+# which the optimizer stopped importing for the closed form, and
+# ``nelder_mead``, deleted when root solves replaced the simplex).  Some are
+# bound on first use; the tracer reads each with getattr and replaces it with
+# setattr after ``import ransomgame.cli``, and its wrapper must be what the
+# program calls.
 _TRACED = (("ransomgame.cli", "_write_csv"), ("ransomgame.cli", "_write_json"),
            ("ransomgame.cli", "run_batch"), ("ransomgame.cli", "write_trace_csv"),
            ("ransomgame.cli", "maximize_profit"), ("ransomgame.cli", "profit_surface"),
-           ("ransomgame.optimize", "nelder_mead"), ("ransomgame.optimize", "zero_contours"),
+           ("ransomgame.optimize", "zero_contours"),
            ("ransomgame.profit", "adaptive_quadrature"))
 # Each module binds only its own lazy names.
 _UNKNOWN = (("ransomgame.cli", "no_such_name"), ("ransomgame.cli", "expected_profit"),

@@ -1,91 +1,28 @@
-"""Strategy optimization, sweeps, and the simplex's bits.
-
-``_reference_nelder_mead`` is the numpy simplex that the float one replaced.
-``_reference_maximize_profit`` drives it through the profiled optimizer,
-scanning node by node on floats with i_beta from ``_formula_i_beta``.  The
-float simplex and the vectorised scan must return their bits: every point,
-value, count and flag.
-"""
+"""Strategy optimization, its root solves, and sweeps."""
 
 import math
 import tracemalloc
-from functools import reduce
-from operator import add
 
 import numpy as np
 import pytest
 
-from ransomgame import (AttackerStrategy, ConfigError, DomainError, ProfitMethod,
-                        AxisSpec, SweepGrid,
+from ransomgame import (AttackerStrategy, ConfigError, ProfitMethod, AxisSpec, SweepGrid,
                         expected_profit, gross_multiplier_closed_form, maximize_profit,
-                        nelder_mead, profit_surface)
+                        profit_surface)
 from ransomgame import optimize
-from ransomgame.optimize import DEFAULT_BOUNDS, NM_COEFFICIENTS
+from ransomgame._erfcx import _erfcx, _x_slope
+from ransomgame.optimize import _peak
 from ransomgame.profit import _closed_form_profit, _profit_at
 
 I50 = 0.02
-
-
-def _reference_nelder_mead(func, x0, steps, bounds_lo, bounds_hi,
-                           diameter_tol=1e-5, max_iter=2000):
-    refl, expa, contr, shrink = NM_COEFFICIENTS
-    dim = len(x0)
-
-    def clip(x):
-        return np.minimum(np.maximum(x, bounds_lo), bounds_hi)
-
-    points = [clip(np.asarray(x0, dtype=np.float64))]
-    for k in range(dim):
-        p = points[0].copy()
-        p[k] += steps[k]
-        points.append(clip(p))
-    values = [func(p) for p in points]
-    n_evals = dim + 1
-    history = []
-    converged = False
-
-    for _ in range(max_iter):
-        order = sorted(range(dim + 1), key=lambda i: values[i])
-        points = [points[i] for i in order]
-        values = [values[i] for i in order]
-        history.append((points[0].copy(), values[0]))
-
-        spread = np.max(np.asarray(points), axis=0) - np.min(np.asarray(points), axis=0)
-        if np.all(spread < diameter_tol):
-            converged = True
-            break
-
-        centroid = np.mean(np.asarray(points[:-1]), axis=0)
-        worst = points[-1]
-        reflected = clip(centroid + refl * (centroid - worst))
-        f_reflected = func(reflected)
-        n_evals += 1
-
-        if values[0] <= f_reflected < values[-2]:
-            points[-1], values[-1] = reflected, f_reflected
-            continue
-        if f_reflected < values[0]:
-            expanded = clip(centroid + expa * (centroid - worst))
-            f_expanded = func(expanded)
-            n_evals += 1
-            if f_expanded < f_reflected:
-                points[-1], values[-1] = expanded, f_expanded
-            else:
-                points[-1], values[-1] = reflected, f_reflected
-            continue
-        contracted = clip(centroid + contr * (worst - centroid))
-        f_contracted = func(contracted)
-        n_evals += 1
-        if f_contracted < values[-1]:
-            points[-1], values[-1] = contracted, f_contracted
-            continue
-        for i in range(1, dim + 1):
-            points[i] = clip(points[0] + shrink * (points[i] - points[0]))
-            values[i] = func(points[i])
-        n_evals += dim
-
-    best = int(np.argmin(values))
-    return points[best], values[best], n_evals, converged, history
+# The optimum in the default box, 0.3055596 to 7 digits, which both boxes
+# below contain.
+OPTIMUM_PROFIT = 0.3055595976
+# Boxes with a side that spans hundreds of decades.
+WIDE_BOXES = {
+    "a-to-1e300": ({"a": (0.1, 1e300)}, 8),
+    "costs-to-1e308": ({"i_beta": (0.001, 1e308), "i_sigma": (0.001, 1e308)}, 64),
+}
 
 
 def _formula_i_beta(a, i_sigma, env):
@@ -93,48 +30,6 @@ def _formula_i_beta(a, i_sigma, env):
     i50 = env.i_fifty
     g = gross_multiplier_closed_form(a, i50 / (i50 + i_sigma))
     return math.sqrt(a * g / (1.0 + a) * env.mean_target_value * i50) - i50
-
-
-def _reference_maximize_profit(env, bounds=None, grid_points=optimize.DEFAULT_GRID_POINTS):
-    """The profiled optimizer node by node on floats, refined by the numpy simplex."""
-    a_spec, beta_spec, sigma_spec = [
-        AxisSpec(name, lo, hi, grid_points, "log")
-        for name, (lo, hi) in {**DEFAULT_BOUNDS, **(bounds or {})}.items()]
-    a_axis, s_axis = a_spec.values(), sigma_spec.values()
-
-    def point(a, i_sigma):
-        i_beta = min(max(_formula_i_beta(a, i_sigma, env), beta_spec.lo), beta_spec.hi)
-        return (a, i_beta, i_sigma)
-
-    # The first strict maximum in C order.
-    best, best_value = None, -math.inf
-    for j, a in enumerate(a_axis.tolist()):
-        for k, i_sigma in enumerate(s_axis.tolist()):
-            value = _closed_form_profit(*point(a, i_sigma), env)
-            if value > best_value:
-                best, best_value = (j, k), value
-    steps = []
-    for axis, k in zip((a_axis, s_axis), best):
-        idx = min(k, len(axis) - 2)
-        steps.append(0.5 * (axis[idx + 1] - axis[idx]))
-    x_best, f_best, nm_evals, converged, history = _reference_nelder_mead(
-        lambda p: -_closed_form_profit(*point(*p.tolist()), env),
-        np.array([a_axis[best[0]], s_axis[best[1]]]), np.asarray(steps),
-        np.array([a_spec.lo, sigma_spec.lo]), np.array([a_spec.hi, sigma_spec.hi]))
-    trace = [(point(*p.tolist()), -v) for p, v in history]
-    return optimize.StrategyOptimum(strategy=AttackerStrategy(*point(*x_best.tolist())),
-                                    profit=-f_best, evaluations=grid_points ** 2 + nm_evals,
-                                    converged=converged, trace=trace)
-
-
-def assert_same_simplex(result, reference):
-    """Float and numpy simplex results agree exactly, compared as floats."""
-    (x, fx, n_evals, converged, history), (rx, rfx, rn, rconv, rhistory) = result, reference
-    assert isinstance(x, tuple) and all(isinstance(p, tuple) for p, _ in history)
-    assert list(x) == [float(v) for v in rx]
-    assert (fx, n_evals, converged) == (rfx, rn, rconv)
-    assert [(list(p), v) for p, v in history] == [([float(c) for c in p], v)
-                                                  for p, v in rhistory]
 
 
 def counted(func):
@@ -147,89 +42,47 @@ def counted(func):
     return wrapper, calls
 
 
-def _bowl(p):
-    return (p[0] - 1.3) ** 2 + 2.0 * (p[1] + 0.4) ** 2
+def _a_slope(a, sigma):
+    """d ln h/d ln a for h(a) = a G(a, sigma)/(1 + a): the inner solve's condition."""
+    s, y = sigma / math.sqrt(2.0), a * sigma / math.sqrt(2.0)
+    return 1.0 / (1.0 + a) + 2.0 * _x_slope(y, _erfcx(y)) / (_erfcx(s) + _erfcx(y))
 
 
-def _wall(p):
-    return (p[0] - 10.0) ** 2
+class TestRootSolve:
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_root_of_a_falling_slope(self, scale):
+        # At 1e-300 a product of two slopes underflows to 0; at 1e300 it overflows.
+        slope, calls = counted(lambda x: scale * (2.0 - x ** 3))
+        assert _peak(slope, 1e-3, 5.0) == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-10)
+        assert len(calls) < 20
 
+    def test_bisects_past_infinite_slopes(self):
+        # Interpolation through an infinite value makes no progress.
+        slope = lambda x: math.inf if x < 0.5 else -math.inf if x > 2.0 else 1.0 - x
+        assert _peak(slope, 1e-300, 1e300) == pytest.approx(1.0, rel=1e-10)
 
-def _rosenbrock(p):
-    return (1 - p[0]) ** 2 + 100.0 * (p[1] - p[0] ** 2) ** 2
+    @pytest.mark.parametrize("slope,root", [
+        (lambda x: 1.0 - x, 1.0),
+        (lambda x: -1.0, 1e-3),  # falls everywhere: the low edge
+        (lambda x: 1.0, 1e300),  # rises everywhere: the high edge
+        (lambda x: 1e-300 * (1e200 - x), 1e200),
+    ])
+    def test_peak_is_the_root_or_the_edge_slope_points_to(self, slope, root):
+        assert _peak(slope, 1e-3, 1e300) == pytest.approx(root, rel=1e-9)
 
+    def test_peak_returns_the_exact_edges(self):
+        assert _peak(lambda x: -1.0, 0.1, 0.7) == 0.1
+        assert _peak(lambda x: 1.0, 0.1, 0.7) == 0.7
 
-# The three problems of TestNelderMead, as (func, x0, steps, lo, hi, options).
-SIMPLEX_CASES = {
-    "quadratic_bowl": (_bowl, [0.0, 0.0], [0.5, 0.5], [-5.0, -5.0], [5.0, 5.0], {}),
-    "respects_bounds": (_wall, [0.5], [0.2], [0.0], [1.0], {}),
-    "rosenbrock": (_rosenbrock, [-1.2, 1.0], [0.1, 0.1], [-5.0, -5.0], [5.0, 5.0],
-                   {"diameter_tol": 1e-8, "max_iter": 5000}),
-}
+    @pytest.mark.parametrize("sigma", [1e-4, 0.01, 0.16, 0.5, 1.0])
+    def test_inner_root_is_the_peak_of_h(self, sigma):
+        a = _peak(lambda x: _a_slope(x, sigma), 1e-3, 1e4)
+        h = lambda x: x * gross_multiplier_closed_form(x, sigma) / (1.0 + x)
+        grid = np.geomspace(1e-3, 1e4, 20001).tolist()
+        k = max(range(len(grid)), key=lambda i: h(grid[i]))
+        assert grid[k - 1] <= a <= grid[k + 1]
+        assert h(a) >= h(grid[k])
 
-
-def run_both(func, x0, steps, lo, hi, **options):
-    """nelder_mead on float lists and the numpy reference on arrays."""
-    arrays = [np.array(v, dtype=np.float64) for v in (x0, steps, lo, hi)]
-    return (nelder_mead(func, x0, steps, lo, hi, **options),
-            _reference_nelder_mead(func, *arrays, **options))
-
-
-class TestNelderMead:
-    def test_quadratic_bowl(self):
-        f, calls = counted(_bowl)
-        x, fx, n_evals, converged, history = nelder_mead(
-            f, np.array([0.0, 0.0]), np.array([0.5, 0.5]),
-            np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
-        assert converged
-        assert x == pytest.approx([1.3, -0.4], abs=1e-4)
-        assert fx < 1e-8
-        assert n_evals == len(calls)
-        assert all(isinstance(p, tuple) for p, in calls)
-
-    def test_respects_bounds(self):
-        x, _, _, converged, _ = nelder_mead(
-            _wall, np.array([0.5]), np.array([0.2]), np.array([0.0]), np.array([1.0]))
-        assert converged
-        assert x[0] == pytest.approx(1.0, abs=1e-5)
-
-    def test_rosenbrock(self):
-        x, fx, _, _, _ = nelder_mead(
-            _rosenbrock, np.array([-1.2, 1.0]), np.array([0.1, 0.1]),
-            np.array([-5.0, -5.0]), np.array([5.0, 5.0]),
-            diameter_tol=1e-8, max_iter=5000)
-        assert x == pytest.approx([1.0, 1.0], abs=1e-3)
-
-    @pytest.mark.parametrize("lo,hi", [([0.0, 2.0], [1.0, 1.0]),
-                                       ([0.0, math.nan], [1.0, 1.0])])
-    def test_reversed_box_rejected(self, lo, hi):
-        # Clipping to a reversed side would put every point on its upper bound.
-        f, calls = counted(_bowl)
-        with pytest.raises(DomainError, match="lo <= hi"):
-            nelder_mead(f, [0.5, 0.5], [0.1, 0.1], lo, hi)
-        assert calls == []
-
-    @pytest.mark.parametrize("case", sorted(SIMPLEX_CASES))
-    def test_bits_match_numpy_reference(self, case):
-        func, x0, steps, lo, hi, options = SIMPLEX_CASES[case]
-        assert_same_simplex(*run_both(func, x0, steps, lo, hi, **options))
-
-    def test_centroid_adds_left_to_right(self):
-        # Start at 1 with a step of 1e16 in x: the best three vertices hold
-        # x = 1e16, 1, 1 in that order.  Left to right, 1e16 + 1 rounds back
-        # to 1e16 twice; math.fsum (and sum() from Python 3.12) gives 1e16 + 2.
-        func = lambda p: ((p[0] - 1e16) / 1e16) ** 2 + (p[1] - 0.5) ** 2 + (p[2] - 0.5) ** 2
-        x0, steps = [1.0, 0.0, 0.0], [1e16, 1.0, 1.0]
-        lo, hi = [-1e17, -10.0, -10.0], [1e17, 10.0, 10.0]
-        start = [tuple(x0)] + [tuple(v + steps[k] if j == k else v for j, v in enumerate(x0))
-                               for k in range(3)]
-        best_three = sorted(start, key=func)[:-1]
-        columns = list(zip(*best_three))
-        assert columns[0] == (1e16, 1.0, 1.0)
-        assert [reduce(add, col) for col in columns] != [math.fsum(col) for col in columns]
-        result, reference = run_both(func, x0, steps, lo, hi, max_iter=200)
-        assert len(result[4]) > 1
-        assert_same_simplex(result, reference)
 
 class TestMaximizeProfit:
     def test_recovers_reference_optimum(self, mean_env):
@@ -240,27 +93,47 @@ class TestMaximizeProfit:
         assert opt.strategy.i_sigma == pytest.approx(0.104, abs=0.010)
         assert opt.profit == pytest.approx(0.304, abs=0.005)
 
+    @pytest.mark.parametrize("bounds,grid_points", WIDE_BOXES.values(), ids=WIDE_BOXES)
+    def test_boxes_spanning_many_decades_reach_the_optimum(self, mean_env, bounds,
+                                                           grid_points):
+        opt = maximize_profit(mean_env, bounds, grid_points)
+        assert opt.converged
+        assert opt.profit == pytest.approx(OPTIMUM_PROFIT, abs=1e-9)
+        assert opt.strategy.a == pytest.approx(4.674443, rel=1e-6)
+
     @pytest.mark.parametrize("bounds,grid_points", [
         (None, 64), (None, 8), (None, 16), (None, 24), ({"a": (0.1, 1.0)}, 24),
-    ], ids=["default", "8", "16", "24", "a-below-optimum"])
-    def test_bits_match_numpy_reference(self, mean_env, monkeypatch, bounds, grid_points):
-        reference = _reference_maximize_profit(mean_env, bounds, grid_points)
-        counter, calls = counted(_profit_at)
-        monkeypatch.setattr(optimize, "_profit_at", counter)
+        ({"i_beta": (0.001, 0.05)}, 16),
+    ], ids=["default", "8", "16", "24", "a-below-optimum", "i_beta-edge"])
+    def test_solved_point_meets_its_first_order_conditions(self, mean_env, monkeypatch,
+                                                           bounds, grid_points):
+        counter, calls = counted(_x_slope)
+        monkeypatch.setattr(optimize, "_x_slope", counter)
         opt = maximize_profit(mean_env, bounds, grid_points)
-        assert opt == reference
-        # One call on the whole scan plane, then one per simplex evaluation.
-        assert [isinstance(a, float) for a, *_ in calls] == [False] + [True] * (len(calls) - 1)
-        assert opt.evaluations == grid_points ** 2 + len(calls) - 1
+        # One x_slope per inner condition and two per outer one.
+        assert opt.evaluations == grid_points ** 2 + len(calls) - len(opt.trace)
+        assert opt.converged
+        s = opt.strategy
+        sigma = I50 / (I50 + s.i_sigma)
+        a_lo, a_hi = (bounds or {}).get("a", optimize.DEFAULT_BOUNDS["a"])
+        # d ln h/d ln a is 0 at an interior a, and points out of the box at an edge.
+        residual = _a_slope(s.a, sigma)
+        assert (abs(residual) < 1e-9 or (s.a == a_hi and residual > 0.0)
+                or (s.a == a_lo and residual < 0.0))
+        # In i_sigma: a small step either way loses profit.
+        for step in (1e-5, -1e-5):
+            moved = maximize_profit(mean_env, {**(bounds or {}), "i_sigma": (
+                s.i_sigma * (1.0 + step), s.i_sigma * (1.0 + step) * 1.000001)}, 2)
+            assert moved.profit <= opt.profit
 
     def test_default_optimum_bits(self, mean_env):
         # The same bits on every Python version and SIMD level CI runs.
         opt = maximize_profit(mean_env)
         assert [v.hex() for v in (opt.strategy.a, opt.strategy.i_beta, opt.strategy.i_sigma,
                                   opt.profit)] == [
-            "0x1.2b2a0fb127625p+2", "0x1.729d93df63cb8p-4", "0x1.a922a77260acdp-4",
-            "0x1.38e49d7b40ce2p-2"]
-        assert (opt.evaluations, opt.converged, len(opt.trace)) == (4164, True, 35)
+            "0x1.2b2a148ce51e2p+2", "0x1.729d99d6a418ep-4", "0x1.a922dd6d49393p-4",
+            "0x1.38e49d7b41be0p-2"]
+        assert (opt.evaluations, opt.converged, len(opt.trace)) == (4226, True, 11)
 
     def test_profit_field_reevaluates(self, mean_env):
         opt = maximize_profit(mean_env, grid_points=16)
@@ -286,31 +159,25 @@ class TestMaximizeProfit:
         grid = np.linspace(1e-4, 0.5, 20001)
         brute = grid[int(np.argmax([objective(v) for v in grid]))]
         assert formula == pytest.approx(brute, abs=(grid[1] - grid[0]))
-        x, fx, _, converged, _ = nelder_mead(
-            lambda p: -objective(p[0]), np.array([0.05]), np.array([0.02]),
-            np.array([1e-4]), np.array([0.5]), diameter_tol=1e-8)
-        assert converged
-        assert x[0] == pytest.approx(formula, abs=1e-6)
+        # The root of its derivative, as the optimizer solves for a and i_sigma.
+        slope = lambda ib: (a / (a + 1.0)) * m * I50 / (ib + I50) ** 2 - 1.0
+        assert _peak(slope, 1e-4, 0.5) == pytest.approx(formula, rel=1e-9)
 
     def test_bounds_excluding_optimum_hit_boundary(self, mean_env):
         opt = maximize_profit(mean_env, bounds={"a": (0.1, 1.0)}, grid_points=24)
-        assert opt.strategy.a == pytest.approx(1.0, abs=1e-4)
+        assert opt.strategy.a == 1.0
         assert opt.profit < 0.304
 
     def test_restart_stability(self, mean_env, rng):
-        profit = lambda a, ib, isg: _closed_form_profit(a, ib, isg, mean_env)
-        lo = np.array([0.1, 0.001, 0.001])
-        hi = np.array([20.0, 0.5, 0.5])
-        steps = 0.25 * (hi - lo)
-        results = []
+        # Any box around the optimum, at any scan resolution, finds the same peak.
+        reference = maximize_profit(mean_env).profit
         for _ in range(10):
-            x0 = np.array([float(10.0 ** rng.uniform(-1.0, 1.3)),
-                           float(rng.uniform(0.01, 0.4)),
-                           float(rng.uniform(0.01, 0.4))])
-            _, fx, _, _, _ = nelder_mead(lambda p: -profit(*p), x0, steps,
-                                         lo, hi, max_iter=4000)
-            results.append(-fx)
-        assert max(results) - min(results) < 1e-4
+            bounds = {name: (opt * 10.0 ** -rng.uniform(0.1, 3.0),
+                             opt * 10.0 ** rng.uniform(0.1, 3.0))
+                      for name, opt in (("a", 4.67), ("i_beta", 0.0905), ("i_sigma", 0.104))}
+            opt = maximize_profit(mean_env, bounds, int(rng.integers(2, 40)))
+            assert opt.converged
+            assert opt.profit == pytest.approx(reference, abs=1e-14)
 
     def test_strategy_inside_box(self, mean_env):
         opt = maximize_profit(mean_env, bounds={"a": (2.0, 3.0),
@@ -333,7 +200,11 @@ class TestMaximizeProfit:
         opt = maximize_profit(mean_env, grid_points=8)
         assert isinstance(opt.trace, list)
         assert opt.trace
+        # The box's i_sigma edges first, then iterates that close on the root.
+        assert [p[2] for p, _ in opt.trace[:2]] == [0.001, 0.5]
         assert opt.trace[-1][1] == pytest.approx(opt.profit, abs=1e-9)
+        assert max(opt.trace, key=lambda entry: entry[1]) == (
+            (opt.strategy.a, opt.strategy.i_beta, opt.strategy.i_sigma), opt.profit)
 
     @pytest.mark.parametrize("i_beta_box,where", [
         ((0.001, 0.5), "inside"), ((0.001, 0.05), "hi"), ((0.2, 0.5), "lo"),
@@ -375,13 +246,31 @@ class TestMaximizeProfit:
         formulas = [_formula_i_beta(x, y, mean_env) for x in a_axis for y in s_axis]
         assert min(formulas) < box[0] and max(formulas) > box[1]
 
+    def test_scan_node_that_beats_the_solve_is_the_result(self, mean_env, monkeypatch):
+        # With erfcx' taken as 0, h seems to rise for ever: every inner solve
+        # returns a = 20, where the profit is far below the scan's best node.
+        monkeypatch.setattr(optimize, "_x_slope", lambda x, erfcx_x: 0.0)
+        opt = maximize_profit(mean_env, grid_points=16)
+        assert not opt.converged
+        assert all(p[0] == 20.0 for p, _ in opt.trace)
+        a_axis = AxisSpec("a", 0.1, 20.0, 16, "log").values().tolist()
+        s_axis = AxisSpec("i_sigma", 0.001, 0.5, 16, "log").values().tolist()
+        nodes = [((x, min(max(_formula_i_beta(x, y, mean_env), 0.001), 0.5), y))
+                 for x in a_axis for y in s_axis]
+        profits = [_closed_form_profit(*node, mean_env) for node in nodes]
+        best = profits.index(max(profits))
+        assert (opt.strategy.a, opt.strategy.i_beta, opt.strategy.i_sigma) == nodes[best]
+        assert opt.profit == profits[best] > max(value for _, value in opt.trace)
+
     def test_scan_ties_go_to_the_smallest_a_and_i_sigma(self, mean_env, monkeypatch):
-        # A flat profit ties every node, so the simplex starts at the box's low corner.
-        monkeypatch.setattr(optimize, "_profit_at",
-                            lambda a, i_beta, i_sigma, g, env: 0.0 * a * i_sigma)
+        # A flat scan plane that beats every solved point: the first node wins.
+        def flat_plane(a, i_beta, i_sigma, g, env):
+            return 0.0 * a * i_sigma if isinstance(a, np.ndarray) else -1.0
+
+        monkeypatch.setattr(optimize, "_profit_at", flat_plane)
         opt = maximize_profit(mean_env, grid_points=8)
-        (a, _, i_sigma), _ = opt.trace[0]
-        assert (a, i_sigma) == (0.1, 0.001)
+        assert not opt.converged
+        assert (opt.strategy.a, opt.strategy.i_sigma) == (0.1, 0.001)
 
     def test_memory_bounded_by_plane(self, mean_env):
         tracemalloc.start()

@@ -31,7 +31,6 @@ from ransomgame.simulate import _outcome_from_arrays  # noqa: E402
 from ransomgame.stochastics import _ppf  # noqa: E402
 from conftest import run_traced  # noqa: E402
 from test_kernel_bits import _reference_ppf  # noqa: E402
-from test_optimize import assert_same_simplex, run_both  # noqa: E402
 
 # The same examples on every run, so the suite stays deterministic.
 settings.register_profile("ransomgame", derandomize=True, database=None, deadline=None,
@@ -252,23 +251,13 @@ def test_float_profit_is_the_array_element_on_the_default_trace():
     assert [profit for _, profit in trace] == [_array_profit(*point) for point, _ in trace]
 
 
-@given(a=_in_box("a"), i_beta=_in_box("i_beta"), i_sigma=_in_box("i_sigma"),
-       fractions=st.tuples(*[st.floats(-0.5, 0.5)] * 3))
-def test_float_simplex_is_numpy_simplex_bit_for_bit(a, i_beta, i_sigma, fractions):
-    # Steps are signed fractions of the box, up to half its width.
-    lo, hi = zip(*DEFAULT_BOUNDS.values())
-    steps = [f * (h - l) for f, l, h in zip(fractions, lo, hi)]
-    func = lambda p: -_closed_form_profit(*map(float, p), _MEAN_ENV)
-    assert_same_simplex(*run_both(func, [a, i_beta, i_sigma], steps, list(lo), list(hi)))
-
-
 _ENV = st.builds(lambda i_fifty, m: GameEnvironment(i_fifty, PopulationMean(m)),
                  _log_floats(-3.0, 0.0), _log_floats(-1.0, 1.0))
 
 
-def _box(lo_exp, hi_exp):
-    """(lo, hi) with lo = 10**e for e in [lo_exp, hi_exp] and hi/lo in [2, 100]."""
-    return st.tuples(_log_floats(lo_exp, hi_exp), _log_floats(math.log10(2.0), 2.0)).map(
+def _box(lo_exp, hi_exp, decades=2.0):
+    """(lo, hi) with lo = 10**e for e in [lo_exp, hi_exp] and hi/lo in [2, 10**decades]."""
+    return st.tuples(_log_floats(lo_exp, hi_exp), _log_floats(math.log10(2.0), decades)).map(
         lambda t: (t[0], t[0] * t[1]))
 
 
@@ -297,6 +286,23 @@ def test_profiled_optimum_beats_the_3d_grid(env, a_box, beta_box, sigma_box, n):
     peak = profit_surface(env, SweepGrid([AxisSpec(name, lo, hi, n, "log")
                                           for name, (lo, hi) in bounds.items()])).argmax_profit
     assert opt.profit >= peak - _slack(peak, beta_box[1] + sigma_box[1])
+
+
+@given(env=_ENV, a_box=_box(-1.0, 1.0, 300.0), beta_box=_box(-3.0, -0.5, 100.0),
+       sigma_box=_box(-3.0, -0.5, 100.0), n=st.integers(2, 10))
+def test_optimum_is_no_worse_than_a_dense_log_scan(env, a_box, beta_box, sigma_box, n):
+    # Sides may span hundreds of decades, where a linear-step search stalls.
+    bounds = {"a": a_box, "i_beta": beta_box, "i_sigma": sigma_box}
+    opt = maximize_profit(env, bounds, grid_points=n)
+    a, i_sigma = (np.geomspace(*bounds[name], 400) for name in ("a", "i_sigma"))
+    a = a[:, None]
+    g = _gross_multiplier(a, env.i_fifty / (env.i_fifty + i_sigma))
+    i_beta = _best_i_beta(a, g, env, *beta_box)
+    scan = _closed_form_profit(a, i_beta, i_sigma, env)
+    k = np.unravel_index(int(np.argmax(scan)), scan.shape)
+    peak = float(scan[k])
+    assert opt.converged
+    assert opt.profit >= peak - _slack(peak, float(i_beta[k]) + float(i_sigma[k[1]]))
 
 
 # Near each branch edge as well as log-uniform over the whole range.

@@ -7,7 +7,7 @@ import pytest
 
 from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironment, SeedSpec,
                         SimulationConfig, estimate_scale, lognormal_pdf, run_batch)
-from ransomgame._erfcx import _erfcx
+from ransomgame._erfcx import _ERFCX_EDGES, _erfcx, _x_slope
 from ransomgame._quadrature import adaptive_quadrature
 from ransomgame.simulate import run_uniforms
 from ransomgame.stochastics import _open_uniforms, _ppf, philox, uniform_blocks
@@ -163,6 +163,64 @@ class TestErfcx:
         assert np.array_equal(_erfcx(grid.T), _erfcx(grid).T)
         assert np.array_equal(_erfcx(np.asfortranarray(grid)), _erfcx(grid))
         assert np.array_equal(_erfcx(grid[:, ::2]), _erfcx(grid)[:, ::2])
+
+
+# x (x erfcx(x) - 1/sqrt pi) from 60-digit mpmath (its asymptotic series past
+# 1000), rounded to 30 digits: each branch's ends (4 and 6.71e7 start a
+# branch), the worst point found in each branch, and the tails.
+_X_SLOPE_TABLE = [
+    (0.0, "0.0"),
+    (5e-324, "-2.78746690972426135633775464812e-324"),
+    (1e-300, "-5.64189583547756301086158038152e-301"),
+    (1e-08, "-5.64189573547756411590285624164e-9"),
+    (0.5, "-1.28172205725646674756341370109e-1"),
+    (1.0, "-1.3660600739194928253732910707e-1"),
+    (3.44876, "-7.31784490217758495077365638599e-2"),
+    (3.9999999999999996, "-6.47670121900429156318856506882e-2"),
+    (4.0, "-6.47670121900429095611950638462e-2"),
+    (10.0, "-2.77965610953042837290557935609e-2"),
+    (148608.78666035295, "-1.89823763516385384548974983091e-6"),
+    (67099999.99999999, "-4.2040952574348447215458302401e-9"),
+    (67100000.0, "-4.20409525743484425473583690681e-9"),
+    (75796310.75595242, "-3.72174831413842485362596708851e-9"),
+    (1e10, "-2.82094791773878143469808303904e-11"),
+    (1e100, "-2.8209479177387813898791696957e-101"),
+    (1e200, "-2.82094791773878152012168312888e-201"),
+    (1.7e308, "-1.65938112808163619779024726228e-309"),
+]
+# The worst error of each branch, [0, 4), [4, 6.71e7) and beyond, against
+# 60-digit mpmath on 300,000 points, dense on [0, 6], log-uniform on [4, 1e9]
+# and up to 1.7e308: 103.9 ulps at 3.44876, where x erfcx(x) - 1/sqrt pi has
+# cancelled 5 bits of erfcx's own error; 42.3 ulps at 148608.8, from the Cody
+# rational's error near z = 0; 2.7 ulps at 7.58e7.
+_X_SLOPE_ULPS = (104, 43, 3)
+
+
+def _x_slope_at(x):
+    return _x_slope(x, _erfcx(x))
+
+
+class TestXSlope:
+    @pytest.mark.parametrize("x,ref", _X_SLOPE_TABLE)
+    def test_within_ulp_bound_of_mpmath(self, x, ref):
+        ref = Decimal(ref)
+        bound = _X_SLOPE_ULPS[sum(x >= edge for edge in _ERFCX_EDGES[1:])]
+        assert abs(Decimal(_x_slope_at(x)) - ref) <= bound * Decimal(math.ulp(float(ref)))
+
+    @pytest.mark.parametrize("edge,ulps", [(4.0, 104 + 43), (6.71e7, 43 + 3)])
+    def test_continuous_across_branch_edges(self, edge, ulps):
+        below, at = _x_slope_at(math.nextafter(edge, 0.0)), _x_slope_at(edge)
+        # The true function moves by under an ulp between the two floats.
+        assert below < 0.0 and at < 0.0
+        assert abs(at - below) <= ulps * math.ulp(at)
+
+    def test_naive_form_cancels_where_the_tail_does_not(self):
+        # 2x erfcx(x) - 2/sqrt pi, the naive erfcx' (x), is 2 x_slope(x)/x
+        # exactly; at y = e^97 it is noise, a 0 or a wrong sign.
+        y = math.exp(97.0)
+        naive = 2.0 * y * _erfcx(y) - 2.0 / math.sqrt(math.pi)
+        assert naive >= 0.0
+        assert _x_slope_at(y) == pytest.approx(-0.5 / (math.sqrt(math.pi) * y), rel=1e-15)
 
 
 class TestLognormalDensity:
