@@ -52,13 +52,27 @@ _SUBMODULE = {name: module for module, names in (
 ) for name in names}
 
 
-def __getattr__(name):
-    module = _SUBMODULE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+def _bind_lazily(namespace: dict, names: dict):
+    """A module's PEP 562 ``__getattr__`` for ``names``, each name -> its submodule.
+
+    The first use of a name imports its submodule and binds every name taken
+    from it in ``namespace`` with ``setdefault``, so a wrapper that a
+    profiler set earlier with ``setattr`` stays.  Call sites call it too, so
+    what runs is whatever is bound.
+    """
+    def bound(name):
+        if name not in names:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        if name not in namespace:
+            module = import_module(f"{__name__}.{names[name]}")
+            for other, source in names.items():
+                if source == names[name]:
+                    namespace.setdefault(other, getattr(module, other))
+        return namespace[name]
+    return bound
+
+
+__getattr__ = _bind_lazily(globals(), _SUBMODULE)
 
 
 def __dir__():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
 
@@ -48,10 +50,10 @@ def _chain(segments):
     """Join segments sharing endpoints into polylines, deterministically."""
     # A contour through a grid node yields zero-length pieces; drop them.
     keyed = [(p, q, kp, kq) for (p, kp), (q, kq) in segments if kp != kq]
-    adjacency = {}
+    adjacency = defaultdict(list)
     for si, (_, _, kp, kq) in enumerate(keyed):
-        adjacency.setdefault(kp, []).append((si, 0))
-        adjacency.setdefault(kq, []).append((si, 1))
+        adjacency[kp].append((si, 0))
+        adjacency[kq].append((si, 1))
 
     used = [False] * len(keyed)
     polylines = []
@@ -64,7 +66,7 @@ def _chain(segments):
         forward, backward = [], []
         for key, line in ((kq, forward), (kp, backward)):
             while True:
-                options = [(si, side) for si, side in adjacency.get(key, []) if not used[si]]
+                options = [(si, side) for si, side in adjacency[key] if not used[si]]
                 if not options:
                     break
                 si, side = options[0]

@@ -1,8 +1,9 @@
 """The ``figure`` and ``table`` commands: the model's figure data series and
 its reference strategy table.
 
-``cli`` imports this module only when one of the two commands runs or a
-parser lists the figure names, so no other command compiles it.  What it
+``cli`` binds its ``cmd_figure``, ``cmd_table`` and ``FIGURE_NAMES`` from
+this module on first use, when one of the two commands runs or a parser
+lists the figure names, so no other command compiles it.  What it
 takes from ``cli`` is looked up there at call time, so a wrapper that a
 profiler sets on ``cli``'s writers or optimizer with ``setattr`` runs here
 too.

@@ -36,6 +36,7 @@ those of ``'%d' % i``, by construction:
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from typing import IO, Sequence
 
 import numpy as np
@@ -315,11 +316,11 @@ def _split_floats(v: np.ndarray):
 
 def _fallback_cells(floats: list, fallback: np.ndarray) -> dict:
     """{column: (rows, ``%.9g`` bytes as NUL-padded uint8 rows)} of the fallback cells."""
-    found = {}
     if not fallback.any():
-        return found
+        return {}
+    found = defaultdict(list)
     for col, row in zip(*np.nonzero(fallback)):
-        found.setdefault(int(col), []).append((row, "%.9g" % floats[col][row]))
+        found[int(col)].append((row, "%.9g" % floats[col][row]))
     return {col: (np.array([r for r, _ in hits]), _ascii([t for _, t in hits]))
             for col, hits in found.items()}
 

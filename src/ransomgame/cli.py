@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _bind_lazily
 from ._rows import Gathered, write_rows
 from .errors import ConfigError, DomainError, NumericalError
 from .game import AttackerStrategy, FixedValue, GameEnvironment, PopulationMean
@@ -29,27 +29,12 @@ from .optimize import (DEFAULT_BOUNDS, DEFAULT_GRID_POINTS, AxisSpec, SweepGrid,
 
 CONFIG_VERSION = 1
 
-# The Monte Carlo engine's names, bound on first use: only ``simulate`` runs
-# the engine, so the other commands never load it or its random streams.
-_ENGINE_NAMES = ("SeedSpec", "SimulationConfig", "run_batch", "write_trace_csv")
-
-
-def _load_engine():
-    """Bind the engine's names as module globals, keeping any bound already.
-
-    A profiler wraps ``run_batch`` and ``write_trace_csv`` by setting this
-    module's attributes before a command runs; those wrappers stay.
-    """
-    from . import simulate
-    for name in _ENGINE_NAMES:
-        globals().setdefault(name, getattr(simulate, name))
-
-
-def __getattr__(name):
-    if name not in _ENGINE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_engine()
-    return globals()[name]
+# Bound on first use: only ``simulate`` runs the Monte Carlo engine and its
+# random streams, and only ``figure``, ``table`` or a parser that lists the
+# figure names needs ``_figures``.
+__getattr__ = _lazy = _bind_lazily(globals(), {
+    **dict.fromkeys(("SeedSpec", "SimulationConfig", "run_batch", "write_trace_csv"), "simulate"),
+    **dict.fromkeys(("cmd_figure", "cmd_table", "FIGURE_NAMES"), "_figures")})
 
 
 def _float_list(text):
@@ -291,7 +276,7 @@ def _cell(v) -> str:
 
 def _write_json(path: str, payload: dict):
     with _open_out(path) as f:
-        json.dump(_round9(payload), f, sort_keys=True, indent=1)
+        json.dump(payload, f, sort_keys=True, indent=1)
         f.write("\n")
 
 
@@ -301,7 +286,7 @@ def _meta_lines(meta: dict | None) -> list:
 
 def _json_table(names: list, columns: list, meta: dict | None = None,
                 contours: list | None = None) -> dict:
-    """A table given as one sequence per column, as JSON rows."""
+    """A table given as one sequence per column, as JSON rows of 9-digit floats."""
     columns = [c.values.take(c.index) if isinstance(c, Gathered) else c for c in columns]
     lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     table = {"columns": names, "rows": [list(row) for row in zip(*lists)]}
@@ -309,7 +294,7 @@ def _json_table(names: list, columns: list, meta: dict | None = None,
         table["meta"] = meta
     if contours is not None:
         table["contours"] = [line.tolist() for line in contours]
-    return table
+    return _round9(table)
 
 
 def _emit(args, command: str, params: dict, names: list, columns: list,
@@ -329,18 +314,8 @@ def _one_row(args, command: str, params: dict, row: dict):
 
 
 # ---------------------------------------------------------------------------
-# commands; figure and table live in _figures, imported only when they run
+# commands; cmd_figure and cmd_table are bound from _figures when they run
 # ---------------------------------------------------------------------------
-
-
-def cmd_figure(args, params) -> int:
-    from . import _figures
-    return _figures.cmd_figure(args, params)
-
-
-def cmd_table(args, params) -> int:
-    from . import _figures
-    return _figures.cmd_table(args, params)
 
 
 def _mean_env(i_fifty: float, m: float) -> GameEnvironment:
@@ -400,15 +375,14 @@ def _check_distinct_outputs(out: str, trace_out: str):
 
 
 def cmd_simulate(args, params) -> int:
-    _load_engine()
-    config = SimulationConfig(
+    config = _lazy("SimulationConfig")(
         strategy=AttackerStrategy(a=params["a"], i_beta=params["i_beta"],
                                   i_sigma=params["i_sigma"]),
         environment=GameEnvironment(i_fifty=params["i_fifty"],
                                     target_value=FixedValue(params["x"])),
         n_runs=params["n_runs"],
-        seed=SeedSpec(master_seed=params["master_seed"],
-                      stream_index=params["stream_index"]))
+        seed=_lazy("SeedSpec")(master_seed=params["master_seed"],
+                               stream_index=params["stream_index"]))
     # Check the workers and open the trace before the batch runs, so a bad
     # worker count leaves no trace file and an unwritable path fails early.
     if args.workers < 1:
@@ -422,11 +396,12 @@ def cmd_simulate(args, params) -> int:
             if trace_file is not None:
                 _check_trace_fits(args.trace_out, config.n_runs)
                 header = (f"config: {_config_json('simulate', params)}",)
+                write_trace_csv = _lazy("write_trace_csv")
 
                 def on_chunk(chunk, first_run):
                     write_trace_csv(chunk, trace_file, header_lines=header,
                                     first_run=first_run)
-            summary = asdict(run_batch(config, workers=args.workers, on_chunk=on_chunk))
+            summary = asdict(_lazy("run_batch")(config, workers=args.workers, on_chunk=on_chunk))
             counts = summary.pop("outcome_counts")
             _one_row(args, "simulate", params,
                      {**summary, **{f"count_{k.value}": v for k, v in counts.items()}})
@@ -497,7 +472,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     alone = command in _COMMANDS
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(_COMMANDS) + "}" if alone else None)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, help_text in _COMMANDS.items():
         if name == command or not alone:
             p = sub.add_parser(name, help=help_text)
             if command in (None, name):
@@ -507,9 +482,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def _add_arguments(p, command: str):
     if command == "figure":
-        from ._figures import FIGURE_NAMES
         p.add_argument("p_name", nargs="?", metavar="name",
-                       help=f"one of {', '.join(FIGURE_NAMES)}")
+                       help=f"one of {', '.join(_lazy('FIGURE_NAMES'))}")
     elif command == "table":
         p.add_argument("p_what", nargs="?", metavar="what", help="'strategies'")
     _add_common(p)
@@ -528,13 +502,13 @@ def _add_arguments(p, command: str):
             p.add_argument(_param_flag(name), dest=f"p_{name}")
 
 
-# Each command's function and help line.
+# Each command's help line; ``cmd_<command>`` runs it.
 _COMMANDS = {
-    "figure": (cmd_figure, "emit a figure's data series"),
-    "table": (cmd_table, "emit the reference strategy table"),
-    "simulate": (cmd_simulate, "run the Monte Carlo engine"),
-    "optimize": (cmd_optimize, "find the profit-maximizing strategy"),
-    "sweep": (cmd_sweep, "evaluate expected profit over a grid"),
+    "figure": "emit a figure's data series",
+    "table": "emit the reference strategy table",
+    "simulate": "run the Monte Carlo engine",
+    "optimize": "find the profit-maximizing strategy",
+    "sweep": "evaluate expected profit over a grid",
 }
 
 
@@ -557,7 +531,7 @@ def main(argv=None) -> int:
         flags["master_seed"] = args.seed
     try:
         params = _resolve_params(args.command, flags, args.config)
-        return _COMMANDS[args.command][0](args, params)
+        return getattr(sys.modules[__name__], f"cmd_{args.command}")(args, params)
     except (ConfigError, DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

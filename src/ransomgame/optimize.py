@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _bind_lazily
 from ._erfcx import _erfcx, _x_slope
 from .errors import ConfigError, _scale
 from .game import AttackerStrategy, GameEnvironment, demand_factor, estimate_scale
@@ -32,22 +33,9 @@ DEFAULT_GRID_POINTS = 64
 _ROOT_TOL = 1e-10
 
 
-def _load_contour():
-    """Bind ``zero_contours`` as a module global, keeping one bound already.
-
-    Only a 2-D surface's contours are traced, so the optimizer and a CSV
-    sweep never load ``_contour``; a profiler's wrapper, set with
-    ``setattr``, stays.
-    """
-    from ._contour import zero_contours
-    globals().setdefault("zero_contours", zero_contours)
-
-
-def __getattr__(name):
-    if name != "zero_contours":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_contour()
-    return globals()[name]
+# Only a 2-D surface's contours are traced, so the optimizer and a CSV sweep
+# never load ``_contour``.
+__getattr__ = _lazy = _bind_lazily(globals(), {"zero_contours": "_contour"})
 
 
 def _empty(shape: tuple) -> np.ndarray:
@@ -133,8 +121,7 @@ class SurfaceResult:
         """Zero-profit polylines of a 2-D surface, traced on first access; else []."""
         if len(self.grid.axes) != 2:
             return []
-        _load_contour()
-        return zero_contours(self.axis_values[0], self.axis_values[1], self.values)
+        return _lazy("zero_contours")(self.axis_values[0], self.axis_values[1], self.values)
 
 
 @dataclass(frozen=True)

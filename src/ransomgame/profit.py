@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _bind_lazily
 from ._erfcx import _erfcx
 from .errors import DomainError, NumericalError, _positive, _scale
 from .game import (AttackerStrategy, GameEnvironment, demand_factor, estimate_scale,
@@ -34,21 +35,9 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _load_quadrature():
-    """Bind ``adaptive_quadrature`` as a module global, keeping one bound already.
-
-    Only the quadrature route integrates, so the closed form never loads
-    ``_quadrature``; a profiler's wrapper, set with ``setattr``, stays.
-    """
-    from ._quadrature import adaptive_quadrature
-    globals().setdefault("adaptive_quadrature", adaptive_quadrature)
-
-
-def __getattr__(name):
-    if name != "adaptive_quadrature":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_quadrature()
-    return globals()[name]
+# Only the quadrature route integrates, so the closed form never loads
+# ``_quadrature``.
+__getattr__ = _lazy = _bind_lazily(globals(), {"adaptive_quadrature": "_quadrature"})
 
 
 class ProfitMethod(enum.Enum):
@@ -100,7 +89,7 @@ def _quadrature_multiplier(a: float, sigma: float):
         return np.exp(-a * t - t * t / two_s2) * inv_norm
 
     span = 12.0 * sigma
-    _load_quadrature()
+    adaptive_quadrature = _lazy("adaptive_quadrature")
     r1 = adaptive_quadrature(under, -span, 0.0)
     r2 = adaptive_quadrature(over, 0.0, span)
     return r1.value + r2.value, r1.error_bound + r2.error_bound

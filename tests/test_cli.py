@@ -645,7 +645,7 @@ def _reference_table(names, rows, meta=None, contours=None):
 
 
 def _reference_dump(payload):
-    """A JSON file's text, floats rounded to 9 significant digits."""
+    """A JSON file's text: the header as given, the tables' floats at 9 significant digits."""
     def round9(obj):
         if isinstance(obj, float):
             return float(f"{obj:.9g}")
@@ -655,7 +655,9 @@ def _reference_dump(payload):
             return [round9(v) for v in obj]
         return obj
 
-    return json.dumps(round9(payload), sort_keys=True, indent=1) + "\n"
+    header = ("version", "command", "params")
+    return json.dumps({k: v if k in header else round9(v) for k, v in payload.items()},
+                      sort_keys=True, indent=1) + "\n"
 
 
 def _reference_json(command, params, names, rows, meta=None, contours=None):
@@ -700,6 +702,19 @@ class TestJsonBytes:
         assert fixed == {} or surface.contours
         assert got == _reference_json("sweep", params, [ax.name for ax in specs] + ["profit"],
                                       rows, meta, surface.contours)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n-runs", "2000", "--seed", "1", "--x", "1.00000000049"],
+        ["sweep", "--axis", "i_beta:0.001:0.5:20:log", "--axis", "i_sigma:0.001:0.5:20:log",
+         "--fix", "a=4.6812345678"],
+    ])
+    def test_config_roundtrip(self, tmp_path, argv):
+        # The header keeps each param in full, so re-running from it gives the same bytes.
+        first = self._json(tmp_path, *argv)
+        config_file = tmp_path / "rerun.json"
+        config_file.write_text(json.dumps(
+            {k: v for k, v in json.loads(first).items() if k in ("version", "command", "params")}))
+        assert self._json(tmp_path, argv[0], "--config", str(config_file)) == first
 
     def test_table(self, tmp_path, mean_env):
         rows = [(label, a, i_beta, i_sigma, demand_factor(a, reliability(i_beta, 0.02)),

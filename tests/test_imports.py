@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from ransomgame import cli
+
 _ROOT = Path(__file__).resolve().parent.parent
 _MODULES = sorted([*(_ROOT / "src" / "ransomgame").glob("*.py"), *(_ROOT / "tests").glob("*.py")])
 
@@ -127,7 +129,9 @@ _TRACED = (("ransomgame.cli", "_write_csv"), ("ransomgame.cli", "_write_json"),
            ("ransomgame.optimize", "zero_contours"),
            ("ransomgame.profit", "adaptive_quadrature"))
 # Each module binds only its own lazy names.
-_UNKNOWN = (("ransomgame.cli", "no_such_name"), ("ransomgame.cli", "expected_profit"),
+_UNKNOWN = (("ransomgame", "zero_contours"),
+            ("ransomgame.cli", "no_such_name"), ("ransomgame.cli", "expected_profit"),
+            ("ransomgame.cli", "adaptive_quadrature"),
             ("ransomgame.optimize", "no_such_name"), ("ransomgame.optimize", "expected_profit"),
             ("ransomgame.profit", "no_such_name"), ("ransomgame.profit", "zero_contours"))
 
@@ -170,3 +174,14 @@ def test_traced_names_resolve_and_their_wrappers_run(tmp_path):
     seen = _run_fresh(_TRACER, tmp_path, json.dumps([_TRACED, _UNKNOWN]))
     assert [key for key, n in seen["calls"].items() if not n] == []
     assert seen["unknown"] == [list(name) for name in _UNKNOWN]
+
+
+def test_a_wrapper_on_a_lazily_bound_command_is_what_runs(tmp_path, monkeypatch):
+    table, calls = cli.cmd_table, []
+
+    def wrapper(args, params):
+        calls.append(params["what"])
+        return table(args, params)
+    monkeypatch.setattr(cli, "cmd_table", wrapper)
+    assert cli.main(["table", "strategies", "--out", str(tmp_path / "t.csv")]) == 0
+    assert calls == ["strategies"]
