@@ -49,12 +49,12 @@ _CHUNK = 65536
 # Runs per kernel call.  A slice's uniforms (24 bytes per run, drawn just
 # before the call) and the kernel's dozen live arrays of up to 8 bytes per
 # run (about 1.5 MB at 16,384 runs) stay in a core's L2 cache between the
-# kernel's passes.  A slice starts on a 4-word Philox block, as 3 * 16,384
-# words is a multiple of 4.  On a 2-vCPU Xeon with 2 MB of L2 per core, a
-# 1M-run batch took 142-148 ms of CPU unsliced, 106-116 ms at 16,384-32,768
-# runs a slice, 120 ms at 12,288 and 122 ms at 8,192 (medians of 12-30
-# interleaved batches); 16,384 is the smallest size on that plateau, so its
-# temporaries take the least memory.
+# kernel's passes.  A slice starts on a 4-word ``uniform_blocks`` row, as
+# 3 * 16,384 words is a multiple of 4.  On a 2-vCPU Xeon with 2 MB of L2 per
+# core, a 1M-run batch (on the Philox words used then) took 142-148 ms of CPU
+# unsliced, 106-116 ms at 16,384-32,768 runs a slice, 120 ms at 12,288 and
+# 122 ms at 8,192 (medians of 12-30 interleaved batches); 16,384 is the
+# smallest size on that plateau, so its temporaries take the least memory.
 _SLICE = 16384
 
 # Payoffs at or above 2**_SCALE_BITS are scaled down before they are summed
@@ -171,8 +171,8 @@ def _unscale(value: float, exponent: int) -> float:
 def run_uniforms(seed: SeedSpec, first_run: int, n_runs: int) -> np.ndarray:
     """Open-interval uniforms of runs ``first_run ..``, shape ``(n_runs, 3)``.
 
-    Run ``i`` reads words ``3i .. 3i + 2`` of the stream, so every Philox
-    word is used and run 0 reads words 0 .. 2.  The rows are a view of the
+    Run ``i`` reads words ``3i .. 3i + 2`` of the stream, so every word is
+    used and run 0 reads words 0 .. 2.  The rows are a view of the
     ``uniform_blocks`` that cover them; a start that falls mid-block skips
     that block's first ``3*first_run % 4`` words.
     """
@@ -252,7 +252,7 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
     runs took 0.165 s against 0.135 s).  A chunk is played ``_SLICE`` runs at
     a time: ``simulate_runs``, a module global that a profiler may replace,
     reads a slice's ``(n, 3)`` rows of ``run_uniforms`` in place, a view of
-    the Philox blocks that hold the slice's words, drawn just before the
+    the 4-word blocks that hold the slice's words, drawn just before the
     call, so no other slice's words (0.4 MB each) wait beside it.
     """
     beta = reliability(strategy.i_beta, env.i_fifty)

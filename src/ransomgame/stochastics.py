@@ -1,9 +1,14 @@
 """Seeded random streams, the normal quantile, and the lognormal density.
 
-Streams are built on the counter-based Philox generator so that any sample
-in a run can be produced independently of execution order: a stream is
-identified by ``(master_seed, stream_index)`` and yields the same sequence
-no matter how many workers consume it or in which order blocks are drawn.
+A stream is identified by ``(master_seed, stream_index)`` and is counter
+based: word ``w`` is ``mix64(s + (w + 1) * gamma) mod 2**64``, the
+SplitMix64 generator of Steele, Lea and Flood ("Fast splittable pseudorandom
+number generators", OOPSLA 2014), where the stream's ``s`` and odd ``gamma``
+are derived from both seed words.  Any word can therefore be produced
+independently of the others, so a stream yields the same sequence no matter
+how many workers consume it or in which order blocks are drawn.  The words
+are integer arithmetic only, with no platform-dependent rounding, and need
+no ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -48,18 +53,48 @@ class SeedSpec:
                 raise DomainError(f"{name} must fit in an unsigned 64-bit word, got {v}")
 
 
-def philox(seed: SeedSpec, counter: int = 0) -> np.random.Philox:
-    """Bit generator for a stream, positioned at a 4-word output block.
+# SplitMix64's finaliser (Stafford's variant 13) and the golden gamma, as in
+# java.util.SplittableRandom.
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_MIX64 = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+_MIX64_LAST = 31
+# The same constants as uint64 scalars, for the per-word array arithmetic.
+_MIX64_U64 = tuple((np.uint64(shift), np.uint64(factor)) for shift, factor in _MIX64)
+_MIX64_LAST_U64 = np.uint64(_MIX64_LAST)
 
-    Block ``counter`` holds raw words ``4*counter .. 4*counter + 3`` of the
-    stream, so disjoint block ranges can be generated independently.
+
+def _mix64(z: int) -> int:
+    """SplitMix64's bijective mix of a 64-bit word, on a Python int."""
+    for shift, factor in _MIX64:
+        z = ((z ^ (z >> shift)) * factor) & _MASK64
+    return z ^ (z >> _MIX64_LAST)
+
+
+def _mix_gamma(z: int) -> int:
+    """SplittableRandom's ``mixGamma``: an odd increment with enough bit flips.
+
+    A gamma whose adjacent bits differ in fewer than 24 places makes a
+    weaker stream, so such a gamma is flipped in every other bit.
     """
-    if counter < 0:
-        raise DomainError(f"counter must be non-negative, got {counter}")
-    # An explicit uint64 key: numpy reads a list holding a word >= 2**63 and a
-    # smaller one as float64, which rounds away the low bits of both.
-    return np.random.Philox(key=np.array([seed.master_seed, seed.stream_index], np.uint64),
-                            counter=[counter, 0, 0, 0])
+    z = ((z ^ (z >> 33)) * 0xFF51AFD7ED558CCD) & _MASK64
+    z = ((z ^ (z >> 33)) * 0xC4CEB9FE1A85EC53) & _MASK64
+    z = (z ^ (z >> 33)) | 1
+    return z ^ 0xAAAAAAAAAAAAAAAA if (z ^ (z >> 1)).bit_count() < 24 else z
+
+
+def _stream_constants(seed: SeedSpec) -> tuple:
+    """The stream's ``(s, gamma)``, each a function of both seed words.
+
+    ``s`` mixes the master seed with the mixed stream index and ``gamma``
+    the stream index with the mixed master seed.  With either word fixed,
+    ``s`` is a bijection of the other, so seeds that differ in one word
+    never share ``s``.  Python ints masked to 64 bits: numpy's uint64
+    scalars warn when they wrap.
+    """
+    master, index = seed.master_seed, seed.stream_index
+    s = _mix64(master ^ _mix64((index + _GOLDEN_GAMMA) & _MASK64))
+    gamma = _mix_gamma(index ^ _mix64((master + _GOLDEN_GAMMA) & _MASK64))
+    return s, gamma
 
 
 def _open_uniforms(raw: np.ndarray) -> np.ndarray:
@@ -79,13 +114,27 @@ def _open_uniforms(raw: np.ndarray) -> np.ndarray:
 
 
 def uniform_blocks(seed: SeedSpec, start_block: int, n_blocks: int) -> np.ndarray:
-    """Open-interval uniforms, shape ``(n_blocks, 4)``, one Philox block per row.
+    """Open-interval uniforms, shape ``(n_blocks, 4)``, four stream words per row.
 
-    Row ``i`` depends only on ``(seed, start_block + i)``; chunked and serial
-    generation therefore agree bit for bit.
+    Row ``i`` holds words ``4*(start_block + i) .. 4*(start_block + i) + 3``
+    and depends only on ``(seed, start_block + i)``; chunked and serial
+    generation therefore agree bit for bit.  Word w is
+    mix64(s + (w + 1) * gamma) mod 2**64: the counters start from ``arange``
+    and the per-word arithmetic runs on uint64 arrays, which wrap silently,
+    with one scratch array for the shifts.
     """
-    raw = philox(seed, start_block).random_raw(4 * n_blocks)
-    return _open_uniforms(raw).reshape(n_blocks, 4)
+    if start_block < 0:
+        raise DomainError(f"start_block must be non-negative, got {start_block}")
+    s, gamma = _stream_constants(seed)
+    z = np.arange(4 * n_blocks, dtype=np.uint64)
+    z *= np.uint64(gamma)
+    z += np.uint64((s + (4 * start_block + 1) * gamma) & _MASK64)
+    t = np.empty_like(z)
+    for shift, factor in _MIX64_U64:
+        z ^= np.right_shift(z, shift, out=t)
+        z *= factor
+    z ^= np.right_shift(z, _MIX64_LAST_U64, out=t)
+    return _open_uniforms(z).reshape(n_blocks, 4)
 
 
 # ---------------------------------------------------------------------------

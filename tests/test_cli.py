@@ -312,11 +312,15 @@ class TestSimulateCommand:
         assert np.all(np.isfinite(values))
 
     def test_non_finite_payoff_is_numerical_failure(self, tmp_path, capsys):
-        # The defender's payoff -x - C overflows to -inf.
+        # The defender's payoff -x - C overflows to -inf on every paid run
+        # whose decryption fails.  At x = the float maximum, every estimate
+        # below x is paid in full and reliability 5e-5 (i_beta 1e-6) fails
+        # nearly every decryption: about half of any stream's 100 runs.
         out, trace = tmp_path / "o.csv", tmp_path / "t.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["simulate", "--x", "1e308", "--a", "1e10", "--n-runs", "100",
+            assert main(["simulate", "--x", "1.7976931348623157e308", "--a", "1e10",
+                         "--i-beta", "1e-6", "--n-runs", "100",
                          "--out", str(out), "--trace-out", str(trace)]) == 3
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == ("numerical failure: a simulated payoff is not "

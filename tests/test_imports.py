@@ -116,6 +116,34 @@ def test_import_loads_only_what_every_command_needs(tmp_path):
     assert set(seen["all"]) <= set(seen["dir"])
 
 
+# simulate's random words are integer arithmetic on uint64 arrays, so no
+# command loads numpy.random (with it come secrets, hmac and OpenSSL's
+# _hashlib).  Only modules that the commands add count: numpy before 2.0
+# imports numpy.random with numpy itself.
+_SIMULATE_FOOTPRINT = """
+import contextlib, io, json, os, sys
+import numpy
+before = set(sys.modules)
+import ransomgame.cli
+out = lambda name: os.path.join(sys.argv[1], name)
+added = {}
+for label, argv in (("one worker", ["--out", out("one.csv")]),
+                    ("two workers, traced", ["--workers", "2", "--out", out("two.csv"),
+                                             "--trace-out", out("t.csv")])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ransomgame.cli.main(["simulate", "--n-runs", "70000", *argv]) == 0
+    added[label] = sorted(set(sys.modules) - before)
+print(json.dumps(added))
+"""
+
+
+def test_simulate_loads_no_numpy_random(tmp_path):
+    added = _run_fresh(_SIMULATE_FOOTPRINT, tmp_path)
+    for label, modules in added.items():
+        assert "ransomgame.stochastics" in modules, label
+        assert [m for m in modules if m.split(".")[:2] == ["numpy", "random"]] == [], label
+
+
 # The names perfbench's tracer wraps (``perfbench/tracing.py``, CLI_TARGETS
 # and QUADRATURE_TARGETS, less the two it no longer finds: ``expected_profit``,
 # which the optimizer stopped importing for the closed form, and

@@ -3,7 +3,8 @@
 The ``_reference_*`` functions are the array code that the kernel replaced:
 an ``astype`` uniform mapping, a masked ``_ppf`` and a kernel of boolean
 gathers and nested ``np.where``.  Every output of the kernel must have
-their bytes, on whole batches and on the edge cases of the game.
+their bytes, on whole batches and on the edge cases of the game.  The
+stream's words have a reference too: SplitMix64 written with Python ints.
 """
 
 import itertools
@@ -16,7 +17,34 @@ from ransomgame import (AttackerStrategy, FixedValue, GameEnvironment, SeedSpec,
                         SimulationConfig, estimate_scale, reliability, run_batch)
 from ransomgame.simulate import _CHUNK, _SLICE, _empty_trace, run_uniforms, simulate_runs
 from ransomgame.stochastics import (_AS241_CENTRAL, _AS241_FAR, _AS241_NEAR, _horner,
-                                   _ppf, philox, uniform_blocks)
+                                   _ppf, uniform_blocks)
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _reference_mix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _reference_mix_gamma(z):
+    z = ((z ^ (z >> 33)) * 0xFF51AFD7ED558CCD) & _MASK64
+    z = ((z ^ (z >> 33)) * 0xC4CEB9FE1A85EC53) & _MASK64
+    z = (z ^ (z >> 33)) | 1
+    if bin(z ^ (z >> 1)).count("1") < 24:
+        z ^= 0xAAAAAAAAAAAAAAAA
+    return z
+
+
+def _reference_words(seed, word_indexes):
+    """Words w of the stream as uint64: mix64(s + (w + 1) * gamma) mod 2**64."""
+    m, j = seed.master_seed, seed.stream_index
+    s = _reference_mix64(m ^ _reference_mix64((j + _GOLDEN_GAMMA) & _MASK64))
+    gamma = _reference_mix_gamma(j ^ _reference_mix64((m + _GOLDEN_GAMMA) & _MASK64))
+    return np.array([_reference_mix64((s + (w + 1) * gamma) & _MASK64) for w in word_indexes],
+                    np.uint64)
 
 
 def _reference_uniforms(raw):
@@ -27,9 +55,16 @@ def _reference_uniforms(raw):
     return u
 
 
-def _reference_uniform_blocks(seed, start_block, n_blocks):
-    raw = philox(seed, start_block).random_raw(4 * n_blocks)
-    return _reference_uniforms(raw).reshape(n_blocks, 4)
+def _reference_uniform_blocks(seed, blocks):
+    """The reference's uniforms of the given 4-word blocks, one block per row."""
+    words = [4 * b + k for b in blocks for k in range(4)]
+    return _reference_uniforms(_reference_words(seed, words)).reshape(len(blocks), 4)
+
+
+def test_reference_mix_is_splitmix64():
+    # SplitMix64 seeded with 0 starts with these words (Vigna's splitmix64.c).
+    assert [_reference_mix64(k * _GOLDEN_GAMMA & _MASK64) for k in (1, 2)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
 
 
 def _reference_ppf(u):
@@ -116,10 +151,14 @@ def _overflow_ignored():
     (SeedSpec(7), _params(1.5, 0.3, 0.005, 3.0, i_fifty=0.1)),
     (SeedSpec(2 ** 64 - 1, 2 ** 63 + 1), _params(0.2, 0.01, 0.5, 1e-3))])
 def test_batch_uniforms_and_outputs_have_reference_bytes(seed, params):
+    # Python ints make about a million words a second, so the reference
+    # checks every 16th block of each chunk and the chunk's last block.
+    rows = [*range(0, _CHUNK, 16), _CHUNK - 1]
     for lo in range(0, 16 * _CHUNK, _CHUNK):
         u = uniform_blocks(seed, lo, _CHUNK)
         assert u.shape == (_CHUNK, 4)
-        assert u.tobytes() == _reference_uniform_blocks(seed, lo, _CHUNK).tobytes()
+        want = _reference_uniform_blocks(seed, [lo + r for r in rows])
+        assert u[rows].tobytes() == want.tobytes()
         _assert_kernel_matches(u, params)
 
 

@@ -1,5 +1,6 @@
 import math
 import statistics
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -10,9 +11,9 @@ from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironme
 from ransomgame._erfcx import _ERFCX_EDGES, _erfcx, _x_slope
 from ransomgame._quadrature import adaptive_quadrature
 from ransomgame.simulate import run_uniforms
-from ransomgame.stochastics import _open_uniforms, _ppf, philox, uniform_blocks
+from ransomgame.stochastics import _open_uniforms, _ppf, uniform_blocks
 from conftest import std_normal_cdf
-from test_kernel_bits import _reference_uniforms
+from test_kernel_bits import _reference_uniforms, _reference_words
 
 
 def _estimates(x: float, i_sigma: float, seed: SeedSpec, n: int) -> np.ndarray:
@@ -338,11 +339,33 @@ class TestSeedSpec:
 
     @pytest.mark.parametrize("words", [(2 ** 64 - 1, 0), (0, 2 ** 64 - 1024),
                                        (2 ** 63 + 1, 7), (2 ** 64 - 1, 2 ** 64 - 1)])
-    def test_every_key_bit_reaches_philox(self, words):
-        # A word past 2**63 beside a smaller one keeps its low bits, with no warning.
-        raw = np.random.Philox(key=np.array(words, np.uint64)).random_raw(8)
-        want = _reference_uniforms(raw)
-        assert np.array_equal(uniform_blocks(SeedSpec(*words), 0, 2), want.reshape(2, 4))
+    def test_every_seed_bit_changes_the_first_words(self, words):
+        # Each of the 128 one-bit flips of the seed changes all four first
+        # words, and no two of the 129 streams share any of them.
+        master, index = words
+        seeds = [SeedSpec(master, index)]
+        seeds += [SeedSpec(master ^ (1 << b), index) for b in range(64)]
+        seeds += [SeedSpec(master, index ^ (1 << b)) for b in range(64)]
+        first = np.array([uniform_blocks(seed, 0, 1)[0] for seed in seeds])
+        for column in first.T:
+            assert len(set(column.tolist())) == len(seeds)
+
+    @pytest.mark.parametrize("master, index", [(2024, 0), (2 ** 64 - 2, 2 ** 63)],
+                             ids=["small", "large"])
+    def test_words_look_independent(self, master, index):
+        # 2**20 uniforms of a stream: mean, variance and lag-1 correlation,
+        # and correlation with the streams of the next stream_index and the
+        # next master_seed, each within 5 standard errors of a uniform
+        # stream's value (measured: every correlation below 1.5e-3).
+        n_blocks = 2 ** 18
+        u = uniform_blocks(SeedSpec(master, index), 0, n_blocks).reshape(-1)
+        n = len(u)
+        assert abs(u.mean() - 0.5) < 5 * math.sqrt(1 / 12 / n)
+        assert abs(u.var() - 1 / 12) < 5 * math.sqrt((1 / 80 - 1 / 144) / n)
+        neighbours = (uniform_blocks(SeedSpec(master, index + 1), 0, n_blocks).reshape(-1),
+                      uniform_blocks(SeedSpec(master + 1, index), 0, n_blocks).reshape(-1))
+        for a, b in ((u[:-1], u[1:]), (u, neighbours[0]), (u, neighbours[1])):
+            assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(n)
 
     def test_uniform_blocks_are_open_interval(self):
         u = uniform_blocks(SeedSpec(0), 0, 4096)
@@ -369,11 +392,18 @@ class TestSeedSpec:
                            uniform_blocks(seed, 642, 358)])
         assert np.array_equal(whole, parts)
 
-    @pytest.mark.parametrize("seed", [SeedSpec(0), SeedSpec(2 ** 64 - 1, 2 ** 63 + 1)])
-    def test_run_i_reads_words_3i_to_3i_plus_2(self, seed):
+    @pytest.mark.parametrize("seed, first_run", [
+        (SeedSpec(0), 0), (SeedSpec(2 ** 64 - 1, 2 ** 63 + 1), 0),
+        # mixGamma flips this seed's gamma, which has too few bit transitions.
+        (SeedSpec(27), 0),
+        # The last runs of the largest batch the CLI accepts.
+        (SeedSpec(5, 3), sys.maxsize // 8 - 70_001)],
+        ids=["seed0", "seed1", "flipped_gamma", "last_runs"])
+    def test_run_i_reads_words_3i_to_3i_plus_2(self, seed, first_run):
         n = 70_001
-        want = _reference_uniforms(philox(seed, 0).random_raw(3 * n))
-        assert run_uniforms(seed, 0, n).tobytes() == want.tobytes()
+        words = range(3 * first_run, 3 * (first_run + n))
+        want = _reference_uniforms(_reference_words(seed, words))
+        assert run_uniforms(seed, first_run, n).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("first_run", [1, 2, 3, 65_535, 65_537])
     @pytest.mark.parametrize("n_runs", [1, 2, 3, 5, 4097])
