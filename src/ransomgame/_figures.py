@@ -149,6 +149,8 @@ FIGURE_NAMES = tuple(_FIGURES)
 
 def cmd_figure(args, params) -> int:
     name = params["name"]
+    if name is None:
+        raise ConfigError(f"figure needs a name; expected one of {FIGURE_NAMES}")
     if name not in _FIGURES:
         raise ConfigError(f"unknown figure {name!r}; expected one of {FIGURE_NAMES}")
     builder = _FIGURES[name]

@@ -17,20 +17,24 @@ those of ``'%d' % i``, by construction:
   round across 1e-4 or up to a power of ten), a wrong estimate of e, nan
   and ±inf.  Zero and −0.0 are written ``0`` and ``-0`` directly.
 - Layout.  Each character slot of a block is one row of a ``(slots, rows)``
-  uint8 array, so every store is contiguous.  A float field is
-  ``[sign][integer digits][.][fraction digits]`` and an integer field
-  ``[sign][digits]``, as wide as the column's widest value in the block.
-  Digits come three at a time from small tables indexed by uint divmod.
-  Plus signs, leading integer zeros, trailing fraction zeros and a bare dot
-  are NUL.  One gather puts the slots in row order, and deleting the NULs
-  from the block's bytes leaves the CSV text, so no cell may contain NUL.
+  uint8 array, so every store is contiguous.  Text (a str, a list of str or
+  a gathered column's values) becomes NUL-padded slot rows once.  A float
+  field is ``[sign][integer digits][.][fraction digits]`` and an integer
+  field ``[sign][digits]``, as wide as the column's widest value in the
+  block.  The floats' integer parts, the integers and the floats' fractions
+  are three families of 3-digit groups, as many as the family's widest
+  column needs, and one lookup in small tables indexed by uint divmod
+  writes group u of a family.  Plus signs, leading integer zeros, trailing fraction zeros, a
+  bare dot and a narrower column's extra groups are NUL.  One gather puts
+  the slots in row order, and deleting the NULs from the block's bytes
+  leaves the CSV text, so no cell may contain NUL.
 - Gathered columns.  The row r cell of ``Gathered(values, index)`` is the
-  cell of ``values[index[r]]``.  ``values`` is formatted once, by the same
-  code in blocks of at most BLOCK_ROWS rows, so each cell keeps the bytes of
-  ``'%.9g'``, ``'%d'`` or the str; each block then copies its rows' cells
-  from that byte table with ``index[lo:hi]`` into slot rows laid out like
-  those of str cells.  A column that repeats a few values, such as a sweep
-  axis or a trace flag, costs one byte copy per row and character.
+  cell of ``values[index[r]]``.  ``values`` become slot rows once, numbers
+  by the same code in blocks of at most BLOCK_ROWS rows, so each cell keeps
+  the bytes of ``'%.9g'``, ``'%d'`` or the str; each block then copies its
+  rows' slots with ``index[lo:hi]``.  A column that repeats a few values,
+  such as a sweep axis or a trace flag, costs one byte copy per row and
+  character.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ _POW10 = np.array([10.0 ** k for k in range(13)])  # 1e0 ... 1e12, each exact
 # 10^(8-e) by i = trunc(log10(c) + 5) = e + 5 for c in [1e-5, 1e10]: an e in
 # [-4, 8] scales c into [1e8, 1e9), any other e scales it outside.
 _SCALE = np.array([10.0 ** min(max(13 - i, 0), 12) for i in range(16)])
-_SEP = b",\n\0"  # the first constant slot rows of a block
+_SEP = b",\n\0"  # the slot rows after a block's numbers
 
 
 @functools.cache
@@ -94,30 +98,44 @@ def write_rows(f: IO[str], columns: Sequence):
     A column is a float array (cells as ``%.9g``), an integer or boolean
     array or a ``range`` (cells as ``%d``), a list of ``str`` cells, a
     ``Gathered`` column, or one ``str``: the same cell in every row.  The
-    other columns have equal length.  A gathered column's ``values`` are
-    formatted once, and each block copies its rows' cells from those bytes.
+    other columns have equal length.  Text becomes slot rows once, and each
+    block copies its rows' cells from those bytes.
     """
-    columns = [Gathered(_cell_slots(c.values), c.index) if isinstance(c, Gathered) else c
-               for c in columns]
     n = next(len(c) for c in columns if not isinstance(c, str))
+    columns = [_column(c, n) for c in columns]
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
         table = _table([_block(c, lo, hi) for c in columns], hi - lo)
         f.write(table.tobytes().translate(None, b"\0").decode())
 
 
-def _block(c, lo: int, hi: int):
-    """Rows lo:hi of column c; a gathered column's cells as slot rows."""
+def _column(c, n: int):
+    """Column c of n rows, with its text as ``(width, n)`` slot rows."""
     if isinstance(c, str):
+        cell = _slot_rows([c])
+        return np.broadcast_to(cell, (len(cell), n))
+    if isinstance(c, Gathered):
+        return Gathered(_slot_rows(c.values), c.index)
+    if isinstance(c, (np.ndarray, range)):
         return c
+    return _slot_rows(c)
+
+
+def _block(c, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of column c: a numeric array or slot rows."""
     if isinstance(c, Gathered):
         return c.values.take(c.index[lo:hi], axis=1)
-    return c[lo:hi]
+    if isinstance(c, range):
+        c = c[lo:hi]
+        return np.arange(c.start, c.stop, c.step, dtype=np.int64)
+    return c[..., lo:hi]
 
 
-def _cell_slots(values) -> np.ndarray:
-    """The cells of the column ``values`` as ``(width, len(values))`` uint8
-    slot rows, NUL-padded, formatted by ``_table`` at most BLOCK_ROWS at a time."""
+def _slot_rows(values) -> np.ndarray:
+    """``str`` cells or an array's cells as NUL-padded ``(width, len(values))``
+    uint8 slot rows, numbers formatted by ``_table`` BLOCK_ROWS at a time."""
+    if not isinstance(values, np.ndarray):
+        return _ascii(values).T
     n = len(values)
     starts = range(0, n, BLOCK_ROWS)
     blocks = [_table([values[lo:lo + BLOCK_ROWS]], min(BLOCK_ROWS, n - lo))[:, :-1].T
@@ -130,147 +148,114 @@ def _cell_slots(values) -> np.ndarray:
 
 def _table(columns: list, n: int) -> np.ndarray:
     """The ``(n, line length)`` uint8 bytes of ``n`` rows of ``columns``, NULs
-    included: every slot row, gathered in the order of a CSV line.  A 2-D
-    column is formatted cells, as ``(width, n)`` slot rows."""
-    fields, floats, ints, cells, texts, const = [], [], [], [], [], bytearray(_SEP)
-    for c in columns:
-        if isinstance(c, range):
-            c = np.arange(c.start, c.stop, c.step, dtype=np.int64)
-        if isinstance(c, str):
-            cell = _ascii([c]).tobytes()
-            fields.append(("const", len(const), len(cell)))
-            const += cell
-        elif not isinstance(c, np.ndarray):
-            fields.append(("text", len(texts)))
-            texts.append(len(cells) // n)  # the list's place among the str cells
-            cells.extend(c)
-        elif c.ndim == 2:
-            fields.append(("text", len(texts)))
-            texts.append(c)
-        elif c.dtype.kind == "f":
-            fields.append(("float", len(floats)))
-            floats.append(c)
-        else:
-            fields.append(("int", len(ints)))
-            ints.append(c)
+    included: every slot row, gathered in the order of a CSV line.  A column
+    is a numeric array or text as ``(width, n)`` slot rows."""
+    numeric = [c for c in columns if c.ndim == 1]
+    numbers = _Numbers(numeric, n) if numeric else None
+    texts = [c for c in columns if c.ndim == 2]
 
-    # The numbers' slot rows, the constant bytes, then each text column's
-    # (character, row) slot rows; the str cells are encoded together.
-    numbers = _Numbers(floats, ints, n) if floats or ints else None
-    o_const = numbers.rows if numbers else 0
-    if cells:
-        text = _ascii(cells)
-        text = text.reshape(len(cells) // n, n, text.shape[1]).transpose(0, 2, 1)
-        texts = [text[t] if isinstance(t, int) else t for t in texts]
-    starts = [o_const + len(const)]
+    # The numbers' slot rows, the separators, then each text column's.
+    sep = numbers.rows if numbers else 0
+    starts = [sep + len(_SEP)]
     for t in texts:
         starts.append(starts[-1] + len(t))
     slots = np.empty((starts[-1], n), np.uint8)
     if numbers:
         numbers.write(slots)
-    slots[o_const:starts[0]] = np.frombuffer(const, np.uint8)[:, None]
+    slots[sep:starts[0]] = np.frombuffer(_SEP, np.uint8)[:, None]
     for t, start in zip(texts, starts):
         slots[start:start + len(t)] = t
 
     # A fallback cell's field gets NUL slots where the text is wider.
-    order, spans = [], []
-    for kind, j, *length in fields:
+    order, spans, fields, starts = [], [], numbers and numbers.fields(), iter(starts)
+    for c in columns:
         if order:
-            order.append(o_const)
-        if kind == "const":
-            order.extend(range(o_const + j, o_const + j + length[0]))
-        elif kind == "text":
-            order.extend(range(starts[j], starts[j + 1]))
-        else:
-            c = j if kind == "float" else len(floats) + j
-            start = len(order)
-            order.extend(numbers.field(c))
-            if c in numbers.fallback:
-                rows, fb = numbers.fallback[c]
-                order.extend([o_const + 2] * (fb.shape[1] - (len(order) - start)))
-                spans.append((rows, start, len(order), fb))
-    order.append(o_const + 1)
+            order.append(sep)
+        if c.ndim == 2:
+            start = next(starts)
+            order.extend(range(start, start + len(c)))
+            continue
+        rows, fallback = next(fields)
+        start = len(order)
+        order.extend(rows)
+        if fallback:
+            cells, text = fallback
+            order.extend([sep + 2] * (text.shape[1] - len(rows)))
+            spans.append((cells, start, len(order), text))
+    order.append(sep + 1)
     table = slots[order].T
-    for rows, start, end, fb in spans:
-        table[rows, start:end] = 0
-        table[rows, start:start + fb.shape[1]] = fb
+    for cells, start, end, text in spans:
+        table[cells, start:end] = 0
+        table[cells, start:start + text.shape[1]] = text
     return table
 
 
 class _Numbers:
-    """The slot rows of a block's numeric columns, floats first.
-
-    Each column has a sign row, integer digit groups, and for floats a dot
-    row and fraction digit groups, aligned to whole groups of three.  Group
-    u of all columns with more than u groups is one (3, count, n) block of
-    rows, the columns widest first, so one table lookup writes all of them.
+    """The slot rows of a block's numeric columns: signs, floats first; the
+    families of the floats' integer parts and of the integers; dots; the
+    family of the fractions.  Group u of a family is one (3, columns, n)
+    block of rows; a narrower column's field leaves out its extra groups.
     """
 
-    def __init__(self, floats: list, ints: list, n: int):
-        k_f, k = len(floats), len(floats) + len(ints)
-        mags = [_magnitude(c) for c in ints]
+    def __init__(self, columns: list, n: int):
+        self.is_float = [c.dtype.kind == "f" for c in columns]
+        floats = [c for c, f in zip(columns, self.is_float) if f]
+        mags = [_magnitude(c) for c, f in zip(columns, self.is_float) if not f]
+        whole, self.frac, self.frac_width, neg, fallback = \
+            _split_floats(np.array(floats, dtype=np.float64).reshape(-1, n))
+        self.fallback = _fallback_cells(floats, fallback)
+        whole = whole.astype(np.uint32)
         wide = any(m.max() >= 2 ** 32 for m, _ in mags)
-        self.whole = np.empty((k, n), np.uint64 if wide else np.uint32)
-        self.neg = np.empty((k, n), bool)
-        self.frac_width, self.fallback = [], {}
-        if floats:
-            self.whole[:k_f], frac, self.frac_width, self.neg[:k_f], fallback = \
-                _split_floats(np.array(floats, dtype=np.float64))
-            self.fallback = _fallback_cells(floats, fallback)
-        for j, (m, s) in enumerate(mags, k_f):
-            self.whole[j], self.neg[j] = m, s
-        self.int_width = [len(str(d)) for d in self.whole.max(axis=1).tolist()]
+        ints = np.array([m for m, _ in mags], np.uint64 if wide else np.uint32).reshape(-1, n)
+        self.neg = np.concatenate([neg, np.array([s for _, s in mags], bool).reshape(-1, n)])
         self.signed = self.neg.any(axis=1).tolist()
-        self.frac_groups = [-(-w // 3) for w in self.frac_width]
-        self.int_rank, self.int_blocks, self.o_dot = _group_blocks(
-            [-(-w // 3) for w in self.int_width], k)
-        self.frac_rank, self.frac_blocks, self.rows = _group_blocks(
-            self.frac_groups, self.o_dot + k_f)
-        if floats:
-            self.dots = frac > 0
-            self.frac = np.empty_like(frac)
-            self.frac[self.frac_rank] = frac
+        self.whole_width, self.int_width = (
+            [len(str(d)) for d in x.max(axis=1).tolist()] for x in (whole, ints))
+        k_f, k = len(floats), len(columns)
+
+        # Each family's digits, first slot row and number of groups.
+        groups = [-(-max(w, default=0) // 3)
+                  for w in (self.whole_width, self.int_width, self.frac_width)]
+        self.o_dot = k + 3 * groups[0] * k_f + 3 * groups[1] * (k - k_f)
+        self.families = ((whole, k, groups[0]),
+                         (ints, k + 3 * groups[0] * k_f, groups[1]),
+                         (self.frac, self.o_dot + k_f, groups[2]))
+        self.rows = self.o_dot + k_f + 3 * groups[2] * k_f
 
     def write(self, slots: np.ndarray):
         """Fill the first ``rows`` slot rows."""
         np.multiply(self.neg, np.uint8(45), out=slots[:len(self.neg)])
-        whole = np.empty_like(self.whole)
-        whole[self.int_rank] = self.whole
-        _integer_digits(whole, self.int_blocks, slots)
-        if self.frac_width:
-            np.multiply(self.dots, np.uint8(46), out=slots[self.o_dot:self.o_dot + len(self.dots)])
-            _fraction_digits(self.frac, self.frac_blocks, slots)
+        np.multiply(self.frac > 0, np.uint8(46), out=slots[self.o_dot:self.o_dot + len(self.frac)])
+        for digits, (x, row, g) in zip((_integer_digits, _integer_digits, _fraction_digits),
+                                       self.families):
+            digits(x, slots[row:row + 3 * g * len(x)].reshape(g, 3, x.size))
 
-    def field(self, c: int) -> list:
-        """Column c's slot rows: sign if any is negative, digits, dot, fraction."""
-        rows = [c] if self.signed[c] else []
-        for p in range(self.int_width[c] - 1, -1, -1):
-            row, count = self.int_blocks[p // 3]
-            rows.append(row + (2 - p % 3) * count + self.int_rank[c])
-        if c < len(self.frac_width):
-            rows.append(self.o_dot + c)
-            for i in range(self.frac_width[c]):
-                row, count = self.frac_blocks[self.frac_groups[c] - 1 - i // 3]
-                rows.append(row + i % 3 * count + self.frac_rank[c])
-        return rows
+    def fields(self):
+        """Yield each column's slot rows, sign if any is negative, digits and
+        for a float its dot and fraction, with its fallback cells or None."""
+        (_, o_whole, _), (ints, o_int, _), (_, o_frac, frac_groups) = self.families
+        k_f = len(self.frac)
+        floats = 0  # the float columns before column c
+        for c, is_float in enumerate(self.is_float):
+            i = floats if is_float else c - floats  # c's place in its families
+            sign = i if is_float else k_f + i
+            rows = [sign] if self.signed[sign] else []
+            if is_float:
+                rows += _digit_rows(o_whole + i, k_f, self.whole_width[i] - 1,
+                                    self.whole_width[i])
+                rows.append(self.o_dot + i)
+                rows += _digit_rows(o_frac + i, k_f, 3 * frac_groups - 1, self.frac_width[i])
+                yield rows, self.fallback.get(i)
+                floats += 1
+            else:
+                yield rows + _digit_rows(o_int + i, len(ints), self.int_width[i] - 1,
+                                         self.int_width[i]), None
 
 
-def _group_blocks(groups: list, row: int):
-    """Lay out digit groups: columns widest first, one block per group index.
-
-    Returns each column's rank, widest first, and for each group index u the
-    first slot row and the number of columns with more than u groups, whose
-    (3, count, n) block of rows holds group u; then the row after the last.
-    """
-    rank = [0] * len(groups)
-    for r, c in enumerate(sorted(range(len(groups)), key=lambda c: -groups[c])):
-        rank[c] = r
-    blocks = []
-    for u in range(max(groups, default=0)):
-        count = sum(g > u for g in groups)
-        blocks.append((row, count))
-        row += 3 * count
-    return rank, blocks, row
+def _digit_rows(row: int, count: int, top: int, width: int) -> list:
+    """The slot rows of digits top, top − 1, ... (width of them, 0 the lowest)
+    of a column of a family of ``count`` columns, its digits from ``row``."""
+    return [row + (p // 3 * 3 + 2 - p % 3) * count for p in range(top, top - width, -1)]
 
 
 def _ascii(cells: list) -> np.ndarray:
@@ -285,10 +270,10 @@ def _split_floats(v: np.ndarray):
     """The fixed-notation ``%.9g`` digits of v, and the cells left to Python.
 
     Returns the integer part and the fraction as float integers, each
-    column's largest number of fraction digits w, the sign bits and the
-    mask of the fallback cells.  The fraction is scaled to 3·⌈w/3⌉ digits.
-    Fallback cells and zeros get integer part and fraction 0.  v is
-    overwritten.
+    column's largest number of fraction digits, the sign bits and the mask
+    of the fallback cells.  The fraction is scaled to 3·⌈w/3⌉ digits, w the
+    largest of all columns.  Fallback cells and zeros get integer part and
+    fraction 0.  v is overwritten.
     """
     neg, nonzero = np.signbit(v), v != 0
     c = np.abs(v, out=v)
@@ -308,10 +293,10 @@ def _split_floats(v: np.ndarray):
     whole = np.floor(np.divide(m, p, out=s), out=s)
     m -= np.multiply(whole, p, out=p)
     k = np.subtract(13, i, out=i)  # fraction digits
-    width = (k * ok).max(axis=1)
-    np.subtract(3 * (-(-width // 3))[:, None], k, out=k)
+    width = (k * ok).max(axis=1).tolist()
+    np.subtract(3 * -(-max(width, default=0) // 3), k, out=k)
     m *= _POW10.take(k, mode="clip", out=p)
-    return whole, m, width.tolist(), neg, nonzero > ok
+    return whole, m, width, neg, nonzero > ok
 
 
 def _fallback_cells(floats: list, fallback: np.ndarray) -> dict:
@@ -334,38 +319,36 @@ def _magnitude(c: np.ndarray):
     return ((c ^ s) - s).astype(np.uint64), s < 0
 
 
-def _integer_digits(x: np.ndarray, blocks: list, slots: np.ndarray):
-    """Write the digit groups of x's rows, leading zeros as NUL."""
-    n = x.shape[1]
+def _integer_digits(x: np.ndarray, out: np.ndarray):
+    """Write the digit groups of x's rows into ``out``, one (3, x.size) block
+    per group, units first; leading zeros as NUL."""
     x = x.reshape(-1)
-    for u, (row, count) in enumerate(blocks):
-        x = x[:count * n]
+    for u, block in enumerate(out):
         q = x // 1000
         g = x - q * 1000
         g += (q == 0) * g.dtype.type(1000 if u else 2000)
-        _digit_tables()[0].take(g, axis=1, out=slots[row:row + 3 * count].reshape(3, -1))
+        _digit_tables()[0].take(g, axis=1, out=block)
         x = q
 
 
-def _fraction_digits(frac: np.ndarray, blocks: list, slots: np.ndarray):
-    """Write the digit groups of frac's rows, trailing zeros as NUL.
+def _fraction_digits(frac: np.ndarray, out: np.ndarray):
+    """Write the digit groups of frac's rows into ``out``, one (3, frac.size)
+    block per group, lowest first; trailing zeros as NUL.
 
     frac holds float integers below 1e12: the low three groups are divmods
     of a uint32 below 1e9, the fourth is what is left.
     """
-    n = frac.shape[1]
     top = np.floor(frac / 1e9)
     low = (frac - top * 1e9).astype(np.uint32).reshape(-1)
     top = top.astype(np.uint32).reshape(-1)
     lower_zero = np.full(len(low), 1000, np.uint32)  # where all lower groups are 0
-    for u, (row, count) in enumerate(blocks):
-        m = count * n
+    for u, block in enumerate(out):
         if u < 3:
-            q = low[:m] // 1000
-            g = low[:m] - q * 1000
+            q = low // 1000
+            g = low - q * 1000
             low = q
         else:
-            g = top[:m]
-        g += lower_zero[:m]
-        _digit_tables()[1].take(g, axis=1, out=slots[row:row + 3 * count].reshape(3, -1))
+            g = top
+        g += lower_zero
+        _digit_tables()[1].take(g, axis=1, out=block)
         lower_zero = (g == 1000) * np.uint32(1000)

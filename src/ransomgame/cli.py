@@ -69,6 +69,8 @@ def count(value):
 
 def _axis_list(value):
     """Axis specs from config entries or name:lo:hi:n[:scale] CLI strings."""
+    if isinstance(value, str):
+        raise TypeError("axes are a list of specs, not one string")
     axes = []
     for item in value:
         if isinstance(item, dict):
@@ -98,6 +100,8 @@ def _axis_list(value):
 def _fix_dict(value):
     if isinstance(value, dict):
         return {str(k): float(v) for k, v in value.items()}
+    if isinstance(value, str):
+        raise TypeError("fixed parameters are an object or a list, not one string")
     fixed = {}
     for item in value:
         name, _, num = str(item).partition("=")
@@ -448,7 +452,8 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, default=None,
-                        help="master seed (used by seeded commands)")
+                        help="master seed: only simulate uses it, where it overrides "
+                             "--master-seed")
 
 
 def _param_flag(name: str) -> str:

@@ -149,8 +149,13 @@ class TestFigureCommands:
             normal = log_pdf > -700.0
             assert np.allclose(cells[normal, j], np.exp(log_pdf[normal]), rtol=1e-6), col
 
-    def test_unknown_figure_is_config_error(self, tmp_path):
-        assert main(["figure", "spiral", "--out", str(tmp_path / "x.csv")]) == 2
+    @pytest.mark.parametrize("argv,err", [
+        (["figure", "spiral"], f"unknown figure 'spiral'; expected one of {FIGURE_NAMES}"),
+        (["figure"], f"figure needs a name; expected one of {FIGURE_NAMES}"),
+    ], ids=["spiral", "no-name"])
+    def test_unknown_figure_is_config_error(self, tmp_path, capsys, argv, err):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     @pytest.mark.parametrize("points", ["0", "1"])
     @pytest.mark.parametrize("name", FIGURE_NAMES)
@@ -857,6 +862,8 @@ class TestConfigHandling:
         ("optimize", {"grid_points": True}),
         ("optimize", {"grid_points": 8.0}),
         ("figure", {"name": "beta_curve", "points": 2.5}),
+        ("sweep", {"axes": "a:1:2:3", "fixed": {"i_beta": 0.1, "i_sigma": 0.1}}),
+        ("sweep", {"fixed": "i_beta=0.1"}),
     ])
     def test_unconvertible_param_is_config_error(self, tmp_path, capsys, command, params):
         config = tmp_path / "c.json"

@@ -116,6 +116,9 @@ def test_trace_chunk_run_index_crosses_a_power_of_ten():
         [str(i) for i in range(first_run, first_run + n)]
 
 
-def test_cell_with_nul_is_refused():
+@pytest.mark.parametrize("column", [["a\0b"], "a\0b", Gathered(["a", "a\0b"], np.array([0]))],
+                         ids=["list", "str", "gathered"])
+def test_cell_with_nul_is_refused(column):
+    # Deleting the padding NULs would delete the cell's own NUL silently.
     with pytest.raises(AssertionError, match="NUL"):
-        write_rows(io.StringIO(), [["a\0b"]])
+        write_rows(io.StringIO(), [np.zeros(1), column])
