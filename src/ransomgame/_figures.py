@@ -154,8 +154,15 @@ def cmd_figure(args, params) -> int:
     if name not in _FIGURES:
         raise ConfigError(f"unknown figure {name!r}; expected one of {FIGURE_NAMES}")
     builder = _FIGURES[name]
-    used = {k: p.default if params[k] is None else params[k]
-            for k, p in inspect.signature(builder).parameters.items()}
+    takes = inspect.signature(builder).parameters
+    # A parameter the figure does not take may only keep its default, so
+    # that no given value is silently left out of the output.
+    unused = [k for k, (_, default) in cli.SCHEMAS["figure"].items()
+              if k != "name" and k not in takes and params[k] != default]
+    if unused:
+        raise ConfigError(f"figure {name} takes no {', '.join(unused)}; "
+                          f"it takes {', '.join(takes)}")
+    used = {k: p.default if params[k] is None else params[k] for k, p in takes.items()}
     if used["points"] < 2:
         raise ConfigError(f"points must be at least 2, got {used['points']}")
     header = {"name": name, **used}

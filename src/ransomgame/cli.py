@@ -50,8 +50,11 @@ def _float_list(text):
 
 
 def integer(value):
-    """An int from an int or an integral string; never truncates a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    """An int from an int or an integral string; never truncates a float.
+
+    ``_resolve_params`` refuses booleans before any converter sees them.
+    """
+    if not isinstance(value, (int, str)):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -217,11 +220,25 @@ def _load_config(path: str, command: str) -> dict:
     return params
 
 
+def _holds_bool(value) -> bool:
+    """Whether a config value is or holds a JSON ``true`` or ``false``."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, bool):
+            return True
+        if isinstance(value, (list, dict)):
+            stack.extend(value.values() if isinstance(value, dict) else value)
+    return False
+
+
 def _resolve_params(command: str, flags: dict, config_path: str | None) -> dict:
     """Defaults <- config file <- explicit CLI flags, rejecting unknown keys.
 
     Flag and config values go through the same schema converter; a config
-    ``null``, like an absent flag, leaves the default.
+    ``null``, like an absent flag, leaves the default.  No parameter takes a
+    boolean, so a ``true`` or ``false`` anywhere in a value is refused
+    rather than read as 1 or 0.
     """
     schema = SCHEMAS[command]
     params = {name: default for name, (_, default) in schema.items()}
@@ -233,6 +250,8 @@ def _resolve_params(command: str, flags: dict, config_path: str | None) -> dict:
              for name, value in source.items() if value is not None}
     for name, value in given.items():
         try:
+            if _holds_bool(value):
+                raise TypeError(f"{name} takes no boolean")
             params[name] = schema[name][0](value)
         except ConfigError:
             raise

@@ -16,7 +16,8 @@ runs: each slice's random words are drawn just before the kernel,
 only one slice's words are alive at a time.  Each chunk is reduced to
 summary statistics, handed to an optional callback (the CLI writes it to the
 trace file there) and dropped, so peak memory is O(chunk x workers) whatever
-the number of runs.
+the number of runs.  The payoffs are reduced scaled by powers of two that
+the batch's x and cost fix, so huge finite payoffs give finite statistics.
 """
 
 from __future__ import annotations
@@ -57,11 +58,9 @@ _CHUNK = 65536
 # smallest size on that plateau, so its temporaries take the least memory.
 _SLICE = 16384
 
-# Payoffs at or above 2**_SCALE_BITS are scaled down before they are summed
-# or squared.  Scaled deviations stay below 2**449, so the sum of their
-# squares stays finite for any n_runs below 2**63.
+# Payoffs are summed and squared scaled below 2**449 (``_exponents``), so the
+# sum of their squared deviations stays finite for any n_runs below 2**63.
 _SCALE_BITS = 448
-_SCALE_LIMIT = 2.0 ** _SCALE_BITS
 
 # The outcome kinds by the code ``simulate_runs`` stores in ``kind``.
 _KIND_ORDER = (OutcomeKind.AGGRESSIVE_REJECTION,
@@ -166,6 +165,13 @@ def _unscale(value: float, exponent: int) -> float:
         return math.ldexp(value, exponent)
     except OverflowError:
         raise NumericalError("a payoff statistic overflows float64") from None
+
+
+def _exponents(x: float, cost: float) -> tuple:
+    """Powers of two that scale a batch's attacker and defender payoffs down:
+    |attacker| <= max(C, cost) and |defender| <= C + x, as C <= c_max < x.  A
+    bound below 2**447 gives 0; a larger one keeps twice it below 2**449."""
+    return tuple(max(0, math.frexp(bound)[1] - _SCALE_BITS) for bound in (max(x, cost), x))
 
 
 def run_uniforms(seed: SeedSpec, first_run: int, n_runs: int) -> np.ndarray:
@@ -294,52 +300,39 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
             yield future.result()
 
 
-def _chunk_moments(chunk: SimulationTrace) -> tuple:
-    """(n, attacker mean, scaled M2, scaled defender sum, exponent, counts).
+def _chunk_moments(chunk: SimulationTrace, exponents: tuple) -> tuple:
+    """(n, attacker mean, M2, defender sum, outcome counts) of one chunk.
 
-    Payoffs of magnitude 2**448 or more are first scaled by 2**-exponent, so
-    no finite payoff overflows a sum or a square; M2 then holds the squared
-    deviations times 4**-exponent and the defender sum is times 2**-exponent.
-    Smaller payoffs are not scaled (exponent 0), which keeps numpy's bits:
-    the mean is ``attacker.mean()``, M2 is ``np.square(attacker - mean).sum()``.
+    The payoffs are first scaled by 2**-exponents (attacker's, defender's).
+    At exponent 0 numpy's bits are kept: the mean is ``attacker.mean()``, M2
+    is ``np.square(attacker - mean).sum()``.  A statistic that is not finite
+    means a payoff that is not, and raises NumericalError.
     """
-    attacker, defender = chunk.attacker_payoff, chunk.defender_payoff
-    bounds = (attacker.min(), attacker.max(), defender.min(), defender.max())
-    if not all(map(math.isfinite, bounds)):
-        raise NumericalError("a simulated payoff is not finite; "
-                             "the inputs overflow float64")
-    top = max(map(abs, bounds))
-    exponent = 0 if top < _SCALE_LIMIT else math.frexp(top)[1] - _SCALE_BITS
-    if exponent:
-        attacker = np.ldexp(attacker, -exponent)
-        defender = np.ldexp(defender, -exponent)
+    e_att, e_def = exponents
+    attacker = np.ldexp(chunk.attacker_payoff, -e_att) if e_att else chunk.attacker_payoff
+    defender = np.ldexp(chunk.defender_payoff, -e_def) if e_def else chunk.defender_payoff
     mean = float(attacker.mean())
     d = attacker - mean
     m2 = float(np.square(d, out=d).sum())
+    def_sum = float(defender.sum())
+    if not all(map(math.isfinite, (mean, m2, def_sum))):
+        raise NumericalError("a simulated payoff is not finite; "
+                             "the inputs overflow float64")
     # count_nonzero on each kind, not bincount, which widens kind to int64.
     counts = np.array([np.count_nonzero(chunk.kind == j) for j in range(len(_KIND_ORDER))])
-    return (len(attacker), _unscale(mean, exponent), m2, float(defender.sum()),
-            exponent, counts)
+    return len(attacker), mean, m2, def_sum, counts
 
 
 def _merge_moments(a: tuple, b: tuple) -> tuple:
-    """The moments of two disjoint sets of runs, from each set's moments.
-
-    The pairwise update of Chan, Golub and LeVeque (1979), computed on the
-    scale of the larger exponent.
-    """
-    n_a, mean_a, m2_a, def_a, e_a, counts_a = a
-    n_b, mean_b, m2_b, def_b, e_b, counts_b = b
-    e = max(e_a, e_b)
+    """The moments of two disjoint sets of runs, from each set's moments, by
+    the pairwise update of Chan, Golub and LeVeque (1979)."""
+    n_a, mean_a, m2_a, def_a, counts_a = a
+    n_b, mean_b, m2_b, def_b, counts_b = b
     n = n_a + n_b
     weight = n_b / n
-    scaled_a = math.ldexp(mean_a, -e)
-    delta = math.ldexp(mean_b, -e) - scaled_a
-    m2 = (math.ldexp(m2_a, 2 * (e_a - e)) + math.ldexp(m2_b, 2 * (e_b - e))
-          + delta * delta * weight * n_a)
-    return (n, _unscale(scaled_a + delta * weight, e), m2,
-            math.ldexp(def_a, e_a - e) + math.ldexp(def_b, e_b - e), e,
-            counts_a + counts_b)
+    delta = mean_b - mean_a
+    return (n, mean_a + delta * weight, m2_a + m2_b + delta * delta * weight * n_a,
+            def_a + def_b, counts_a + counts_b)
 
 
 def run_single(strategy: AttackerStrategy, env: GameEnvironment,
@@ -358,7 +351,9 @@ def run_batch(config: SimulationConfig, workers: int = 1,
     Runs are played in chunks of 65,536.  Each chunk is reduced to its
     count, attacker mean, centred sum of squares (M2), defender sum and
     outcome counts, merged into the batch's totals in chunk order, and
-    dropped, so peak memory is O(chunk x workers) whatever n_runs is.
+    dropped, so peak memory is O(chunk x workers) whatever n_runs is.  They
+    are reduced scaled by the powers of two that x and the cost fix
+    (``_exponents``), and the report's values are scaled back at the end.
     ``on_chunk(chunk, first_run)``, if given, is called on each chunk in run
     order, on the calling thread, after the chunk's payoffs are checked; the
     chunk's arrays are reused once it returns, so a caller that keeps per-run
@@ -371,20 +366,22 @@ def run_batch(config: SimulationConfig, workers: int = 1,
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     n = config.n_runs
+    e_att, e_def = exponents = _exponents(config.environment.target_value.value,
+                                          config.strategy.cost)
     total = None
     for first_run, chunk in _play_chunks(config.strategy, config.environment, n,
                                          config.seed, workers):
-        moments = _chunk_moments(chunk)
+        moments = _chunk_moments(chunk, exponents)
         total = moments if total is None else _merge_moments(total, moments)
         if on_chunk is not None:
             on_chunk(chunk, first_run)
 
-    _, mean_att, m2, def_sum, exponent, counts = total
-    std_err = _unscale(math.sqrt(m2 / (n - 1) / n), exponent) if n > 1 else None
+    _, mean_att, m2, def_sum, counts = total
+    std_err = _unscale(math.sqrt(m2 / (n - 1) / n), e_att) if n > 1 else None
     return SimulationReport(n_runs=n,
-                            mean_attacker_profit=mean_att,
+                            mean_attacker_profit=_unscale(mean_att, e_att),
                             std_error_attacker_profit=std_err,
-                            mean_defender_utility=_unscale(def_sum / n, exponent),
+                            mean_defender_utility=_unscale(def_sum / n, e_def),
                             outcome_counts={k: int(c) for k, c in zip(_KIND_ORDER, counts)})
 
 

@@ -864,6 +864,12 @@ class TestConfigHandling:
         ("figure", {"name": "beta_curve", "points": 2.5}),
         ("sweep", {"axes": "a:1:2:3", "fixed": {"i_beta": 0.1, "i_sigma": 0.1}}),
         ("sweep", {"fixed": "i_beta=0.1"}),
+        # JSON true and false are not the numbers 1 and 0.
+        ("optimize", {"m": True}),
+        ("sweep", {"axes": [{"name": "a", "lo": True, "hi": 2, "n": 3}],
+                   "fixed": {"i_beta": 0.1, "i_sigma": 0.1}}),
+        ("sweep", {"axes": ["a:1:2:3"], "fixed": {"i_beta": False, "i_sigma": 0.1}}),
+        ("figure", {"name": "alpha_curve", "a_values": [1.0, True]}),
     ])
     def test_unconvertible_param_is_config_error(self, tmp_path, capsys, command, params):
         config = tmp_path / "c.json"
@@ -956,6 +962,12 @@ class TestConfigHandling:
           "--fix", "i_sigma=0.1"], None, "duplicate sweep axes: ['a', 'a']"),
         (["sweep", "--axis", "a:1:2:3", "--fix", "i_beta=0.1", "--fix", "q=0.1"], None,
          "unknown fixed parameter 'q'"),
+        # A figure refuses a parameter it does not take unless it is the default.
+        (["figure", "beta_curve", "--a", "5", "--i-sigma", "0.3"], None,
+         "figure beta_curve takes no i_sigma, a; it takes i_fifty, i_beta_max, points"),
+        (["figure"], {"version": 1, "command": "figure",
+                      "params": {"name": "alpha_curve", "x": 2, "m": 1}},
+         "figure alpha_curve takes no x; it takes a_values, points"),
     ])
     def test_rejected_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config,
                                                   message):

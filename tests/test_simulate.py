@@ -260,21 +260,63 @@ class TestRunBatch:
             assert abs(got - want) <= 4 * math.ulp(want)
 
     def test_merge_across_payoff_scales(self):
-        # A chunk of payoffs near 1 merged with one near 1e300: the second is
-        # scaled by a power of two, and the result matches numpy on the
-        # concatenation scaled by 2**-1000, within 4 ulps.
+        # A chunk of payoffs near 1 merged with one near 1e300, both scaled by
+        # the exponents of a batch at x = 1e301: the result matches numpy on
+        # the concatenation scaled by 2**-1000, within 4 ulps.
         rng = np.random.default_rng(0)
         parts = [rng.standard_normal(1000) + 2.0, 1e300 * (rng.standard_normal(3000) + 3.0)]
         chunks = [SimulationTrace(1.0, *([p] * 4), kind=np.zeros(len(p), np.uint8),
                                   attacker_payoff=p, defender_payoff=-p) for p in parts]
-        moments = simulate._merge_moments(*map(simulate._chunk_moments, chunks))
-        n, mean, m2, def_sum, exponent, _ = moments
+        e_att, e_def = exponents = simulate._exponents(1e301, 0.0)
+        n, mean, m2, def_sum, _ = simulate._merge_moments(
+            *(simulate._chunk_moments(chunk, exponents) for chunk in chunks))
+        mean = math.ldexp(mean, e_att)
         scaled = np.ldexp(np.concatenate(parts), -1000)
         want_se = math.ldexp(float(scaled.std(ddof=1)) / math.sqrt(n), 1000)
-        got_se = math.ldexp(math.sqrt(m2 / (n - 1) / n), exponent)
+        got_se = math.ldexp(math.sqrt(m2 / (n - 1) / n), e_att)
         assert abs(mean - math.ldexp(float(scaled.mean()), 1000)) <= 4 * math.ulp(mean)
         assert abs(got_se - want_se) <= 4 * math.ulp(want_se)
-        assert math.ldexp(def_sum / n, exponent) == pytest.approx(-mean, rel=1e-15)
+        assert math.ldexp(def_sum / n, e_def) == pytest.approx(-mean, rel=1e-15)
+
+    def test_defender_mean_is_not_scaled_by_the_cost(self):
+        # A cost near 1e300 scales the attacker's payoffs down by about
+        # 2**-549; the defender's, near -1e-300, would then fall below the
+        # smallest normal double, so they keep a scale of their own.
+        report, trace = run_traced(_config(strategy=(4.68, 1e300, 0.104), x=1e-300,
+                                           n=70_000, seed=3))
+        want = float(trace.defender_payoff.mean())
+        assert want < 0.0
+        assert abs(report.mean_defender_utility - want) <= 4 * math.ulp(want)
+
+    def test_cost_dominated_payoffs_give_finite_statistics(self):
+        # Attacker payoffs near -1e307: their unscaled sum overflows float64.
+        n = 100
+        report, trace = run_traced(_config(strategy=(4.68, 1e307, 0.104), n=n, seed=0))
+        with np.errstate(over="ignore"):
+            assert np.isinf(trace.attacker_payoff.sum())
+        att, dfd = (np.ldexp(p, -1000) for p in (trace.attacker_payoff, trace.defender_payoff))
+        reference = (math.ldexp(float(att.mean()), 1000),
+                     math.ldexp(float(att.std(ddof=1)) / math.sqrt(n), 1000),
+                     math.ldexp(float(dfd.mean()), 1000))
+        got = (report.mean_attacker_profit, report.std_error_attacker_profit,
+               report.mean_defender_utility)
+        for value, want in zip(got, reference):
+            assert math.isfinite(value)
+            assert abs(value - want) <= 4 * math.ulp(want)
+
+    def test_worker_invariance_of_scaled_statistics(self, monkeypatch):
+        # Report bits for 1, 4 and 16 workers on payoffs near 1e300, which
+        # are scaled, with small chunks so that many chunks are merged.
+        monkeypatch.setattr(simulate, "_CHUNK", 1000)
+        cfg = _config(x=1e300, n=20_500, seed=6)
+
+        def bits(report):
+            return (report.mean_attacker_profit.hex(), report.std_error_attacker_profit.hex(),
+                    report.mean_defender_utility.hex(), report.outcome_counts)
+
+        want = bits(run_batch(cfg))
+        for workers in (4, 16):
+            assert bits(run_batch(cfg, workers=workers)) == want
 
     def test_worker_invariance_of_streamed_trace(self, monkeypatch):
         # Summary bits and streamed trace bytes for 1, 4 and 16 workers, with
