@@ -164,7 +164,7 @@ SCHEMAS = {
         "i_beta_hi": (float, DEFAULT_BOUNDS["i_beta"][1]),
         "i_sigma_lo": (float, DEFAULT_BOUNDS["i_sigma"][0]),
         "i_sigma_hi": (float, DEFAULT_BOUNDS["i_sigma"][1]),
-        "grid_points": (count, DEFAULT_GRID_POINTS),
+        "grid_points": (integer, DEFAULT_GRID_POINTS),
     },
     "sweep": {
         "i_fifty": (float, 0.02),

@@ -2,7 +2,7 @@
 
 The optimizer solves the closed-form profit's first-order conditions, two
 nested 1-D roots in log coordinates with i_beta from its formula, and checks
-them against a scan of the (a, i_sigma) plane.  Monte Carlo never enters it.
+them at log-spaced i_sigma nodes, all in floats.  Monte Carlo never enters it.
 """
 
 from __future__ import annotations
@@ -18,14 +18,16 @@ from . import _bind_lazily
 from ._erfcx import _erfcx, _x_slope
 from .errors import ConfigError, _scale
 from .game import AttackerStrategy, GameEnvironment, demand_factor, estimate_scale
-from .profit import _SQRT2, _best_i_beta, _closed_form_profit, _gross_multiplier, _profit_at
+from .profit import _SQRT2, _best_i_beta, _closed_form_profit, _profit_at
 
 _PARAM_NAMES = ("a", "i_beta", "i_sigma")
 
 # Default search box: brackets any plausible strategy without touching the
 # degenerate edges a -> 0 or zero investment.
 DEFAULT_BOUNDS = {"a": (0.1, 20.0), "i_beta": (0.001, 0.5), "i_sigma": (0.001, 0.5)}
-DEFAULT_GRID_POINTS = 64
+DEFAULT_GRID_POINTS = 16
+# Each guard node costs an inner solve, so a huge count would run for ever.
+_MAX_GRID_POINTS = 4096
 
 # Width of the optimizer's roots in ln a and ln i_sigma, a relative width in
 # a and i_sigma: P is flat to second order at its peak, so its value is exact
@@ -36,15 +38,6 @@ _ROOT_TOL = 1e-10
 # Only a 2-D surface's contours are traced, so the optimizer and a CSV sweep
 # never load ``_contour``.
 __getattr__ = _lazy = _bind_lazily(globals(), {"zero_contours": "_contour"})
-
-
-def _empty(shape: tuple) -> np.ndarray:
-    """np.empty(shape) for a profit grid; past what numpy can address, a MemoryError."""
-    try:
-        return np.empty(shape)
-    except ValueError:  # numpy's "array is too big"
-        raise MemoryError(f"a {' x '.join(map(str, shape))} profit grid "
-                          "exceeds the largest possible array") from None
 
 
 @dataclass(frozen=True)
@@ -128,11 +121,12 @@ class SurfaceResult:
 class StrategyOptimum:
     """The best strategy ``maximize_profit`` found in its box, and how.
 
-    ``evaluations`` counts the grid_points^2 scan nodes and every first-order
-    condition the solves evaluated.  ``converged`` is False when a scan node
-    beat the solved point, a sign of a second local maximum; that node is
-    then the strategy.  ``trace`` has one ((a, i_beta, i_sigma), profit) per
-    i_sigma the outer solve tried, in order, at the best a and i_beta there.
+    ``evaluations`` counts first-order conditions: one per inner step in a,
+    one per i_sigma tried, by the solve or at one of grid_points guard nodes.
+    ``converged`` is False when a guard node beat the solved point, a sign
+    of a second local maximum; that node is then the strategy.  ``trace`` has
+    one ((a, i_beta, i_sigma), profit) per i_sigma the outer solve tried, in
+    order, at the best a and i_beta there.
     """
 
     strategy: AttackerStrategy
@@ -190,34 +184,29 @@ def _peak(slope, lo: float, hi: float) -> float:
 
 def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
                     grid_points: int = DEFAULT_GRID_POINTS) -> StrategyOptimum:
-    """Profit-maximizing strategy over a box of (a, i_beta, i_sigma).
+    """Profit-maximizing strategy over a box of (a, i_beta, i_sigma), in Python floats.
 
     i_beta is ``profit._best_i_beta``'s, and at a fixed i_sigma the best a
     maximizes h(a) = a G(a, sigma)/(1 + a) alone, as P rises with h at every
     i_beta.  So ``_peak`` solves d ln h/d ln a = 0 nested in dP/d i_sigma = 0,
     the partial derivative at the best a and i_beta (the envelope theorem).
-    The best node of a log-spaced grid_points^2 scan of (a, i_sigma), ties
-    broken toward the smallest (a, i_sigma), is the result if it beats the
-    solve.  Each side of the box is an ``AxisSpec``.
+    d ln h/d ln a changes sign once in a (tested, not proven), so only
+    i_sigma is guarded: the first best of grid_points log-spaced i_sigma, at
+    most _MAX_GRID_POINTS, is the result if it beats the solve.  Each side of
+    the box is an ``AxisSpec``.
     """
     specs = [AxisSpec(name, lo, hi, grid_points, "log")
              for name, (lo, hi) in {**DEFAULT_BOUNDS, **(bounds or {})}.items()]
-    a_box, beta_box, sigma_box = [(float(spec.lo), float(spec.hi)) for spec in specs]
+    if grid_points > _MAX_GRID_POINTS:
+        raise ConfigError(f"grid_points must be at most {_MAX_GRID_POINTS}, got {grid_points}")
+    a_box, beta_box, (s_lo, s_hi) = [(float(spec.lo), float(spec.hi)) for spec in specs]
     i_fifty = env.i_fifty
-    a_axis, s_axis = specs[0].values()[:, None], specs[2].values()
-    # Allocated and freed before any G, so a plane too large for memory fails at once.
-    _empty((grid_points, grid_points))
     # Log spacing puts the box in the strategy domain, but sigma may underflow.
-    _scale("sigma", estimate_scale(sigma_box[1], i_fifty))
-    # Overflow shows as a non-finite P, which raises, so numpy's warning is noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = _gross_multiplier(a_axis, i_fifty / (i_fifty + s_axis))
-        plane_i_beta = _best_i_beta(a_axis, g, env, *beta_box)
-        plane = _profit_at(a_axis, plane_i_beta, s_axis, g, env)
+    _scale("sigma", i_fifty / (i_fifty + s_hi))
+    evaluations, trace = [0], []
 
-    evaluations, trace = [grid_points ** 2], []
-
-    def sigma_slope(i_sigma):  # dP/d i_sigma at the best a and i_beta
+    def best_at(i_sigma):
+        """((a, i_beta, i_sigma), P, dP/d i_sigma) at the best a and i_beta."""
         sigma = i_fifty / (i_fifty + i_sigma)
         s = sigma / _SQRT2
         erfcx_s = _erfcx(s)
@@ -234,20 +223,28 @@ def maximize_profit(env: GameEnvironment, bounds: dict | None = None,
         erfcx_y = _erfcx(y)
         g = 0.5 * (erfcx_s + erfcx_y)  # _gross_multiplier(a, sigma), bit for bit
         i_beta = _best_i_beta(a, g, env, *beta_box)
-        trace.append(((a, i_beta, i_sigma), _profit_at(a, i_beta, i_sigma, g, env)))
         # d sigma/d i_sigma = -sigma^2/i_fifty = -sigma/(i_fifty + i_sigma).
-        return -(demand_factor(a, i_beta / (i_beta + i_fifty)) * env.mean_target_value
-                 * (_x_slope(s, erfcx_s) + _x_slope(y, erfcx_y)) / (i_fifty + i_sigma)) - 1.0
+        return (a, i_beta, i_sigma), _profit_at(a, i_beta, i_sigma, g, env), -(
+            demand_factor(a, i_beta / (i_beta + i_fifty)) * env.mean_target_value
+            * (_x_slope(s, erfcx_s) + _x_slope(y, erfcx_y)) / (i_fifty + i_sigma)) - 1.0
 
-    _peak(sigma_slope, *sigma_box)
+    def sigma_slope(i_sigma):
+        point, value, slope = best_at(i_sigma)
+        trace.append((point, value))
+        return slope
+
+    _peak(sigma_slope, s_lo, s_hi)
     # The outer solve ends on the root; its best iterate is the answer.
     point, value = max(trace, key=lambda entry: entry[1])
-    # Axes ascend: the first maximum in C order is the lexicographically smallest.
-    j, k = np.unravel_index(int(np.argmax(plane)), plane.shape)
-    converged = not plane[j, k] > value
-    if not converged:
-        point = (float(a_axis[j, 0]), float(plane_i_beta[j, k]), float(s_axis[k]))
-        value = float(plane[j, k])
+    converged = True
+    # Log-spaced guard nodes with the box's edges exact.  They ascend and only
+    # a strictly better one wins, so ties go to the smallest i_sigma.
+    log_lo, step = math.log(s_lo), (math.log(s_hi) - math.log(s_lo)) / (grid_points - 1)
+    for i_sigma in [s_lo, *(min(max(math.exp(log_lo + k * step), s_lo), s_hi)
+                            for k in range(1, grid_points - 1)), s_hi]:
+        node, node_value, _ = best_at(i_sigma)
+        if node_value > value:
+            point, value, converged = node, node_value, False
     return StrategyOptimum(AttackerStrategy(*point), value, evaluations[0], converged, trace)
 
 
@@ -268,7 +265,12 @@ def profit_surface(env: GameEnvironment, grid: SweepGrid) -> SurfaceResult:
     for pick in (np.min, np.max):
         AttackerStrategy(a=pick(a), i_beta=pick(i_beta), i_sigma=pick(i_sigma))
     # Allocated and freed before any G, so a grid too large for memory fails at once.
-    _empty((len(a), len(i_beta), len(i_sigma)))
+    shape = (len(a), len(i_beta), len(i_sigma))
+    try:
+        np.empty(shape)
+    except ValueError:  # numpy's "array is too big"
+        raise MemoryError(f"a {' x '.join(map(str, shape))} profit grid "
+                          "exceeds the largest possible array") from None
     # The smallest sigma, at the largest i_sigma, may underflow to 0.
     _scale("sigma", estimate_scale(float(i_sigma.max()), env.i_fifty))
     # Overflow shows as a non-finite P, which raises, so numpy's warning is noise.

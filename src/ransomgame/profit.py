@@ -138,13 +138,10 @@ def _best_i_beta(a, g, env: GameEnvironment, lo: float, hi: float):
 
     P = c*beta - i_beta - i_sigma with c = a*G*M/(1+a) is concave in i_beta
     and peaks at sqrt(c*i_fifty) - i_fifty, which is clipped to the box.
-    Floats or arrays, unchecked; arrays broadcast, and each element rounds
-    as the float would.
+    Floats, unchecked.
     """
     i_fifty = env.i_fifty
     c_i_fifty = a * g / (1.0 + a) * env.mean_target_value * i_fifty
-    if isinstance(c_i_fifty, np.ndarray):
-        return np.clip(np.sqrt(c_i_fifty) - i_fifty, lo, hi)
     return min(max(math.sqrt(c_i_fifty) - i_fifty, lo), hi)
 
 

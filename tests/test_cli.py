@@ -358,7 +358,7 @@ class TestOptimizeCommand:
         assert main(["optimize", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[-2:] == [
             "a,i_beta,i_sigma,profit,evaluations,converged",
-            "4.67444338,0.0904823312,0.103793015,0.305559598,4226,1"]
+            "4.67444338,0.0904823312,0.103793015,0.305559598,334,1"]
 
     @pytest.mark.parametrize("args", [
         ["--a-hi", "1e300", "--grid-points", "8"],
@@ -381,6 +381,14 @@ class TestOptimizeCommand:
     def test_bad_box_is_an_axis_error(self, tmp_path, capsys, args, message):
         assert main(["optimize", *args, "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("n", ["1000000", HUGE, TOO_BIG])
+    def test_grid_points_past_the_cap_is_config_error(self, tmp_path, capsys, n):
+        # Guard nodes take no memory but an inner solve each, so the count is capped.
+        out = tmp_path / "x.csv"
+        assert main(["optimize", "--grid-points", n, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: grid_points must be at most 4096, got {n}\n"
+        assert not out.exists()
 
     def test_zero_sigma_is_config_error(self, tmp_path, capsys):
         # i_fifty / (i_fifty + i_sigma) underflows at the top of the i_sigma side.
@@ -922,15 +930,11 @@ class TestConfigHandling:
         assert capsys.readouterr().err == "error: invalid value for n_runs: 'abc'\n"
 
     @pytest.mark.parametrize("argv", [
-        ["optimize", "--grid-points", HUGE],
         ["figure", "beta_curve", "--points", HUGE],
         ["simulate", "--n-runs", str(2 * 10 ** 18)],
         ["simulate", "--n-runs", TOO_BIG],
-        ["optimize", "--grid-points", TOO_BIG],
         ["figure", "beta_curve", "--points", TOO_BIG],
         ["sweep", "--axis", f"a:1:2:{TOO_BIG}", "--fix", "i_beta=0.1", "--fix", "i_sigma=0.1"],
-        # The axes fit in memory, the plane does not.
-        ["optimize", "--grid-points", "1000000"],
     ])
     def test_size_too_large_for_memory_is_config_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2

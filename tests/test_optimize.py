@@ -9,10 +9,10 @@ import pytest
 from ransomgame import (AttackerStrategy, ConfigError, ProfitMethod, AxisSpec, SweepGrid,
                         expected_profit, gross_multiplier_closed_form, maximize_profit,
                         profit_surface)
-from ransomgame import optimize
+from ransomgame import _erfcx as _erfcx_module, game, optimize, profit
 from ransomgame._erfcx import _erfcx, _x_slope
 from ransomgame.optimize import _peak
-from ransomgame.profit import _closed_form_profit, _profit_at
+from ransomgame.profit import _closed_form_profit
 
 I50 = 0.02
 # The optimum in the default box, 0.3055596 to 7 digits, which both boxes
@@ -110,8 +110,9 @@ class TestMaximizeProfit:
         counter, calls = counted(_x_slope)
         monkeypatch.setattr(optimize, "_x_slope", counter)
         opt = maximize_profit(mean_env, bounds, grid_points)
-        # One x_slope per inner condition and two per outer one.
-        assert opt.evaluations == grid_points ** 2 + len(calls) - len(opt.trace)
+        # One x_slope per inner condition and two per i_sigma, an outer iterate
+        # or a guard node, each of which counts as one condition.
+        assert opt.evaluations == len(calls) - len(opt.trace) - grid_points
         assert opt.converged
         s = opt.strategy
         sigma = I50 / (I50 + s.i_sigma)
@@ -133,7 +134,7 @@ class TestMaximizeProfit:
                                   opt.profit)] == [
             "0x1.2b2a148ce51e2p+2", "0x1.729d99d6a418ep-4", "0x1.a922dd6d49393p-4",
             "0x1.38e49d7b41be0p-2"]
-        assert (opt.evaluations, opt.converged, len(opt.trace)) == (4226, True, 11)
+        assert (opt.evaluations, opt.converged, len(opt.trace)) == (334, True, 11)
 
     def test_profit_field_reevaluates(self, mean_env):
         opt = maximize_profit(mean_env, grid_points=16)
@@ -220,76 +221,62 @@ class TestMaximizeProfit:
         assert all(p[1] == min(max(_formula_i_beta(p[0], p[2], mean_env), lo), hi)
                    for p, _ in opt.trace)
 
-    def test_scan_plane_is_the_float_objective(self, mean_env, monkeypatch):
-        # An i_beta box that the formula leaves at some nodes on each side.
-        box = (0.03, 0.06)
-        planes = []
-
-        def recording(*args):
-            value = _profit_at(*args)
-            if isinstance(value, np.ndarray):
-                planes.append((args[:3], value))
-            return value
-
-        monkeypatch.setattr(optimize, "_profit_at", recording)
-        maximize_profit(mean_env, {"i_beta": box}, grid_points=8)
-        ((a, i_beta, i_sigma), plane), = planes
-        a_axis = AxisSpec("a", 0.1, 20.0, 8, "log").values().tolist()
-        s_axis = AxisSpec("i_sigma", 0.001, 0.5, 8, "log").values().tolist()
-        assert (a.ravel().tolist(), i_sigma.ravel().tolist()) == (a_axis, s_axis)
-        floats = [[min(max(_formula_i_beta(x, y, mean_env), box[0]), box[1]) for y in s_axis]
-                  for x in a_axis]
-        assert i_beta.tolist() == floats
-        assert plane.tolist() == [[_closed_form_profit(x, b, y, mean_env)
-                                   for y, b in zip(s_axis, row)]
-                                  for x, row in zip(a_axis, floats)]
-        formulas = [_formula_i_beta(x, y, mean_env) for x in a_axis for y in s_axis]
-        assert min(formulas) < box[0] and max(formulas) > box[1]
-
     def test_scan_node_that_beats_the_solve_is_the_result(self, mean_env, monkeypatch):
-        # With erfcx' taken as 0, h seems to rise for ever: every inner solve
-        # returns a = 20, where the profit is far below the scan's best node.
-        monkeypatch.setattr(optimize, "_x_slope", lambda x, erfcx_x: 0.0)
+        # With demand_factor taken as 0, dP/d i_sigma is -1 everywhere: the
+        # outer solve stops at the low edge, far below the guard's best node.
+        monkeypatch.setattr(optimize, "demand_factor", lambda a, beta: 0.0)
         opt = maximize_profit(mean_env, grid_points=16)
         assert not opt.converged
-        assert all(p[0] == 20.0 for p, _ in opt.trace)
-        a_axis = AxisSpec("a", 0.1, 20.0, 16, "log").values().tolist()
-        s_axis = AxisSpec("i_sigma", 0.001, 0.5, 16, "log").values().tolist()
-        nodes = [((x, min(max(_formula_i_beta(x, y, mean_env), 0.001), 0.5), y))
-                 for x in a_axis for y in s_axis]
-        profits = [_closed_form_profit(*node, mean_env) for node in nodes]
+        assert [p[2] for p, _ in opt.trace] == [0.001]
+        step = (math.log(0.5) - math.log(0.001)) / 15
+        nodes = [0.001, *(math.exp(math.log(0.001) + k * step) for k in range(1, 15)), 0.5]
+        points = []
+        for y in nodes:
+            sigma = I50 / (I50 + y)
+            x = _peak(lambda v: _a_slope(v, sigma), 0.1, 20.0)
+            points.append((x, min(max(_formula_i_beta(x, y, mean_env), 0.001), 0.5), y))
+        profits = [_closed_form_profit(*point, mean_env) for point in points]
         best = profits.index(max(profits))
-        assert (opt.strategy.a, opt.strategy.i_beta, opt.strategy.i_sigma) == nodes[best]
-        assert opt.profit == profits[best] > max(value for _, value in opt.trace)
+        assert (opt.strategy.a, opt.strategy.i_beta, opt.strategy.i_sigma) == points[best]
+        assert opt.profit == profits[best] > opt.trace[0][1]
 
-    def test_scan_ties_go_to_the_smallest_a_and_i_sigma(self, mean_env, monkeypatch):
-        # A flat scan plane that beats every solved point: the first node wins.
-        def flat_plane(a, i_beta, i_sigma, g, env):
-            return 0.0 * a * i_sigma if isinstance(a, np.ndarray) else -1.0
+    def test_guard_ties_go_to_the_smallest_i_sigma(self, mean_env, monkeypatch):
+        # P is -1 inside the outer solve and a flat 0 at every guard node: each
+        # node beats the solve, and the first, at the low edge, wins.
+        depth = [0]
 
-        monkeypatch.setattr(optimize, "_profit_at", flat_plane)
+        def peak(*args):
+            depth[0] += 1
+            try:
+                return _peak(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(optimize, "_peak", peak)
+        monkeypatch.setattr(optimize, "_profit_at", lambda *args: -1.0 if depth[0] else 0.0)
         opt = maximize_profit(mean_env, grid_points=8)
         assert not opt.converged
-        assert (opt.strategy.a, opt.strategy.i_sigma) == (0.1, 0.001)
+        assert opt.profit == 0.0
+        # The outer solve tries the low edge first, at the same best a and i_beta.
+        assert opt.trace[0] == ((opt.strategy.a, opt.strategy.i_beta, 0.001), -1.0)
+        assert opt.strategy.i_sigma == 0.001
 
-    def test_memory_bounded_by_plane(self, mean_env):
-        tracemalloc.start()
-        try:
-            opt = maximize_profit(mean_env, grid_points=160)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert opt.evaluations > 160 ** 2
-        # A 160^3 cube alone is 31 MiB, and a 2^20-node slab of it 8 MiB;
-        # a 160^2 plane is 200 KiB.
-        assert peak < 4 * 2 ** 20
+    def test_grid_points_past_the_cap_is_config_error(self, mean_env):
+        # Each node costs an inner solve, so a huge count would run for ever.
+        assert maximize_profit(mean_env, grid_points=4096).converged
+        with pytest.raises(ConfigError, match=r"^grid_points must be at most 4096, got 4097$"):
+            maximize_profit(mean_env, grid_points=4097)
 
-    def test_plane_past_numpy_addressing_is_memory_error(self, mean_env, monkeypatch):
-        # Axes of 2^31 nodes take no memory as broadcast views, but a plane
-        # of 2^62 floats is past what numpy can address.
-        monkeypatch.setattr(AxisSpec, "values", lambda spec: np.broadcast_to(spec.lo, (spec.n,)))
-        with pytest.raises(MemoryError, match="^a 2147483648 x 2147483648 profit grid "):
-            maximize_profit(mean_env, grid_points=2 ** 31)
+    def test_makes_no_numpy_call(self, mean_env, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} used")
+
+        for module in (optimize, profit, _erfcx_module, game):
+            monkeypatch.setattr(module, "np", NoNumpy())
+        opt = maximize_profit(mean_env, WIDE_BOXES["a-to-1e300"][0])
+        assert opt.converged
+        assert opt.profit == pytest.approx(OPTIMUM_PROFIT, abs=1e-9)
 
 
 class TestProfitSurface:

@@ -31,6 +31,7 @@ from ransomgame.simulate import _outcome_from_arrays  # noqa: E402
 from ransomgame.stochastics import _ppf  # noqa: E402
 from conftest import run_traced  # noqa: E402
 from test_kernel_bits import _reference_ppf  # noqa: E402
+from test_optimize import _a_slope  # noqa: E402
 
 # The same examples on every run, so the suite stays deterministic.
 settings.register_profile("ransomgame", derandomize=True, database=None, deadline=None,
@@ -297,12 +298,21 @@ def test_optimum_is_no_worse_than_a_dense_log_scan(env, a_box, beta_box, sigma_b
     a, i_sigma = (np.geomspace(*bounds[name], 400) for name in ("a", "i_sigma"))
     a = a[:, None]
     g = _gross_multiplier(a, env.i_fifty / (env.i_fifty + i_sigma))
-    i_beta = _best_i_beta(a, g, env, *beta_box)
+    i_beta = np.clip(np.sqrt(a * g / (1.0 + a) * env.mean_target_value * env.i_fifty)
+                     - env.i_fifty, *beta_box)
     scan = _closed_form_profit(a, i_beta, i_sigma, env)
     k = np.unravel_index(int(np.argmax(scan)), scan.shape)
     peak = float(scan[k])
     assert opt.converged
     assert opt.profit >= peak - _slack(peak, float(i_beta[k]) + float(i_sigma[k[1]]))
+
+
+@given(sigma=st.floats(0.0, 1.0, exclude_min=True))
+def test_inner_slope_changes_sign_at_most_once_in_a(sigma):
+    # So h = a G(a, sigma)/(1 + a) has one peak in a, and the optimizer's
+    # guard need not scan a.
+    signs = [_a_slope(a, sigma) > 0.0 for a in np.geomspace(1e-6, 1e12, 4001).tolist()]
+    assert sum(x != y for x, y in zip(signs, signs[1:])) <= 1
 
 
 # Near each branch edge as well as log-uniform over the whole range.
