@@ -930,9 +930,11 @@ class TestConfigHandling:
         assert capsys.readouterr().err == "error: invalid value for n_runs: 'abc'\n"
 
     @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", f"a:1:2:{HUGE}", "--fix", "i_beta=0.1", "--fix", "i_sigma=0.1"],
         ["figure", "beta_curve", "--points", HUGE],
         ["simulate", "--n-runs", str(2 * 10 ** 18)],
         ["simulate", "--n-runs", TOO_BIG],
+        ["figure", "alpha_curve", "--points", TOO_BIG],
         ["figure", "beta_curve", "--points", TOO_BIG],
         ["sweep", "--axis", f"a:1:2:{TOO_BIG}", "--fix", "i_beta=0.1", "--fix", "i_sigma=0.1"],
     ])
