@@ -13,11 +13,14 @@ bit-identical for any worker count, and run 0 of a batch equals
 A batch is played in chunks of 65,536 runs, and a chunk in slices of 16,384
 runs: each slice's random words are drawn just before the kernel,
 ``simulate_runs``, plays it into the chunk's ``SimulationTrace`` arrays, so
-only one slice's words are alive at a time.  Each chunk is reduced to
-summary statistics, handed to an optional callback (the CLI writes it to the
-trace file there) and dropped, so peak memory is O(chunk x workers) whatever
-the number of runs.  The payoffs are reduced scaled by powers of two that
-the batch's x and cost fix, so huge finite payoffs give finite statistics.
+only one slice's words per worker are alive at a time.  With more than one
+worker a thread pool plays the slices, with ceil(workers / 4) chunks ahead
+of the one the caller holds.  Each chunk is reduced to summary statistics,
+handed to an optional callback (the CLI writes it to the trace file there)
+and dropped, so peak memory is one chunk's arrays on one worker and
+ceil(workers / 4) + 1 chunks' on more, whatever the number of runs.  The
+payoffs are reduced scaled by powers of two that the batch's x and cost fix,
+so huge finite payoffs give finite statistics.
 """
 
 from __future__ import annotations
@@ -42,9 +45,12 @@ from .stochastics import SeedSpec, _ppf, uniform_blocks
 # 10% slower (0.245 against 0.222 s, paying per-chunk writes and hand-offs
 # four times as often), and unsliced 32,768-run chunks made 1M runs slower
 # (0.163 against 0.133 s; fresh processes, interleaved pairs).  The price is
-# memory: in perfbench pairs, one-slice chunks lowered peak RSS from 49.4 to
-# 42.3 MB on the traced 200k runs and from 39.6 to 37.3 MB on 1M untraced
-# runs, at 8-20% more time on both.
+# memory, 3.2 MB of arrays for each chunk alive, and workers share chunks: a
+# batch holds one chunk for every four workers, rounded up, beside the
+# caller's (``_play_chunks``).  When each worker played a chunk of its own,
+# one-slice chunks lowered peak RSS in perfbench pairs from 49.4 to 42.3 MB on
+# the traced 200k runs and from 39.6 to 37.3 MB on 1M untraced runs, at 8-20%
+# more time on both.
 _CHUNK = 65536
 
 # Runs per kernel call.  A slice's uniforms (24 bytes per run, drawn just
@@ -251,53 +257,66 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
                  seed: SeedSpec, workers: int):
     """Yield ``(first_run, chunk)`` for the batch's chunks in run order.
 
-    Each chunk is a ``SimulationTrace`` of up to ``_CHUNK`` runs.  With more
-    than one worker a thread pool plays at most ``workers`` chunks while the
-    caller holds one.  A chunk's arrays are reused once the caller asks for
-    the next chunk: fresh arrays would fault their pages in every time (1M
-    runs took 0.165 s against 0.135 s).  A chunk is played ``_SLICE`` runs at
-    a time: ``simulate_runs``, a module global that a profiler may replace,
-    reads a slice's ``(n, 3)`` rows of ``run_uniforms`` in place, a view of
-    the 4-word blocks that hold the slice's words, drawn just before the
-    call, so no other slice's words (0.4 MB each) wait beside it.
+    Each chunk is a ``SimulationTrace`` of up to ``_CHUNK`` runs, played
+    ``_SLICE`` runs at a time: ``simulate_runs``, a module global that a
+    profiler may replace, reads a slice's ``(n, 3)`` rows of ``run_uniforms``
+    in place, a view of the 4-word blocks that hold the slice's words, drawn
+    just before the call, so no other slice's words (0.4 MB each) wait beside
+    it.  With more than one worker the slices are a thread pool's unit of
+    work: at most ``workers`` play at once, and the pool plays the fewest
+    chunks ahead of the caller's that hold a slice for every worker,
+    ceil(workers / slices per chunk), so a batch holds that many chunks plus
+    the caller's.  A chunk's arrays are reused once the caller asks for the
+    next chunk: fresh arrays would fault their pages in every time (1M runs
+    took 0.165 s against 0.135 s).
     """
     beta = reliability(strategy.i_beta, env.i_fifty)
     sigma = estimate_scale(strategy.i_sigma, env.i_fifty)
     x = env.target_value.value
     starts = range(0, n, _CHUNK)
-    workers = min(workers, len(starts))
+    per_chunk = -(-min(n, _CHUNK) // _SLICE)
+    # Workers beyond the batch's slices would idle; one slice needs no pool.
+    workers = min(workers, len(starts) * per_chunk)
+    ahead = 0 if workers == 1 else min(-(-workers // per_chunk), len(starts) - 1)
     # One set of arrays for each chunk alive at a time.
-    slots = [_empty_trace(x, min(n, _CHUNK))
-             for _ in range(1 if workers == 1 else workers + 1)]
+    slots = [_empty_trace(x, min(n, _CHUNK)) for _ in range(ahead + 1)]
 
-    def play(k):
-        lo = starts[k]
-        m = min(_CHUNK, n - lo)
-        chunk = _rows_of(slots[k % len(slots)], 0, m)
+    def play(lo, chunk, s):
+        n_slice = min(_SLICE, len(chunk.kind) - s)
         # Inputs near the float64 limit overflow to inf; run_batch reports a
         # non-finite payoff as a NumericalError instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(0, m, _SLICE):
-                n_slice = min(_SLICE, m - s)
-                simulate_runs(run_uniforms(seed, lo + s, n_slice), strategy.a, beta, sigma,
-                              x, strategy.cost, _rows_of(chunk, s, s + n_slice))
-        return lo, chunk
+            simulate_runs(run_uniforms(seed, lo + s, n_slice), strategy.a, beta, sigma,
+                          x, strategy.cost, _rows_of(chunk, s, s + n_slice))
+
+    def chunk_at(k):
+        lo = starts[k]
+        return lo, _rows_of(slots[k % len(slots)], 0, min(_CHUNK, n - lo))
 
     if workers == 1:
-        yield from map(play, range(len(starts)))
+        for lo, chunk in map(chunk_at, range(len(starts))):
+            for s in range(0, len(chunk.kind), _SLICE):
+                play(lo, chunk, s)
+            yield lo, chunk
         return
     # Imported here: a one-worker batch, the CLI's default, needs no pool.
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # Chunk k + workers + 1 reuses chunk k's slot, so it is submitted
-        # only after the caller has asked for chunk k + 1.
-        ahead = deque()
+        def submit(k):
+            lo, chunk = chunk_at(k)
+            return lo, chunk, [pool.submit(play, lo, chunk, s)
+                               for s in range(0, len(chunk.kind), _SLICE)]
+
+        queue = deque(map(submit, range(ahead)))
         for k in range(len(starts)):
-            ahead.append(pool.submit(play, k))
-            if len(ahead) > workers:
-                yield ahead.popleft().result()
-        for future in ahead:
-            yield future.result()
+            # Chunk k + ahead reuses chunk k - 1's slot, so it is submitted
+            # only once the caller has asked for chunk k.
+            if k + ahead < len(starts):
+                queue.append(submit(k + ahead))
+            lo, chunk, played = queue.popleft()
+            for future in played:
+                future.result()
+            yield lo, chunk
 
 
 def _chunk_moments(chunk: SimulationTrace, exponents: tuple) -> tuple:
@@ -351,7 +370,8 @@ def run_batch(config: SimulationConfig, workers: int = 1,
     Runs are played in chunks of 65,536.  Each chunk is reduced to its
     count, attacker mean, centred sum of squares (M2), defender sum and
     outcome counts, merged into the batch's totals in chunk order, and
-    dropped, so peak memory is O(chunk x workers) whatever n_runs is.  They
+    dropped, so peak memory is one chunk's arrays on one worker and
+    ceil(workers / 4) + 1 chunks' on more, whatever n_runs is.  They
     are reduced scaled by the powers of two that x and the cost fix
     (``_exponents``), and the report's values are scaled back at the end.
     ``on_chunk(chunk, first_run)``, if given, is called on each chunk in run

@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -202,12 +203,14 @@ class TestRunBatch:
         slope = (peak(large) - peak(small)) / (large - small)
         assert slope < 28.0
 
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 4, 16])
     @pytest.mark.parametrize("traced", [False, True])
     def test_peak_memory_is_flat_in_n_runs(self, monkeypatch, workers, traced):
         if traced:
-            # Formatting rows under tracemalloc is slow: use small chunks.
+            # Formatting rows under tracemalloc is slow: use small chunks, of
+            # four slices as at full size.
             monkeypatch.setattr(simulate, "_CHUNK", 1024)
+            monkeypatch.setattr(simulate, "_SLICE", 256)
         buf = io.StringIO()
 
         def write(chunk, first_run):
@@ -215,23 +218,35 @@ class TestRunBatch:
             buf.truncate()
             write_trace_csv(chunk, buf, first_run=first_run)
 
-        def peak(chunks, n_workers):
-            run_batch(_config(n=2, seed=2), on_chunk=write if traced else None)  # warm-up
+        def peak(chunks, n_workers, on_chunk):
+            run_batch(_config(n=2, seed=2), on_chunk=on_chunk)  # warm-up
             tracemalloc.start()
             try:
                 run_batch(_config(n=chunks * simulate._CHUNK, seed=2), workers=n_workers,
-                          on_chunk=write if traced else None)
+                          on_chunk=on_chunk)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        # A chunk in flight holds its arrays, one slice's uniforms, the
-        # kernel's temporaries and, traced, its text.  Up to workers + 1
-        # chunks are alive at once and two chunks keep two alive, so sixteen
-        # chunks may add workers - 1 of them, and nothing per run.
-        one_chunk = peak(1, 1)
-        few, many = peak(2, workers), peak(16, workers)
-        assert many - few < (workers - 1) * one_chunk + 64 * 1024
+        # A chunk's arrays take 49 bytes a run.  Beside them each busy worker
+        # holds one slice's uniforms and the kernel's temporaries (extra)
+        # and, traced, the caller one chunk's text.  One worker keeps one
+        # chunk alive; a pool keeps A + 1, the caller's and the
+        # A = ceil(workers / slices per chunk) played ahead of it, or all the
+        # rest if fewer.  So a sixteen-chunk batch may exceed a two-chunk one
+        # by the arrays of its extra alive chunks and the extras of all
+        # workers but one, and by nothing per run.
+        arrays = 49 * simulate._CHUNK
+        extra = peak(1, 1, None) - arrays
+        per_chunk = simulate._CHUNK // simulate._SLICE
+
+        def alive(chunks):
+            return 1 + (0 if workers == 1 else min(-(-workers // per_chunk), chunks - 1))
+
+        on_chunk = write if traced else None
+        few, many = peak(2, workers, on_chunk), peak(16, workers, on_chunk)
+        assert many - few < ((alive(16) - alive(2)) * arrays + (workers - 1) * extra
+                             + 64 * 1024)
 
     def test_one_chunk_allocates_under_1_mb_beyond_its_arrays(self):
         # Beside the chunk's seven arrays (49 bytes a run) live only one
@@ -319,24 +334,89 @@ class TestRunBatch:
             assert bits(run_batch(cfg, workers=workers)) == want
 
     def test_worker_invariance_of_streamed_trace(self, monkeypatch):
-        # Summary bits and streamed trace bytes for 1, 4 and 16 workers, with
-        # small chunks so that every worker count reuses chunk arrays; the
-        # streamed bytes equal the whole trace written at once.
-        monkeypatch.setattr(simulate, "_CHUNK", 1000)
+        # Summary bits and streamed trace bytes for several worker counts,
+        # with small chunks so that every worker count reuses chunk arrays;
+        # the streamed bytes equal the whole trace written at once.  Chunks
+        # of 1,000 runs are one slice each; chunks of 1,024 runs are four
+        # slices, which workers play at once, and the batch ends mid-slice.
         cfg = _config(n=20_500, seed=6)
-        whole, trace = run_traced(cfg)
-        expected = io.StringIO()
-        write_trace_csv(trace, expected, header_lines=("config: {}",))
-        for workers in (1, 4, 16):
-            buf = io.StringIO()
-            report = run_batch(cfg, workers=workers, on_chunk=lambda chunk, first_run:
-                               write_trace_csv(chunk, buf, ("config: {}",), first_run))
-            _assert_same_lines(buf.getvalue(), expected.getvalue())
-            assert report.mean_attacker_profit.hex() == whole.mean_attacker_profit.hex()
-            assert report.std_error_attacker_profit.hex() == \
-                whole.std_error_attacker_profit.hex()
-            assert report.mean_defender_utility.hex() == whole.mean_defender_utility.hex()
-            assert report.outcome_counts == whole.outcome_counts
+        for chunk_runs, slice_runs, worker_counts in ((1000, simulate._SLICE, (1, 4, 16)),
+                                                      (1024, 256, (2, 3, 5, 16))):
+            monkeypatch.setattr(simulate, "_CHUNK", chunk_runs)
+            monkeypatch.setattr(simulate, "_SLICE", slice_runs)
+            whole, trace = run_traced(cfg)
+            expected = io.StringIO()
+            write_trace_csv(trace, expected, header_lines=("config: {}",))
+            for workers in worker_counts:
+                buf = io.StringIO()
+                report = run_batch(cfg, workers=workers, on_chunk=lambda chunk, first_run:
+                                   write_trace_csv(chunk, buf, ("config: {}",), first_run))
+                _assert_same_lines(buf.getvalue(), expected.getvalue())
+                assert report.mean_attacker_profit.hex() == whole.mean_attacker_profit.hex()
+                assert report.std_error_attacker_profit.hex() == \
+                    whole.std_error_attacker_profit.hex()
+                assert report.mean_defender_utility.hex() == whole.mean_defender_utility.hex()
+                assert report.outcome_counts == whole.outcome_counts
+
+    @pytest.mark.parametrize("workers", [2, 3, 5, 16])
+    def test_pool_plays_at_most_workers_slices_in_a_plus_one_chunks(self, monkeypatch,
+                                                                       workers):
+        # Four slices a chunk: at most `workers` slices play at once, into
+        # the arrays of A + 1 chunks, A = ceil(workers / 4).
+        monkeypatch.setattr(simulate, "_CHUNK", 1024)
+        monkeypatch.setattr(simulate, "_SLICE", 256)
+        lock = threading.Lock()
+        playing, most, arrays = [0], [0], set()
+        play = simulate.simulate_runs
+
+        def counted(u3, a, beta, sigma, x, cost, chunk):
+            with lock:
+                playing[0] += 1
+                most[0] = max(most[0], playing[0])
+                arrays.add(id(chunk.kind.base))
+            try:
+                play(u3, a, beta, sigma, x, cost, chunk)
+            finally:
+                with lock:
+                    playing[0] -= 1
+
+        want = run_batch(_config(n=20_500, seed=6))
+        monkeypatch.setattr(simulate, "simulate_runs", counted)
+        # Switching threads often makes a slice that overwrote another's
+        # rows, or a chunk handed out before its last slice, show in the bits.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert run_batch(_config(n=20_500, seed=6), workers=workers) == want
+        finally:
+            sys.setswitchinterval(interval)
+        assert most[0] <= workers
+        assert len(arrays) == -(-workers // 4) + 1
+
+    def test_slice_error_on_a_pool_thread_reaches_the_caller(self, monkeypatch):
+        # A slice of chunk 1 fails on a worker thread: the error reaches the
+        # caller, chunk 1 is never handed out, and the pool joins its workers.
+        monkeypatch.setattr(simulate, "_CHUNK", 1024)
+        monkeypatch.setattr(simulate, "_SLICE", 256)
+        cfg = _config(n=10_000)
+        failing = run_uniforms(cfg.seed, 1024 + 256, 256)
+        play = simulate.simulate_runs
+        raised_on = []
+
+        def fail_once(u3, *args):
+            if np.array_equal(u3, failing):
+                raised_on.append(threading.current_thread())
+                raise RuntimeError("slice 1 of chunk 1 failed")
+            play(u3, *args)
+
+        monkeypatch.setattr(simulate, "simulate_runs", fail_once)
+        baseline = threading.active_count()
+        seen = []
+        with pytest.raises(RuntimeError, match="slice 1 of chunk 1 failed"):
+            run_batch(cfg, workers=3, on_chunk=lambda chunk, first_run: seen.append(first_run))
+        assert seen == [0]
+        assert raised_on and raised_on[0] is not threading.main_thread()
+        assert threading.active_count() == baseline
 
     def test_callback_error_stops_the_batch_and_joins_its_workers(self, monkeypatch):
         # A batch abandoned mid-way closes its chunk generator, whose thread
