@@ -190,9 +190,9 @@ def demand_factor(a, beta):
     return a * beta / (1.0 + a)
 
 
-def _counteroffer_at(r, cap):
+def _counteroffer_at(r, cap, out=None):
     """min(r, cap), unchecked: the demand, or the payment cap below it."""
-    c = np.minimum(r, cap)
+    c = np.minimum(r, cap, out=out)
     return c if c.ndim else float(c)
 
 

@@ -12,22 +12,26 @@ bit-identical for any worker count, and run 0 of a batch equals
 
 A batch is played in chunks of 65,536 runs, and a chunk in slices of 16,384
 runs: each slice's random words are drawn just before the kernel,
-``simulate_runs``, plays it into the chunk's ``SimulationTrace`` arrays, so
-only one slice's words per worker are alive at a time.  With more than one
-worker a thread pool plays the slices, with ceil(workers / 4) chunks ahead
-of the one the caller holds.  Each chunk is reduced to summary statistics,
-handed to an optional callback (the CLI writes it to the trace file there)
-and dropped, so peak memory is one chunk's arrays on one worker and
-ceil(workers / 4) + 1 chunks' on more, whatever the number of runs.  The
-payoffs are reduced scaled by powers of two that the batch's x and cost fix,
-so huge finite payoffs give finite statistics.
+``simulate_runs``, plays it into the chunk's arrays, so only one slice's
+words per worker are alive at a time.  A chunk stores what its readers
+read: the outcome kind and both payoffs, which the batch reduces, and
+``x_tilde`` only when a callback takes the chunk; the demand, counteroffer
+and alpha that the callback also gets are derived from ``x_tilde`` as the
+chunk is handed over.  With more than one worker a thread pool plays the
+slices, with ceil(workers / 4) chunks ahead of the one the caller holds.
+Each chunk is reduced to summary statistics, handed to an optional callback
+(the CLI writes it to the trace file there) and dropped, so peak memory is
+one chunk's arrays on one worker and ceil(workers / 4) + 1 chunks' on more,
+whatever the number of runs.  The payoffs are reduced scaled by powers of
+two that the batch's x and cost fix, so huge finite payoffs give finite
+statistics.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import IO, Callable, Optional
 
 import numpy as np
@@ -45,12 +49,13 @@ from .stochastics import SeedSpec, _ppf, uniform_blocks
 # 10% slower (0.245 against 0.222 s, paying per-chunk writes and hand-offs
 # four times as often), and unsliced 32,768-run chunks made 1M runs slower
 # (0.163 against 0.133 s; fresh processes, interleaved pairs).  The price is
-# memory, 3.2 MB of arrays for each chunk alive, and workers share chunks: a
-# batch holds one chunk for every four workers, rounded up, beside the
-# caller's (``_play_chunks``).  When each worker played a chunk of its own,
-# one-slice chunks lowered peak RSS in perfbench pairs from 49.4 to 42.3 MB on
-# the traced 200k runs and from 39.6 to 37.3 MB on 1M untraced runs, at 8-20%
-# more time on both.
+# memory, 17 bytes a run for each chunk alive (1.1 MB; 25 bytes, 1.6 MB, in a
+# traced batch, which also holds one 24-byte-a-run hand-off set), and workers
+# share chunks: a batch holds one chunk for every four workers, rounded up,
+# beside the caller's (``_play_chunks``).  When each worker played a chunk of
+# its own, one-slice chunks lowered peak RSS in perfbench pairs from 49.4 to
+# 42.3 MB on the traced 200k runs and from 39.6 to 37.3 MB on 1M untraced
+# runs, at 8-20% more time on both.
 _CHUNK = 65536
 
 # Runs per kernel call.  A slice's uniforms (24 bytes per run, drawn just
@@ -155,14 +160,17 @@ def _outcome_from_arrays(trace: SimulationTrace, i: int) -> NegotiationOutcome:
                               defender_payoff=float(trace.defender_payoff[i]))
 
 
-def _empty_trace(x: float, n: int) -> SimulationTrace:
-    return SimulationTrace(x, *(np.empty(n, np.uint8 if a == "kind" else np.float64)
-                                for a in _TRACE_ARRAYS))
+def _empty_trace(x: float, n: int, traced: bool) -> SimulationTrace:
+    """A chunk slot of n runs: ``kind`` and both payoffs, and ``x_tilde`` if
+    ``traced``.  Its demand, counteroffer and alpha are None (``_handed_off``)."""
+    return SimulationTrace(x, np.empty(n) if traced else None, None, None, None,
+                           np.empty(n, np.uint8), np.empty(n), np.empty(n))
 
 
 def _rows_of(trace: SimulationTrace, lo: int, hi: int) -> SimulationTrace:
-    """Runs ``lo .. hi - 1`` of ``trace``, as views of its arrays."""
-    return SimulationTrace(trace.x, *(getattr(trace, a)[lo:hi] for a in _TRACE_ARRAYS))
+    """Runs ``lo .. hi - 1`` of ``trace``, as views of the arrays it has."""
+    views = (getattr(trace, a) for a in _TRACE_ARRAYS)
+    return SimulationTrace(trace.x, *(v if v is None else v[lo:hi] for v in views))
 
 
 def _unscale(value: float, exponent: int) -> float:
@@ -196,48 +204,62 @@ def run_uniforms(seed: SeedSpec, first_run: int, n_runs: int) -> np.ndarray:
     return words[skip:skip + 3 * n_runs].reshape(n_runs, 3)
 
 
+def _negotiate(x_tilde, a, beta, x, demand, counteroffer):
+    """Write each run's demand and counteroffer given its estimate x_tilde, and
+    return ``(full, capped, alpha)``: whether the demand is paid in full, the
+    indexes of the runs capped below it, and their aggression probabilities.
+
+    The uncapped runs' alpha is 0.  ``counteroffer`` may be ``x_tilde``'s
+    array, which it overwrites once ``demand`` is written.
+    """
+    k = demand_factor(a, beta)
+    c_max = k * x
+    np.multiply(k, x_tilde, out=demand)
+    full = demand <= c_max
+    _counteroffer_at(demand, c_max, out=counteroffer)
+    # Only demands above the cap risk aggression, and there the counteroffer
+    # is the cap; c_max / demand never divides 0 by 0 (beta = 0).
+    capped = np.flatnonzero(~full)
+    return full, capped, _aggression(c_max, demand.take(capped), a)
+
+
 def simulate_runs(u3, a, beta, sigma, x, cost, chunk: SimulationTrace):
     """Play one game per row of u3 (open-interval uniforms, three or more per run).
 
     Column 0 drives the value estimate, column 1 the aggression draw,
     column 2 the decryption draw; further columns are not read, so u3 may
     be the ``(n, 3)`` rows of ``run_uniforms`` or any wider array.  Run i is
-    written in place to run i of ``chunk``.  Each run depends only on its
-    own row, so any split of the rows into calls gives the same results; a
-    batch plays ``_SLICE`` rows a call.
+    written in place to run i of ``chunk``'s ``kind``, payoffs and, unless
+    it is None, ``x_tilde`` (``_empty_trace``); ``_handed_off`` derives the
+    rest.  Each run depends only on its own row, so any split of the rows
+    into calls gives the same results; a batch plays ``_SLICE`` rows a call.
     """
-    k = demand_factor(a, beta)
-    c_max = k * x
-    x_tilde, demand, counteroffer, alpha = (chunk.x_tilde, chunk.demand, chunk.counteroffer,
-                                            chunk.alpha)
     attacker, defender, kind = chunk.attacker_payoff, chunk.defender_payoff, chunk.kind
+    # The output arrays are the kernel's scratch: x_tilde, if not stored,
+    # lives in attacker, the demand in defender and the counteroffer in
+    # attacker until the payoffs replace them.  Arrays of the slice's length
+    # allocated per call would fault their pages in every time.
+    x_tilde = attacker if chunk.x_tilde is None else chunk.x_tilde
     np.multiply(sigma, _ppf(u3[:, 0]), out=x_tilde)
     np.exp(x_tilde, out=x_tilde)
     x_tilde *= x
-    np.multiply(k, x_tilde, out=demand)
-    full = demand <= c_max
-    counteroffer[...] = _counteroffer_at(demand, c_max)
-    # Only demands above the cap risk aggression, and there the counteroffer
-    # is the cap; full payment has alpha 0, and c_max / demand never divides
-    # 0 by 0 (beta = 0).
-    capped = np.flatnonzero(~full)
-    alpha.fill(0.0)
-    alpha.put(capped, _aggression(c_max, demand.take(capped), a))
-
-    aggressive = u3[:, 1] < alpha
+    full, capped, alpha = _negotiate(x_tilde, a, beta, x, defender, attacker)
+    # u < 0 never holds, so only capped runs can be aggressive.
+    aggressive = np.zeros(len(kind), bool)
+    aggressive.put(capped, u3[capped, 1] < alpha)
     lost = u3[:, 2] >= beta
     # The defender pays C and keeps the data if decrypted, pays C and loses
     # x if not, and loses x with nothing paid after aggression.  Products,
     # not masked copies, select the payoffs: random masks make a masked
-    # copy branch unpredictably.  attacker first holds -C*keep as
-    # C * (aggressive - 1), which is -C when kept and +0 when not (C is
-    # finite and >= 0), so the payoffs are
+    # copy branch unpredictably.  attacker, which holds C, first becomes
+    # -C*keep as C * (aggressive - 1), which is -C when kept and +0 when not
+    # (C is finite and >= 0), so the payoffs are
     #   defender = -C*keep - x*(lost or aggressive)
     #   attacker = -cost - (-C*keep)
     # with the bits of the -x, -C, -x - C, -cost and C - cost they stand for,
     # signed zeros included: an aggressive run at cost 0 gets -0.0.
-    np.subtract(aggressive, 1.0, out=attacker)
-    attacker *= counteroffer
+    np.subtract(aggressive, 1.0, out=defender)
+    attacker *= defender
     lost |= aggressive
     np.multiply(lost, x, out=defender)
     np.subtract(attacker, defender, out=defender)
@@ -254,10 +276,12 @@ def simulate_runs(u3, a, beta, sigma, x, cost, chunk: SimulationTrace):
 
 
 def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
-                 seed: SeedSpec, workers: int):
+                 seed: SeedSpec, workers: int, traced: bool):
     """Yield ``(first_run, chunk)`` for the batch's chunks in run order.
 
-    Each chunk is a ``SimulationTrace`` of up to ``_CHUNK`` runs, played
+    Each chunk is a ``SimulationTrace`` of up to ``_CHUNK`` runs that holds
+    ``kind`` and both payoffs, 17 bytes a run, and ``x_tilde`` too if
+    ``traced``, 25 bytes a run (``_empty_trace``).  It is played
     ``_SLICE`` runs at a time: ``simulate_runs``, a module global that a
     profiler may replace, reads a slice's ``(n, 3)`` rows of ``run_uniforms``
     in place, a view of the 4-word blocks that hold the slice's words, drawn
@@ -279,7 +303,7 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
     workers = min(workers, len(starts) * per_chunk)
     ahead = 0 if workers == 1 else min(-(-workers // per_chunk), len(starts) - 1)
     # One set of arrays for each chunk alive at a time.
-    slots = [_empty_trace(x, min(n, _CHUNK)) for _ in range(ahead + 1)]
+    slots = [_empty_trace(x, min(n, _CHUNK), traced) for _ in range(ahead + 1)]
 
     def play(lo, chunk, s):
         n_slice = min(_SLICE, len(chunk.kind) - s)
@@ -354,12 +378,27 @@ def _merge_moments(a: tuple, b: tuple) -> tuple:
             def_a + def_b, counts_a + counts_b)
 
 
+def _handed_off(chunk: SimulationTrace, a: float, beta: float,
+                derived: np.ndarray) -> SimulationTrace:
+    """``chunk`` with the demand, counteroffer and alpha of its ``x_tilde``,
+    written into the first ``len(chunk.kind)`` columns of ``derived``'s three
+    rows, by the kernel's own steps (``_negotiate``), so they have its bits."""
+    demand, counteroffer, alpha = derived[:, :len(chunk.kind)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, capped, alpha_capped = _negotiate(chunk.x_tilde, a, beta, chunk.x, demand,
+                                             counteroffer)
+    alpha.fill(0.0)
+    alpha.put(capped, alpha_capped)
+    return replace(chunk, demand=demand, counteroffer=counteroffer, alpha=alpha)
+
+
 def run_single(strategy: AttackerStrategy, env: GameEnvironment,
                seed: SeedSpec) -> NegotiationOutcome:
     """Play one game on the first three words of the stream identified by ``seed``."""
     SimulationConfig(strategy, env, 1, seed)  # the same checks as a batch
-    _, chunk = next(_play_chunks(strategy, env, 1, seed, workers=1))
-    return _outcome_from_arrays(chunk, 0)
+    _, chunk = next(_play_chunks(strategy, env, 1, seed, workers=1, traced=True))
+    beta = reliability(strategy.i_beta, env.i_fifty)
+    return _outcome_from_arrays(_handed_off(chunk, strategy.a, beta, np.empty((3, 1))), 0)
 
 
 def run_batch(config: SimulationConfig, workers: int = 1,
@@ -375,9 +414,12 @@ def run_batch(config: SimulationConfig, workers: int = 1,
     are reduced scaled by the powers of two that x and the cost fix
     (``_exponents``), and the report's values are scaled back at the end.
     ``on_chunk(chunk, first_run)``, if given, is called on each chunk in run
-    order, on the calling thread, after the chunk's payoffs are checked; the
-    chunk's arrays are reused once it returns, so a caller that keeps per-run
-    data copies it there.
+    order, on the calling thread, after the chunk's payoffs are checked.  A
+    chunk stores only ``x_tilde``, ``kind`` and the payoffs; its demand,
+    counteroffer and alpha are derived from ``x_tilde`` just before the call,
+    into three arrays that the batch allocates once.  All of the chunk's
+    arrays are reused once the callback returns, so a caller that keeps
+    per-run data copies it there.
 
     The report is a pure function of ``config``: the worker count never
     changes any output bit.  A payoff or a statistic that is not finite
@@ -388,13 +430,17 @@ def run_batch(config: SimulationConfig, workers: int = 1,
     n = config.n_runs
     e_att, e_def = exponents = _exponents(config.environment.target_value.value,
                                           config.strategy.cost)
+    traced = on_chunk is not None
+    if traced:
+        beta = reliability(config.strategy.i_beta, config.environment.i_fifty)
+        derived = np.empty((3, min(n, _CHUNK)))
     total = None
     for first_run, chunk in _play_chunks(config.strategy, config.environment, n,
-                                         config.seed, workers):
+                                         config.seed, workers, traced):
         moments = _chunk_moments(chunk, exponents)
         total = moments if total is None else _merge_moments(total, moments)
-        if on_chunk is not None:
-            on_chunk(chunk, first_run)
+        if traced:
+            on_chunk(_handed_off(chunk, config.strategy.a, beta, derived), first_run)
 
     _, mean_att, m2, def_sum, counts = total
     std_err = _unscale(math.sqrt(m2 / (n - 1) / n), e_att) if n > 1 else None

@@ -3,7 +3,9 @@
 The ``_reference_*`` functions are the array code that the kernel replaced:
 an ``astype`` uniform mapping, a masked ``_ppf`` and a kernel of boolean
 gathers and nested ``np.where``.  Every output of the kernel must have
-their bytes, on whole batches and on the edge cases of the game.  The
+their bytes, on whole batches and on the edge cases of the game: the arrays
+the kernel stores in a chunk, and the demand, counteroffer and alpha that
+the hand-off to ``on_chunk`` derives from the stored ``x_tilde``.  The
 stream's words have a reference too: SplitMix64 written with Python ints.
 """
 
@@ -15,7 +17,8 @@ import pytest
 
 from ransomgame import (AttackerStrategy, FixedValue, GameEnvironment, SeedSpec,
                         SimulationConfig, estimate_scale, reliability, run_batch)
-from ransomgame.simulate import _CHUNK, _SLICE, _empty_trace, run_uniforms, simulate_runs
+from ransomgame.simulate import (_CHUNK, _SLICE, _empty_trace, _handed_off, run_uniforms,
+                                 simulate_runs)
 from ransomgame.stochastics import (_AS241_CENTRAL, _AS241_FAR, _AS241_NEAR, _horner,
                                    _ppf, uniform_blocks)
 
@@ -116,22 +119,34 @@ _FIELDS = ("x_tilde", "demand", "counteroffer", "alpha", "attacker_payoff",
            "defender_payoff", "kind")
 
 
-def _play(u, params):
+# What an untraced chunk stores; a traced one stores x_tilde too.
+_STORED = ("attacker", "defender", "kind")
+
+
+def _play(u, params, traced):
+    """The outputs that the kernel stores in a chunk, and, traced, those that
+    the hand-off derives from its x_tilde."""
     a, beta, sigma, x, i_beta, i_sigma = params
-    chunk = _empty_trace(x, len(u))
+    chunk = _empty_trace(x, len(u), traced)
     simulate_runs(u, a, beta, sigma, x, i_beta + i_sigma, chunk)
-    return {name: getattr(chunk, f) for name, f in zip(_OUTPUTS, _FIELDS)}
+    if traced:
+        chunk = _handed_off(chunk, a, beta, np.empty((3, len(u))))
+    got = {name: getattr(chunk, f) for name, f in zip(_OUTPUTS, _FIELDS)}
+    return {name: v for name, v in got.items() if v is not None}
 
 
 def _assert_kernel_matches(u, params):
-    """The kernel on u's first three columns, contiguous and as given, has the
-    reference's bytes in all seven outputs; returns the outputs."""
+    """The kernel on u's first three columns, contiguous and as given, into
+    untraced and traced chunks, has the reference's bytes in every output it
+    stores, and the hand-off in the other four; returns the traced outputs."""
     u3 = np.ascontiguousarray(u[:, :3])
     want = dict(zip(_OUTPUTS, _reference_simulate_runs(u3, *params)))
     for layout in (u3, u):
-        got = _play(layout, params)
-        for name in _OUTPUTS:
-            assert got[name].tobytes() == want[name].tobytes(), name
+        for traced in (False, True):
+            got = _play(layout, params, traced)
+            assert set(got) == set(_OUTPUTS if traced else _STORED)
+            for name in got:
+                assert got[name].tobytes() == want[name].tobytes(), name
     return got
 
 
@@ -233,3 +248,22 @@ def test_edge_uniforms_have_reference_bytes():
     rows = np.array(list(itertools.product(_EDGE_U, repeat=3)))
     _assert_kernel_matches(rows, _params(4.68, 0.091, 0.104, 1.0))
     _assert_kernel_matches(np.hstack([rows, rows[:, :1]]), _params(0.5, 0.5, 0.001, 2.0))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("strategy, x", [((4.68, 0.091, 0.104), 1.0),
+                                         ((0.3, 0.5, 0.01), 3.0),
+                                         ((20.0, 0.0, 0.104), 1e300)])
+def test_handed_off_chunks_have_reference_bytes(strategy, x, workers):
+    # Three chunks, the last one partial: on_chunk gets every run's seven
+    # arrays, in run order, with the reference's bytes.
+    n = 150_001
+    config = SimulationConfig(AttackerStrategy(*strategy), GameEnvironment(0.02, FixedValue(x)),
+                              n, SeedSpec(7))
+    parts = []
+    run_batch(config, workers, on_chunk=lambda chunk, first_run: parts.append(
+        (first_run, {f: getattr(chunk, f).tobytes() for f in _FIELDS})))
+    assert [first_run for first_run, _ in parts] == list(range(0, n, _CHUNK))
+    want = _reference_simulate_runs(run_uniforms(config.seed, 0, n), *_params(*strategy, x))
+    for name, f, w in zip(_OUTPUTS, _FIELDS, want):
+        assert b"".join(arrays[f] for _, arrays in parts) == w.tobytes(), name

@@ -125,7 +125,7 @@ class TestDegenerateCases:
         # directly to check the Bernoulli wiring.
         n = 4096
         u3 = np.ascontiguousarray(uniform_blocks(SeedSpec(5), 0, n)[:, :3])
-        chunk = _empty_trace(1.0, n)
+        chunk = _empty_trace(1.0, n, traced=False)
         simulate_runs(u3, 4.68, 1.0, 0.5, 1.0, 0.09 + 0.1, chunk)
         kind = chunk.kind
         assert not np.any((kind == 2) | (kind == 4))
@@ -212,14 +212,29 @@ class TestRunBatch:
             monkeypatch.setattr(simulate, "_CHUNK", 1024)
             monkeypatch.setattr(simulate, "_SLICE", 256)
         buf = io.StringIO()
+        # The bytes of each chunk slot a batch allocates, and the arrays that
+        # the hand-offs' demand, counteroffer and alpha are views of.
+        slot_bytes, handed_off = [], []
+        empty_trace = simulate._empty_trace
+
+        def counted_empty_trace(*args):
+            slot = empty_trace(*args)
+            slot_bytes.append(sum(v.nbytes for v in vars(slot).values()
+                                  if isinstance(v, np.ndarray)))
+            return slot
+
+        monkeypatch.setattr(simulate, "_empty_trace", counted_empty_trace)
 
         def write(chunk, first_run):
+            handed_off.extend(getattr(chunk, a).base for a in ("demand", "counteroffer", "alpha"))
             buf.seek(0)
             buf.truncate()
             write_trace_csv(chunk, buf, first_run=first_run)
 
         def peak(chunks, n_workers, on_chunk):
             run_batch(_config(n=2, seed=2), on_chunk=on_chunk)  # warm-up
+            slot_bytes.clear()
+            handed_off.clear()
             tracemalloc.start()
             try:
                 run_batch(_config(n=chunks * simulate._CHUNK, seed=2), workers=n_workers,
@@ -228,28 +243,38 @@ class TestRunBatch:
             finally:
                 tracemalloc.stop()
 
-        # A chunk's arrays take 49 bytes a run.  Beside them each busy worker
-        # holds one slice's uniforms and the kernel's temporaries (extra)
-        # and, traced, the caller one chunk's text.  One worker keeps one
-        # chunk alive; a pool keeps A + 1, the caller's and the
-        # A = ceil(workers / slices per chunk) played ahead of it, or all the
-        # rest if fewer.  So a sixteen-chunk batch may exceed a two-chunk one
-        # by the arrays of its extra alive chunks and the extras of all
+        # A chunk stores 17 bytes a run (kind and both payoffs), 25 traced
+        # (and x_tilde), and a traced batch holds one 24-byte-a-run set of
+        # hand-off arrays, however many chunks are alive.  Beside them each
+        # busy worker holds one slice's uniforms and the kernel's
+        # temporaries (extra) and, traced, the caller one chunk's text.  One
+        # worker keeps one chunk alive; a pool keeps A + 1, the caller's and
+        # the A = ceil(workers / slices per chunk) played ahead of it, or all
+        # the rest if fewer.  So a sixteen-chunk batch may exceed a two-chunk
+        # one by the arrays of its extra alive chunks and the extras of all
         # workers but one, and by nothing per run.
-        arrays = 49 * simulate._CHUNK
-        extra = peak(1, 1, None) - arrays
+        arrays = (25 if traced else 17) * simulate._CHUNK
+        extra = peak(1, 1, None) - 17 * simulate._CHUNK
+        assert slot_bytes == [17 * simulate._CHUNK]
         per_chunk = simulate._CHUNK // simulate._SLICE
 
         def alive(chunks):
             return 1 + (0 if workers == 1 else min(-(-workers // per_chunk), chunks - 1))
 
         on_chunk = write if traced else None
-        few, many = peak(2, workers, on_chunk), peak(16, workers, on_chunk)
+        few = peak(2, workers, on_chunk)
+        assert slot_bytes == [arrays] * alive(2)
+        many = peak(16, workers, on_chunk)
+        assert slot_bytes == [arrays] * alive(16)
+        if traced:
+            assert len(handed_off) == 3 * 16
+            assert all(base is handed_off[0] for base in handed_off)
+            assert handed_off[0].nbytes == 24 * simulate._CHUNK
         assert many - few < ((alive(16) - alive(2)) * arrays + (workers - 1) * extra
                              + 64 * 1024)
 
     def test_one_chunk_allocates_under_1_mb_beyond_its_arrays(self):
-        # Beside the chunk's seven arrays (49 bytes a run) live only one
+        # Beside the chunk's three arrays (17 bytes a run) live only one
         # slice's uniforms and the kernel's temporaries on that slice; the
         # whole chunk's uniforms alone would be 1.5 MB.
         run_batch(_config(n=2, seed=2))  # warm-up
@@ -259,7 +284,7 @@ class TestRunBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - 49 * simulate._CHUNK < 1_000_000
+        assert peak - 17 * simulate._CHUNK < 1_000_000
 
     def test_merged_moments_match_full_array_reference(self):
         # Four chunks, the last of one run, merged in chunk order against
