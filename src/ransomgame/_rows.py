@@ -12,35 +12,34 @@ those of ``'%d' % i``, by construction:
   rounded 9-digit mantissa m whenever |frac(s) − ½| ≥ 1e-6.  The integer
   part ⌊m/10^(8−e)⌋ and the fraction digits are then exact float
   arithmetic on integers below 1e12.
-- Fallback.  Python's ``'%.9g'`` formats the cells that argument does not
-  cover: near-ties, exponent notation (e < −4 or e ≥ 9, and values that
-  round across 1e-4 or up to a power of ten), a wrong estimate of e, nan
-  and ±inf.  Zero and −0.0 are written ``0`` and ``-0`` directly.
+- Fallback.  ``cell`` formats the cells that argument does not cover:
+  near-ties, exponent notation (e < −4 or e ≥ 9, and values that round
+  across 1e-4 or up to a power of ten), a wrong estimate of e, nan and
+  ±inf.  Zero and −0.0 are written ``0`` and ``-0`` directly.
 - Layout.  Each character slot of a block is one row of a ``(slots, rows)``
-  uint8 array, so every store is contiguous.  Text (a str, a list of str or
-  a gathered column's values) becomes NUL-padded slot rows once.  A float
-  field is ``[sign][integer digits][.][fraction digits]`` and an integer
-  field ``[sign][digits]``, as wide as the column's widest value in the
-  block.  The floats' integer parts, the integers and the floats' fractions
-  are three families of 3-digit groups, as many as the family's widest
-  column needs, and one lookup in small tables indexed by uint divmod
-  writes group u of a family.  Plus signs, leading integer zeros, trailing fraction zeros, a
-  bare dot and a narrower column's extra groups are NUL.  One gather puts
-  the slots in row order, and deleting the NULs from the block's bytes
-  leaves the CSV text, so no cell may contain NUL.
-- Gathered columns.  The row r cell of ``Gathered(values, index)`` is the
-  cell of ``values[index[r]]``.  ``values`` become slot rows once, numbers
-  by the same code in blocks of at most BLOCK_ROWS rows, so each cell keeps
-  the bytes of ``'%.9g'``, ``'%d'`` or the str; each block then copies its
-  rows' slots with ``index[lo:hi]``.  A column that repeats a few values,
-  such as a sweep axis or a trace flag, costs one byte copy per row and
-  character.
+  uint8 array, so every store is contiguous.  Text (a str, or the cells of
+  a column or of a gathered column's values) becomes NUL-padded slot rows
+  once.  A float field is ``[sign][integer digits][.][fraction digits]``
+  and an integer field ``[sign][digits]``, as wide as the column's widest
+  value in the block.  The floats' integer parts, the integers and the
+  floats' fractions are three families of 3-digit groups, as many as the
+  family's widest column needs, and one lookup in small tables indexed by
+  uint divmod writes group u of a family.  Plus signs, leading integer
+  zeros, trailing fraction zeros, a bare dot and a narrower column's extra
+  groups are NUL.  One gather puts the slots in row order, and deleting the
+  NULs from the block's bytes leaves the CSV text, so no cell has a NUL.
+- Cells.  Numbers that vary row by row, a ``range`` or a numpy float,
+  integer or boolean array, are formatted in numpy.  Every other cell is
+  written once, in Python, by ``cell``: a fallback float, the values of any
+  other column, and those of ``Gathered(values, index)``, whose row r is
+  the cell of ``values[index[r]]``.  Each block copies a gathered column's
+  slots with ``index[lo:hi]``, so a column that repeats a few values, such
+  as a sweep axis or a trace flag, costs one byte copy per row and character.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from typing import IO, Sequence
 
 import numpy as np
@@ -78,8 +77,8 @@ def _digit_tables():
 class Gathered:
     """A column whose row r is the cell of ``values[index[r]]``.
 
-    ``values`` is a float, integer or boolean array or a list of ``str``
-    cells, and ``index`` an integer array.  It is neither a tuple nor
+    ``values`` is a sequence that ``cell`` writes, such as an array or a
+    list of str, and ``index`` an integer array.  It is neither a tuple nor
     iterable, so it cannot pass for a column of cells.
     """
 
@@ -92,14 +91,28 @@ class Gathered:
         return len(self.index)
 
 
+def cell(v) -> str:
+    """The text of one cell: None as ``NA``, a boolean or an integer as
+    ``%d``, a str as it is, and anything else, a 0-d array too, as
+    ``'%.9g'`` of its float."""
+    if isinstance(v, float):  # the commonest cell first
+        return "%.9g" % v
+    if v is None:
+        return "NA"
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
+        return "%d" % v
+    return v if isinstance(v, str) else "%.9g" % float(v)
+
+
 def write_rows(f: IO[str], columns: Sequence):
     """Write one CSV line per row of ``columns``.
 
     A column is a float array (cells as ``%.9g``), an integer or boolean
-    array or a ``range`` (cells as ``%d``), a list of ``str`` cells, a
-    ``Gathered`` column, or one ``str``: the same cell in every row.  The
-    other columns have equal length.  Text becomes slot rows once, and each
-    block copies its rows' cells from those bytes.
+    array or a ``range`` (cells as ``%d``), a ``Gathered`` column, one
+    ``str``: the same cell in every row, or any other sequence, whose
+    values are written by ``cell``.  The columns that are not one str have
+    equal length.  Text becomes slot rows once, and each block copies its
+    rows' cells from those bytes.
     """
     n = next(len(c) for c in columns if not isinstance(c, str))
     columns = [_column(c, n) for c in columns]
@@ -112,11 +125,11 @@ def write_rows(f: IO[str], columns: Sequence):
 def _column(c, n: int):
     """Column c of n rows, with its text as ``(width, n)`` slot rows."""
     if isinstance(c, str):
-        cell = _slot_rows([c])
-        return np.broadcast_to(cell, (len(cell), n))
+        text = _slot_rows([c])
+        return np.broadcast_to(text, (len(text), n))
     if isinstance(c, Gathered):
         return Gathered(_slot_rows(c.values), c.index)
-    if isinstance(c, (np.ndarray, range)):
+    if isinstance(c, range) or isinstance(c, np.ndarray) and c.dtype.kind in "fiub":
         return c
     return _slot_rows(c)
 
@@ -132,18 +145,11 @@ def _block(c, lo: int, hi: int) -> np.ndarray:
 
 
 def _slot_rows(values) -> np.ndarray:
-    """``str`` cells or an array's cells as NUL-padded ``(width, len(values))``
-    uint8 slot rows, numbers formatted by ``_table`` BLOCK_ROWS at a time."""
-    if not isinstance(values, np.ndarray):
-        return _ascii(values).T
-    n = len(values)
-    starts = range(0, n, BLOCK_ROWS)
-    blocks = [_table([values[lo:lo + BLOCK_ROWS]], min(BLOCK_ROWS, n - lo))[:, :-1].T
-              for lo in starts]
-    slots = np.zeros((max((len(b) for b in blocks), default=0), n), np.uint8)
-    for lo, b in zip(starts, blocks):
-        slots[:len(b), lo:lo + b.shape[1]] = b
-    return slots
+    """The ``cell`` of each value as NUL-padded ``(width, len(values))``
+    uint8 slot rows."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return _ascii([cell(v) for v in values]).T
 
 
 def _table(columns: list, n: int) -> np.ndarray:
@@ -300,14 +306,10 @@ def _split_floats(v: np.ndarray):
 
 
 def _fallback_cells(floats: list, fallback: np.ndarray) -> dict:
-    """{column: (rows, ``%.9g`` bytes as NUL-padded uint8 rows)} of the fallback cells."""
-    if not fallback.any():
-        return {}
-    found = defaultdict(list)
-    for col, row in zip(*np.nonzero(fallback)):
-        found[int(col)].append((row, "%.9g" % floats[col][row]))
-    return {col: (np.array([r for r, _ in hits]), _ascii([t for _, t in hits]))
-            for col, hits in found.items()}
+    """{column: (rows, ``cell`` bytes as NUL-padded uint8 rows)} of the fallback cells."""
+    cols, rows = np.nonzero(fallback)
+    return {col: (rows[cols == col], _ascii([cell(floats[col][r]) for r in rows[cols == col]]))
+            for col in set(cols.tolist())}
 
 
 def _magnitude(c: np.ndarray):

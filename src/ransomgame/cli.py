@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _bind_lazily
-from ._rows import Gathered, write_rows
+from ._rows import Gathered, cell, write_rows
 from .errors import ConfigError, DomainError, NumericalError
 from .game import AttackerStrategy, FixedValue, GameEnvironment, PopulationMean
 from .optimize import (DEFAULT_BOUNDS, DEFAULT_GRID_POINTS, AxisSpec, SweepGrid,
@@ -33,7 +33,8 @@ CONFIG_VERSION = 1
 # random streams, and only ``figure``, ``table`` or a parser that lists the
 # figure names needs ``_figures``.
 __getattr__ = _lazy = _bind_lazily(globals(), {
-    **dict.fromkeys(("SeedSpec", "SimulationConfig", "run_batch", "write_trace_csv"), "simulate"),
+    **dict.fromkeys(("SeedSpec", "SimulationConfig", "check_workers", "run_batch",
+                     "write_trace_csv"), "simulate"),
     **dict.fromkeys(("cmd_figure", "cmd_table", "FIGURE_NAMES"), "_figures")})
 
 
@@ -174,14 +175,10 @@ SCHEMAS = {
     },
 }
 
-def _fmt(v) -> str:
-    return f"{float(v):.9g}"
-
-
 def _round9(obj):
     """Recursively format floats at 9 significant digits for JSON output."""
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        return float(cell(obj))
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -268,33 +265,17 @@ def _open_out(path: str):
 
 
 def _write_csv(path: str, config_line: str, meta: list, names: list, *columns):
-    """Write a table given as one sequence per column.
+    """Write a table given as one sequence per column, by ``write_rows``.
 
-    Float arrays are written with ``%.9g`` and integer and boolean arrays
-    with ``%d``, which give the same bytes as ``_cell``, and so are the
-    values of a ``Gathered`` column; other columns go cell by cell through
-    ``_cell``.
+    Float, integer and boolean arrays and ranges are formatted in numpy;
+    every other cell, a ``Gathered`` column's values too, by ``cell``.
     """
-    cells = [c if isinstance(c, Gathered) or isinstance(c, np.ndarray) and c.dtype.kind in "fiub"
-             else [_cell(v) for v in c] for c in columns]
     with _open_out(path) as f:
         f.write(f"# config: {config_line}\n")
         for line in meta:
             f.write(f"# {line}\n")
         f.write(",".join(names) + "\n")
-        write_rows(f, cells)
-
-
-def _cell(v) -> str:
-    if v is None:
-        return "NA"
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    return _fmt(v)
+        write_rows(f, columns)
 
 
 def _write_json(path: str, payload: dict):
@@ -304,7 +285,7 @@ def _write_json(path: str, payload: dict):
 
 
 def _meta_lines(meta: dict | None) -> list:
-    return [f"{k}: {_cell(v)}" for k, v in (meta or {}).items()]
+    return [f"{k}: {cell(v)}" for k, v in (meta or {}).items()]
 
 
 def _json_table(names: list, columns: list, meta: dict | None = None,
@@ -408,8 +389,7 @@ def cmd_simulate(args, params) -> int:
                                stream_index=params["stream_index"]))
     # Check the workers and open the trace before the batch runs, so a bad
     # worker count leaves no trace file and an unwritable path fails early.
-    if args.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {args.workers}")
+    _lazy("check_workers")(args.workers)
     if args.trace_out is not None:
         _check_distinct_outputs(args.out, args.trace_out)
     trace_file = None if args.trace_out is None else _open_out(args.trace_out)

@@ -36,7 +36,7 @@ from typing import IO, Callable, Optional
 
 import numpy as np
 
-from ._rows import Gathered, write_rows
+from ._rows import Gathered, cell, write_rows
 from .errors import DomainError, NumericalError, _scale
 from .game import (AttackerStrategy, FixedValue, GameEnvironment, NegotiationOutcome,
                    OutcomeKind, _aggression, _counteroffer_at, demand_factor,
@@ -68,6 +68,10 @@ _CHUNK = 65536
 # 122 ms at 8,192 (medians of 12-30 interleaved batches); 16,384 is the
 # smallest size on that plateau, so its temporaries take the least memory.
 _SLICE = 16384
+
+# The most workers a batch takes.  Each may start a thread and every four
+# add a chunk slot, so a count far above any host's cores buys only memory.
+MAX_WORKERS = 64
 
 # Payoffs are summed and squared scaled below 2**449 (``_exponents``), so the
 # sum of their squared deviations stays finite for any n_runs below 2**63.
@@ -401,6 +405,13 @@ def run_single(strategy: AttackerStrategy, env: GameEnvironment,
     return _outcome_from_arrays(_handed_off(chunk, strategy.a, beta, np.empty((3, 1))), 0)
 
 
+def check_workers(workers: int):
+    """Refuse a worker count outside 1 .. MAX_WORKERS with a DomainError."""
+    if not 1 <= workers <= MAX_WORKERS:
+        bound = ">= 1" if workers < 1 else f"<= {MAX_WORKERS}"
+        raise DomainError(f"workers must be {bound}, got {workers}")
+
+
 def run_batch(config: SimulationConfig, workers: int = 1,
               on_chunk: Optional[Callable[[SimulationTrace, int], None]] = None
               ) -> SimulationReport:
@@ -422,11 +433,11 @@ def run_batch(config: SimulationConfig, workers: int = 1,
     per-run data copies it there.
 
     The report is a pure function of ``config``: the worker count never
-    changes any output bit.  A payoff or a statistic that is not finite
-    raises NumericalError.
+    changes any output bit.  A worker count outside 1 .. MAX_WORKERS raises
+    DomainError, and a payoff or a statistic that is not finite raises
+    NumericalError.
     """
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     n = config.n_runs
     e_att, e_def = exponents = _exponents(config.environment.target_value.value,
                                           config.strategy.cost)
@@ -457,16 +468,16 @@ def write_trace_csv(trace: SimulationTrace, f: IO[str], header_lines: tuple = ()
 
     The comment lines and the column header open the file, so only a trace
     that starts at run 0 writes them: the chunks of a batch written in run
-    order give the same bytes as the whole trace written at once.  Floats are
-    written as ``%.9g`` (``format(v, ".9g")`` gives the same bytes) and the
-    run index and flags as ``%d``.  The flags are gathered columns: each
+    order give the same bytes as the whole trace written at once.  Floats
+    get 9 significant digits and the run index and flags are integers, as
+    ``_rows`` writes every cell.  The flags are gathered columns: each
     code's flag, indexed by ``kind``.
     """
     if first_run == 0:
         for line in header_lines:
             f.write(f"# {line}\n")
         f.write(",".join(TRACE_COLUMNS) + "\n")
-    write_rows(f, (range(first_run, first_run + len(trace.kind)), f"{trace.x:.9g}",
+    write_rows(f, (range(first_run, first_run + len(trace.kind)), cell(trace.x),
                    trace.x_tilde, trace.demand, trace.counteroffer, trace.alpha,
                    Gathered(_AGGRESSIVE, trace.kind), Gathered(_DECRYPTED, trace.kind),
                    trace.attacker_payoff,

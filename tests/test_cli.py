@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,10 +15,10 @@ import pytest
 from ransomgame import (AttackerStrategy, defender_utility, demand_factor, estimate_scale,
                         expected_profit, optimal_counteroffer, reliability)
 from ransomgame._figures import _FIGURES, FIGURE_NAMES, STRATEGY_TABLE, _grid_with_value
-from ransomgame.cli import SCHEMAS, _cell, _write_csv, build_parser, main
+from ransomgame.cli import SCHEMAS, _write_csv, build_parser, main
 from ransomgame.optimize import DEFAULT_BOUNDS, AxisSpec, SweepGrid, maximize_profit, profit_surface
 from ransomgame import cli, optimize, profit, simulate
-from ransomgame._rows import BLOCK_ROWS
+from ransomgame._rows import BLOCK_ROWS, cell
 from ransomgame.profit import ProfitMethod
 from ransomgame.simulate import SimulationConfig, run_batch
 from ransomgame.stochastics import SeedSpec
@@ -261,6 +262,21 @@ class TestSimulateCommand:
                      "--trace-out", str(trace)]) == 2
         assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
         assert not trace.exists() and not out.exists()
+
+    def test_worker_count_above_the_cap_is_refused_before_any_thread(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # One slice of runs would need no pool, so a count capped only at
+        # the batch's slices would run; the cap refuses it before the trace
+        # file, any chunk slot or any thread exists.
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        out, trace = tmp_path / "r.csv", tmp_path / "t.csv"
+        assert main(["simulate", "--n-runs", "1000", "--workers", "1000000", "--out", str(out),
+                     "--trace-out", str(trace)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: workers must be <= {simulate.MAX_WORKERS}, got 1000000\n"
+        assert not trace.exists() and not out.exists()
+        assert started == []
 
     def test_out_and_trace_out_naming_one_file_is_config_error(self, tmp_path, capsys):
         # The summary, opened after the batch, would truncate the trace.
@@ -594,14 +610,14 @@ class TestSurfaceColumns:
 
 
 def _reference_write_csv(path, config_line, meta, names, rows):
-    """The CLI table written one row at a time, one _cell call per value."""
+    """The CLI table written one row at a time, one cell call per value."""
     with open(path, "w", newline="\n") as f:
         f.write(f"# config: {config_line}\n")
         for line in meta:
             f.write(f"# {line}\n")
         f.write(",".join(names) + "\n")
         for row in rows:
-            f.write(",".join(_cell(v) for v in row) + "\n")
+            f.write(",".join(cell(v) for v in row) + "\n")
 
 
 def _mixed_columns(n):

@@ -119,7 +119,9 @@ def test_import_loads_only_what_every_command_needs(tmp_path):
 # simulate's random words are integer arithmetic on uint64 arrays, so no
 # command loads numpy.random (with it come secrets, hmac and OpenSSL's
 # _hashlib).  Only modules that the commands add count: numpy before 2.0
-# imports numpy.random with numpy itself.
+# imports numpy.random with numpy itself.  The thread pool comes only with a
+# batch of more than one slice on more than one worker: 10,000 runs are one
+# 16,384-run slice, so four workers play them on the calling thread.
 _SIMULATE_FOOTPRINT = """
 import contextlib, io, json, os, sys
 import numpy
@@ -127,21 +129,35 @@ before = set(sys.modules)
 import ransomgame.cli
 out = lambda name: os.path.join(sys.argv[1], name)
 added = {}
-for label, argv in (("one worker", ["--out", out("one.csv")]),
-                    ("two workers, traced", ["--workers", "2", "--out", out("two.csv"),
+for label, argv in (("one worker", ["--n-runs", "70000", "--out", out("one.csv")]),
+                    ("four workers, one slice", ["--n-runs", "10000", "--workers", "4",
+                                                 "--out", out("four.csv")]),
+                    ("two workers, traced", ["--n-runs", "70000", "--workers", "2",
+                                             "--out", out("two.csv"),
                                              "--trace-out", out("t.csv")])):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert ransomgame.cli.main(["simulate", "--n-runs", "70000", *argv]) == 0
+        assert ransomgame.cli.main(["simulate", *argv]) == 0
     added[label] = sorted(set(sys.modules) - before)
 print(json.dumps(added))
 """
 
 
-def test_simulate_loads_no_numpy_random(tmp_path):
-    added = _run_fresh(_SIMULATE_FOOTPRINT, tmp_path)
-    for label, modules in added.items():
+@pytest.fixture(scope="module")
+def simulate_added(tmp_path_factory):
+    """The modules that each simulate command of ``_SIMULATE_FOOTPRINT`` has added."""
+    return _run_fresh(_SIMULATE_FOOTPRINT, tmp_path_factory.mktemp("simulate"))
+
+
+def test_simulate_loads_no_numpy_random(simulate_added):
+    for label, modules in simulate_added.items():
         assert "ransomgame.stochastics" in modules, label
         assert [m for m in modules if m.split(".")[:2] == ["numpy", "random"]] == [], label
+
+
+def test_simulate_imports_the_thread_pool_only_to_play_slices_on_it(simulate_added):
+    assert "concurrent.futures" not in simulate_added["one worker"]
+    assert "concurrent.futures" not in simulate_added["four workers, one slice"]
+    assert "concurrent.futures" in simulate_added["two workers, traced"]
 
 
 # The names perfbench's tracer wraps (``perfbench/tracing.py``, CLI_TARGETS

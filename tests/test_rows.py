@@ -1,4 +1,5 @@
-"""The numpy row writer against the ``%``-template writer it replaced."""
+"""The numpy row writer against the ``%``-template writer it replaced, and
+the one Python cell formatter, ``cell``."""
 
 import io
 from itertools import chain
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from ransomgame import SimulationTrace, write_trace_csv
-from ransomgame._rows import BLOCK_ROWS, Gathered, write_rows
+from ransomgame._rows import BLOCK_ROWS, Gathered, cell, write_rows
 
 
 def _reference_write_rows(f, row, columns, block=1024):
@@ -122,3 +123,22 @@ def test_cell_with_nul_is_refused(column):
     # Deleting the padding NULs would delete the cell's own NUL silently.
     with pytest.raises(AssertionError, match="NUL"):
         write_rows(io.StringIO(), [np.zeros(1), column])
+
+
+_CELLS = {
+    "None": (None, "NA"), "True": (True, "1"), "np.True_": (np.True_, "1"),
+    "np.False_": (np.False_, "0"), "2**64-1": (2 ** 64 - 1, "18446744073709551615"),
+    "uint64 max": (np.uint64(2 ** 64 - 1), "18446744073709551615"),
+    "int64 min": (np.int64(-2 ** 63), "-9223372036854775808"), "str": ("é", "é"),
+    "np.str_": (np.str_("optimal"), "optimal"), "-0.0": (-0.0, "-0"),
+    "nan": (float("nan"), "nan"), "inf": (float("inf"), "inf"),
+    "-inf": (float("-inf"), "-inf"), "float32": (np.float32(0.1), "0.100000001"),
+    "1e16": (1e16, "1e+16"), "subnormal": (5e-324, "4.94065646e-324"),
+    # A 0-d array is a float, whatever its value: ``%d`` would write "2".
+    "0-d array": (np.array(2.5), "2.5"), "0-d -0.0": (np.array(-0.0), "-0"),
+}
+
+
+@pytest.mark.parametrize("value, text", _CELLS.values(), ids=_CELLS)
+def test_cell_rules(value, text):
+    assert cell(value) == text

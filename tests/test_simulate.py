@@ -585,6 +585,9 @@ class TestTraceExport:
             _config(n=True)
         with pytest.raises(DomainError):
             run_batch(_config(n=10), workers=0)
+        assert run_batch(_config(n=10), workers=simulate.MAX_WORKERS) == run_batch(_config(n=10))
+        with pytest.raises(DomainError, match=f"workers must be <= {simulate.MAX_WORKERS}, got 65"):
+            run_batch(_config(n=10), workers=simulate.MAX_WORKERS + 1)
 
 
 def test_array_results_compare_by_identity(mean_env):
