@@ -306,7 +306,11 @@ def _split_floats(v: np.ndarray):
 
 
 def _fallback_cells(floats: list, fallback: np.ndarray) -> dict:
-    """{column: (rows, ``cell`` bytes as NUL-padded uint8 rows)} of the fallback cells."""
+    """{column: (rows, ``cell`` bytes as NUL-padded uint8 rows)} of the fallback cells.
+
+    Most blocks have none, so the 2-D ``nonzero`` is skipped for them."""
+    if not fallback.any():
+        return {}
     cols, rows = np.nonzero(fallback)
     return {col: (rows[cols == col], _ascii([cell(floats[col][r]) for r in rows[cols == col]]))
             for col in set(cols.tolist())}
@@ -323,13 +327,17 @@ def _magnitude(c: np.ndarray):
 
 def _integer_digits(x: np.ndarray, out: np.ndarray):
     """Write the digit groups of x's rows into ``out``, one (3, x.size) block
-    per group, units first; leading zeros as NUL."""
+    per group, units first; leading zeros as NUL.
+
+    The table indexes are below 3000 by construction, so ``mode="clip"``
+    never moves one; it only spares ``take`` the copy through a buffer that
+    the default ``mode="raise"`` makes of ``out``."""
     x = x.reshape(-1)
     for u, block in enumerate(out):
         q = x // 1000
         g = x - q * 1000
         g += (q == 0) * g.dtype.type(1000 if u else 2000)
-        _digit_tables()[0].take(g, axis=1, out=block)
+        _digit_tables()[0].take(g, axis=1, out=block, mode="clip")
         x = q
 
 
@@ -338,7 +346,8 @@ def _fraction_digits(frac: np.ndarray, out: np.ndarray):
     block per group, lowest first; trailing zeros as NUL.
 
     frac holds float integers below 1e12: the low three groups are divmods
-    of a uint32 below 1e9, the fourth is what is left.
+    of a uint32 below 1e9, the fourth is what is left.  The table indexes
+    are below 2000, so ``mode="clip"`` never moves one (``_integer_digits``).
     """
     top = np.floor(frac / 1e9)
     low = (frac - top * 1e9).astype(np.uint32).reshape(-1)
@@ -352,5 +361,5 @@ def _fraction_digits(frac: np.ndarray, out: np.ndarray):
         else:
             g = top
         g += lower_zero
-        _digit_tables()[1].take(g, axis=1, out=block)
+        _digit_tables()[1].take(g, axis=1, out=block, mode="clip")
         lower_zero = (g == 1000) * np.uint32(1000)

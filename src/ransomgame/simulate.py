@@ -6,22 +6,25 @@ aggression and decryption outcomes, and record both payoffs.
 
 Runs are driven by a counter-based random stream, three 64-bit words per
 run: run i of a batch seeded with (master_seed, stream_index) reads words
-3i .. 3i + 2 of that stream (``run_uniforms``).  Results are therefore
-bit-identical for any worker count, and run 0 of a batch equals
-``run_single`` with the same seed.
+3i, 3i + 1 and 3i + 2 of that stream, its estimate, aggression and
+decryption draws (``run_uniforms``).  Results are therefore bit-identical
+for any worker count, and run 0 of a batch equals ``run_single`` with the
+same seed.
 
 A batch is played in chunks of 65,536 runs, and a chunk in slices of 16,384
-runs: each slice's random words are drawn just before the kernel,
-``simulate_runs``, plays it into the chunk's arrays, so only one slice's
-words per worker are alive at a time.  A chunk stores what its readers
-read: the outcome kind and both payoffs, which the batch reduces, and
-``x_tilde`` only when a callback takes the chunk; the demand, counteroffer
-and alpha that the callback also gets are derived from ``x_tilde`` as the
-chunk is handed over.  With more than one worker a thread pool plays the
-slices, with ceil(workers / 4) chunks ahead of the one the caller holds.
-Each chunk is reduced to summary statistics, handed to an optional callback
-(the CLI writes it to the trace file there) and dropped, so peak memory is
-one chunk's arrays on one worker and ceil(workers / 4) + 1 chunks' on more,
+runs.  The kernel, ``simulate_runs``, plays a slice into the chunk's arrays
+and draws each of the slice's three word columns just before the step that
+reads it, the aggression word only for the runs whose demand is capped, so
+only one column of one slice's words per worker is alive at a time.  A
+chunk stores what its readers read: the outcome kind and both payoffs,
+which the batch reduces, and ``x_tilde`` only when a callback takes the
+chunk; the callback gets the chunk a slice at a time, with the demand,
+counteroffer and alpha derived from ``x_tilde`` as each slice is handed
+over.  With more than one worker a thread pool plays the slices, with
+ceil(workers / 4) chunks ahead of the one the caller holds.  Each chunk is
+reduced to summary statistics, handed to an optional callback (the CLI
+writes it to the trace file there) and dropped, so peak memory is one
+chunk's arrays on one worker and ceil(workers / 4) + 1 chunks' on more,
 whatever the number of runs.  The payoffs are reduced scaled by powers of
 two that the batch's x and cost fix, so huge finite payoffs give finite
 statistics.
@@ -41,32 +44,33 @@ from .errors import DomainError, NumericalError, _scale
 from .game import (AttackerStrategy, FixedValue, GameEnvironment, NegotiationOutcome,
                    OutcomeKind, _aggression, _counteroffer_at, demand_factor,
                    estimate_scale, reliability)
-from .stochastics import SeedSpec, _ppf, uniform_blocks
+from .stochastics import SeedSpec, _ppf, word_uniforms
 
 # Runs are generated and simulated in fixed-size blocks so that chunk
-# boundaries do not depend on the worker count.  A chunk is four slices, not
-# one: on a 2-vCPU Xeon, one-slice chunks made a 200k-run traced ``simulate``
-# 10% slower (0.245 against 0.222 s, paying per-chunk writes and hand-offs
-# four times as often), and unsliced 32,768-run chunks made 1M runs slower
-# (0.163 against 0.133 s; fresh processes, interleaved pairs).  The price is
-# memory, 17 bytes a run for each chunk alive (1.1 MB; 25 bytes, 1.6 MB, in a
-# traced batch, which also holds one 24-byte-a-run hand-off set), and workers
-# share chunks: a batch holds one chunk for every four workers, rounded up,
-# beside the caller's (``_play_chunks``).  When each worker played a chunk of
-# its own, one-slice chunks lowered peak RSS in perfbench pairs from 49.4 to
-# 42.3 MB on the traced 200k runs and from 39.6 to 37.3 MB on 1M untraced
-# runs, at 8-20% more time on both.
+# boundaries do not depend on the worker count.  A chunk, the unit of the
+# slots and of the moments merged in run order, is four slices, not one: on a
+# 2-vCPU Xeon, one-slice chunks made a 200k-run traced ``simulate`` 10% slower
+# (0.245 against 0.222 s, when chunks were also written and handed off
+# whole), and unsliced 32,768-run chunks made 1M runs slower (0.163 against
+# 0.133 s; fresh processes, interleaved pairs).  The price is memory, 17
+# bytes a run for each chunk alive (1.1 MB; 25 bytes, 1.6 MB, in a traced
+# batch, which also holds one slice's 24-byte-a-run hand-off set, 0.4 MB),
+# and workers share chunks: a batch holds one chunk for every four workers,
+# rounded up, beside the caller's (``_play_chunks``).  When each worker played
+# a chunk of its own, one-slice chunks lowered peak RSS in perfbench pairs
+# from 49.4 to 42.3 MB on the traced 200k runs and from 39.6 to 37.3 MB on 1M
+# untraced runs, at 8-20% more time on both.
 _CHUNK = 65536
 
-# Runs per kernel call.  A slice's uniforms (24 bytes per run, drawn just
-# before the call) and the kernel's dozen live arrays of up to 8 bytes per
-# run (about 1.5 MB at 16,384 runs) stay in a core's L2 cache between the
-# kernel's passes.  A slice starts on a 4-word ``uniform_blocks`` row, as
-# 3 * 16,384 words is a multiple of 4.  On a 2-vCPU Xeon with 2 MB of L2 per
-# core, a 1M-run batch (on the Philox words used then) took 142-148 ms of CPU
-# unsliced, 106-116 ms at 16,384-32,768 runs a slice, 120 ms at 12,288 and
-# 122 ms at 8,192 (medians of 12-30 interleaved batches); 16,384 is the
-# smallest size on that plateau, so its temporaries take the least memory.
+# Runs per kernel call and per hand-off to a callback.  A slice's word
+# columns (8 bytes a run each, drawn where the kernel reads them) and the
+# kernel's dozen live arrays of up to 8 bytes a run (about 1.5 MB at 16,384
+# runs) stay in a core's L2 cache between the kernel's passes.  On a 2-vCPU
+# Xeon with 2 MB of L2 per core, a 1M-run batch (on the Philox words used
+# then) took 142-148 ms of CPU unsliced, 106-116 ms at 16,384-32,768 runs a
+# slice, 120 ms at 12,288 and 122 ms at 8,192 (medians of 12-30 interleaved
+# batches); 16,384 is the smallest size on that plateau, so its temporaries
+# take the least memory.
 _SLICE = 16384
 
 # The most workers a batch takes.  Each may start a thread and every four
@@ -193,19 +197,10 @@ def _exponents(x: float, cost: float) -> tuple:
 
 
 def run_uniforms(seed: SeedSpec, first_run: int, n_runs: int) -> np.ndarray:
-    """Open-interval uniforms of runs ``first_run ..``, shape ``(n_runs, 3)``.
-
-    Run ``i`` reads words ``3i .. 3i + 2`` of the stream, so every word is
-    used and run 0 reads words 0 .. 2.  The rows are a view of the
-    ``uniform_blocks`` that cover them; a start that falls mid-block skips
-    that block's first ``3*first_run % 4`` words.
-    """
-    first_word = 3 * first_run
-    start_block = first_word // 4
-    end_block = -(-(first_word + 3 * n_runs) // 4)
-    skip = first_word - 4 * start_block
-    words = uniform_blocks(seed, start_block, end_block - start_block).reshape(-1)
-    return words[skip:skip + 3 * n_runs].reshape(n_runs, 3)
+    """Open-interval uniforms of runs ``first_run ..``, shape ``(n_runs, 3)``:
+    row ``i`` holds the words ``3i .. 3i + 2`` that run ``first_run + i``
+    reads, columns 0, 1 and 2 of ``simulate_runs`` (``word_uniforms``)."""
+    return word_uniforms(seed, 3 * first_run, 3 * n_runs, stride=1).reshape(n_runs, 3)
 
 
 def _negotiate(x_tilde, a, beta, x, demand, counteroffer):
@@ -227,31 +222,36 @@ def _negotiate(x_tilde, a, beta, x, demand, counteroffer):
     return full, capped, _aggression(c_max, demand.take(capped), a)
 
 
-def simulate_runs(u3, a, beta, sigma, x, cost, chunk: SimulationTrace):
-    """Play one game per row of u3 (open-interval uniforms, three or more per run).
+def simulate_runs(draw, a, beta, sigma, x, cost, chunk: SimulationTrace):
+    """Play one game per run of ``chunk``, on open-interval uniforms from ``draw``.
 
-    Column 0 drives the value estimate, column 1 the aggression draw,
-    column 2 the decryption draw; further columns are not read, so u3 may
-    be the ``(n, 3)`` rows of ``run_uniforms`` or any wider array.  Run i is
-    written in place to run i of ``chunk``'s ``kind``, payoffs and, unless
-    it is None, ``x_tilde`` (``_empty_trace``); ``_handed_off`` derives the
-    rest.  Each run depends only on its own row, so any split of the rows
-    into calls gives the same results; a batch plays ``_SLICE`` rows a call.
+    ``draw(column, runs)`` gives column 0, 1 or 2 of the runs' uniforms:
+    the value estimate's, the aggression draw's or the decryption draw's,
+    for every run when ``runs`` is the run count and for the runs of the
+    index array ``runs`` otherwise.  The kernel draws each column just
+    before the step that reads it, and the aggression column only for the
+    runs whose demand is capped, the only ones it can make aggressive.  Run
+    i is written in place to run i of ``chunk``'s ``kind``, payoffs and,
+    unless it is None, ``x_tilde`` (``_empty_trace``); ``_handed_off``
+    derives the rest.  Each run depends only on its own uniforms, so any
+    split of the runs into calls gives the same results; a batch plays
+    ``_SLICE`` runs a call.
     """
     attacker, defender, kind = chunk.attacker_payoff, chunk.defender_payoff, chunk.kind
+    n = len(kind)
     # The output arrays are the kernel's scratch: x_tilde, if not stored,
     # lives in attacker, the demand in defender and the counteroffer in
     # attacker until the payoffs replace them.  Arrays of the slice's length
     # allocated per call would fault their pages in every time.
     x_tilde = attacker if chunk.x_tilde is None else chunk.x_tilde
-    np.multiply(sigma, _ppf(u3[:, 0]), out=x_tilde)
+    np.multiply(sigma, _ppf(draw(0, n)), out=x_tilde)
     np.exp(x_tilde, out=x_tilde)
     x_tilde *= x
     full, capped, alpha = _negotiate(x_tilde, a, beta, x, defender, attacker)
     # u < 0 never holds, so only capped runs can be aggressive.
-    aggressive = np.zeros(len(kind), bool)
-    aggressive.put(capped, u3[capped, 1] < alpha)
-    lost = u3[:, 2] >= beta
+    aggressive = np.zeros(n, bool)
+    aggressive.put(capped, draw(1, capped) < alpha)
+    lost = draw(2, n) >= beta
     # The defender pays C and keeps the data if decrypted, pays C and loses
     # x if not, and loses x with nothing paid after aggression.  Products,
     # not masked copies, select the payoffs: random masks make a masked
@@ -286,11 +286,11 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
     Each chunk is a ``SimulationTrace`` of up to ``_CHUNK`` runs that holds
     ``kind`` and both payoffs, 17 bytes a run, and ``x_tilde`` too if
     ``traced``, 25 bytes a run (``_empty_trace``).  It is played
-    ``_SLICE`` runs at a time: ``simulate_runs``, a module global that a
-    profiler may replace, reads a slice's ``(n, 3)`` rows of ``run_uniforms``
-    in place, a view of the 4-word blocks that hold the slice's words, drawn
-    just before the call, so no other slice's words (0.4 MB each) wait beside
-    it.  With more than one worker the slices are a thread pool's unit of
+    ``_SLICE`` runs at a time by ``simulate_runs``, a module global that a
+    profiler may replace, which draws each word column of the slice with
+    ``word_uniforms`` (also looked up at call time) just before it reads it,
+    so a worker holds one column of one slice's words (131 KB) at a time.
+    With more than one worker the slices are a thread pool's unit of
     work: at most ``workers`` play at once, and the pool plays the fewest
     chunks ahead of the caller's that hold a slice for every worker,
     ceil(workers / slices per chunk), so a batch holds that many chunks plus
@@ -310,12 +310,16 @@ def _play_chunks(strategy: AttackerStrategy, env: GameEnvironment, n: int,
     slots = [_empty_trace(x, min(n, _CHUNK), traced) for _ in range(ahead + 1)]
 
     def play(lo, chunk, s):
-        n_slice = min(_SLICE, len(chunk.kind) - s)
+        first_word = 3 * (lo + s)
+
+        def draw(column, runs):
+            return word_uniforms(seed, first_word + column, runs)
+
         # Inputs near the float64 limit overflow to inf; run_batch reports a
         # non-finite payoff as a NumericalError instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            simulate_runs(run_uniforms(seed, lo + s, n_slice), strategy.a, beta, sigma,
-                          x, strategy.cost, _rows_of(chunk, s, s + n_slice))
+            simulate_runs(draw, strategy.a, beta, sigma, x, strategy.cost,
+                          _rows_of(chunk, s, s + _SLICE))
 
     def chunk_at(k):
         lo = starts[k]
@@ -384,9 +388,10 @@ def _merge_moments(a: tuple, b: tuple) -> tuple:
 
 def _handed_off(chunk: SimulationTrace, a: float, beta: float,
                 derived: np.ndarray) -> SimulationTrace:
-    """``chunk`` with the demand, counteroffer and alpha of its ``x_tilde``,
-    written into the first ``len(chunk.kind)`` columns of ``derived``'s three
-    rows, by the kernel's own steps (``_negotiate``), so they have its bits."""
+    """``chunk`` (one slice of a batch's chunk, or less) with the demand,
+    counteroffer and alpha of its ``x_tilde``, written into the first
+    ``len(chunk.kind)`` columns of ``derived``'s three rows, by the kernel's
+    own steps (``_negotiate``), so they have its bits."""
     demand, counteroffer, alpha = derived[:, :len(chunk.kind)]
     with np.errstate(over="ignore", invalid="ignore"):
         _, capped, alpha_capped = _negotiate(chunk.x_tilde, a, beta, chunk.x, demand,
@@ -424,13 +429,14 @@ def run_batch(config: SimulationConfig, workers: int = 1,
     ceil(workers / 4) + 1 chunks' on more, whatever n_runs is.  They
     are reduced scaled by the powers of two that x and the cost fix
     (``_exponents``), and the report's values are scaled back at the end.
-    ``on_chunk(chunk, first_run)``, if given, is called on each chunk in run
-    order, on the calling thread, after the chunk's payoffs are checked.  A
-    chunk stores only ``x_tilde``, ``kind`` and the payoffs; its demand,
-    counteroffer and alpha are derived from ``x_tilde`` just before the call,
-    into three arrays that the batch allocates once.  All of the chunk's
-    arrays are reused once the callback returns, so a caller that keeps
-    per-run data copies it there.
+    ``on_chunk(chunk, first_run)``, if given, is called on each chunk's
+    pieces of up to 16,384 runs (``_SLICE``), in run order, on the calling
+    thread, after the chunk's payoffs are checked.  A chunk stores only
+    ``x_tilde``, ``kind`` and the payoffs; a piece's demand, counteroffer
+    and alpha are derived from ``x_tilde`` just before the call, into three
+    arrays of one slice's length that the batch allocates once.  All of a
+    piece's arrays are reused once the callback returns, so a caller that
+    keeps per-run data copies it there.
 
     The report is a pure function of ``config``: the worker count never
     changes any output bit.  A worker count outside 1 .. MAX_WORKERS raises
@@ -444,14 +450,16 @@ def run_batch(config: SimulationConfig, workers: int = 1,
     traced = on_chunk is not None
     if traced:
         beta = reliability(config.strategy.i_beta, config.environment.i_fifty)
-        derived = np.empty((3, min(n, _CHUNK)))
+        derived = np.empty((3, min(n, _SLICE)))
     total = None
     for first_run, chunk in _play_chunks(config.strategy, config.environment, n,
                                          config.seed, workers, traced):
         moments = _chunk_moments(chunk, exponents)
         total = moments if total is None else _merge_moments(total, moments)
         if traced:
-            on_chunk(_handed_off(chunk, config.strategy.a, beta, derived), first_run)
+            for s in range(0, len(chunk.kind), _SLICE):
+                on_chunk(_handed_off(_rows_of(chunk, s, s + _SLICE), config.strategy.a, beta,
+                                     derived), first_run + s)
 
     _, mean_att, m2, def_sum, counts = total
     std_err = _unscale(math.sqrt(m2 / (n - 1) / n), e_att) if n > 1 else None

@@ -6,7 +6,7 @@ SplitMix64 generator of Steele, Lea and Flood ("Fast splittable pseudorandom
 number generators", OOPSLA 2014), where the stream's ``s`` and odd ``gamma``
 are derived from both seed words.  Any word can therefore be produced
 independently of the others, so a stream yields the same sequence no matter
-how many workers consume it or in which order blocks are drawn.  The words
+how many workers consume it or in which order its words are drawn.  The words
 are integer arithmetic only, with no platform-dependent rounding, and need
 no ``numpy.random``.
 """
@@ -113,28 +113,38 @@ def _open_uniforms(raw: np.ndarray) -> np.ndarray:
     return u
 
 
-def uniform_blocks(seed: SeedSpec, start_block: int, n_blocks: int) -> np.ndarray:
-    """Open-interval uniforms, shape ``(n_blocks, 4)``, four stream words per row.
+def word_uniforms(seed: SeedSpec, first_word: int, runs, stride: int = 3) -> np.ndarray:
+    """Open-interval uniforms of the stream's words ``first_word + stride * i``.
 
-    Row ``i`` holds words ``4*(start_block + i) .. 4*(start_block + i) + 3``
-    and depends only on ``(seed, start_block + i)``; chunked and serial
-    generation therefore agree bit for bit.  Word w is
-    mix64(s + (w + 1) * gamma) mod 2**64: the counters start from ``arange``
-    and the per-word arithmetic runs on uint64 arrays, which wrap silently,
-    with one scratch array for the shifts.
+    ``runs`` is a count n, for i = 0 .. n - 1, or an integer index array of
+    the i to draw, in its order.  At the default stride a run reads three
+    words, so i is a run and ``first_word`` picks which of its words: the
+    Monte Carlo kernel draws each word just before the step that reads it,
+    and the aggression word only for the runs that read one.  Word w is
+    mix64(s + (w + 1) * gamma) mod 2**64, so every word depends only on
+    ``(seed, w)`` and any split of the draws gives the same bits: the
+    counters are an arithmetic progression in uint64 arrays, which wrap
+    silently, mixed in place with one scratch array for the shifts.
     """
-    if start_block < 0:
-        raise DomainError(f"start_block must be non-negative, got {start_block}")
+    if first_word < 0:
+        raise DomainError(f"first_word must be non-negative, got {first_word}")
     s, gamma = _stream_constants(seed)
-    z = np.arange(4 * n_blocks, dtype=np.uint64)
-    z *= np.uint64(gamma)
-    z += np.uint64((s + (4 * start_block + 1) * gamma) & _MASK64)
+    z = (runs.astype(np.uint64) if isinstance(runs, np.ndarray)
+         else np.arange(runs, dtype=np.uint64))
+    z *= np.uint64(stride * gamma & _MASK64)
+    z += np.uint64((s + (first_word + 1) * gamma) & _MASK64)
     t = np.empty_like(z)
     for shift, factor in _MIX64_U64:
         z ^= np.right_shift(z, shift, out=t)
         z *= factor
     z ^= np.right_shift(z, _MIX64_LAST_U64, out=t)
-    return _open_uniforms(z).reshape(n_blocks, 4)
+    return _open_uniforms(z)
+
+
+def uniform_blocks(seed: SeedSpec, start_block: int, n_blocks: int) -> np.ndarray:
+    """Open-interval uniforms, shape ``(n_blocks, 4)``: row ``i`` holds words
+    ``4*(start_block + i) .. 4*(start_block + i) + 3`` (``word_uniforms``)."""
+    return word_uniforms(seed, 4 * start_block, 4 * n_blocks, stride=1).reshape(n_blocks, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -123,12 +123,20 @@ _FIELDS = ("x_tilde", "demand", "counteroffer", "alpha", "attacker_payoff",
 _STORED = ("attacker", "defender", "kind")
 
 
+def given_uniforms(u):
+    """simulate_runs's ``draw`` for hand-made uniforms: run i reads row i of
+    u, and column c of the row is its draw c."""
+    def draw(column, runs):
+        return u[:, column] if isinstance(runs, int) else u[runs, column]
+    return draw
+
+
 def _play(u, params, traced):
     """The outputs that the kernel stores in a chunk, and, traced, those that
     the hand-off derives from its x_tilde."""
     a, beta, sigma, x, i_beta, i_sigma = params
     chunk = _empty_trace(x, len(u), traced)
-    simulate_runs(u, a, beta, sigma, x, i_beta + i_sigma, chunk)
+    simulate_runs(given_uniforms(u), a, beta, sigma, x, i_beta + i_sigma, chunk)
     if traced:
         chunk = _handed_off(chunk, a, beta, np.empty((3, len(u))))
     got = {name: getattr(chunk, f) for name, f in zip(_OUTPUTS, _FIELDS)}
@@ -256,14 +264,14 @@ def test_edge_uniforms_have_reference_bytes():
                                          ((20.0, 0.0, 0.104), 1e300)])
 def test_handed_off_chunks_have_reference_bytes(strategy, x, workers):
     # Three chunks, the last one partial: on_chunk gets every run's seven
-    # arrays, in run order, with the reference's bytes.
+    # arrays, a slice at a time in run order, with the reference's bytes.
     n = 150_001
     config = SimulationConfig(AttackerStrategy(*strategy), GameEnvironment(0.02, FixedValue(x)),
                               n, SeedSpec(7))
     parts = []
     run_batch(config, workers, on_chunk=lambda chunk, first_run: parts.append(
         (first_run, {f: getattr(chunk, f).tobytes() for f in _FIELDS})))
-    assert [first_run for first_run, _ in parts] == list(range(0, n, _CHUNK))
+    assert [first_run for first_run, _ in parts] == list(range(0, n, _SLICE))
     want = _reference_simulate_runs(run_uniforms(config.seed, 0, n), *_params(*strategy, x))
     for name, f, w in zip(_OUTPUTS, _FIELDS, want):
         assert b"".join(arrays[f] for _, arrays in parts) == w.tobytes(), name

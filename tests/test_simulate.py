@@ -17,6 +17,7 @@ from ransomgame import simulate
 from ransomgame.simulate import TRACE_COLUMNS, _empty_trace, run_uniforms, simulate_runs
 from ransomgame.stochastics import _ppf, uniform_blocks
 from conftest import run_traced
+from test_kernel_bits import given_uniforms
 
 I50 = 0.02
 
@@ -126,7 +127,7 @@ class TestDegenerateCases:
         n = 4096
         u3 = np.ascontiguousarray(uniform_blocks(SeedSpec(5), 0, n)[:, :3])
         chunk = _empty_trace(1.0, n, traced=False)
-        simulate_runs(u3, 4.68, 1.0, 0.5, 1.0, 0.09 + 0.1, chunk)
+        simulate_runs(given_uniforms(u3), 4.68, 1.0, 0.5, 1.0, 0.09 + 0.1, chunk)
         kind = chunk.kind
         assert not np.any((kind == 2) | (kind == 4))
 
@@ -244,9 +245,9 @@ class TestRunBatch:
                 tracemalloc.stop()
 
         # A chunk stores 17 bytes a run (kind and both payoffs), 25 traced
-        # (and x_tilde), and a traced batch holds one 24-byte-a-run set of
-        # hand-off arrays, however many chunks are alive.  Beside them each
-        # busy worker holds one slice's uniforms and the kernel's
+        # (and x_tilde), and a traced batch holds one slice's 24-byte-a-run
+        # set of hand-off arrays, however many chunks are alive.  Beside them
+        # each busy worker holds one slice's word column and the kernel's
         # temporaries (extra) and, traced, the caller one chunk's text.  One
         # worker keeps one chunk alive; a pool keeps A + 1, the caller's and
         # the A = ceil(workers / slices per chunk) played ahead of it, or all
@@ -267,11 +268,64 @@ class TestRunBatch:
         many = peak(16, workers, on_chunk)
         assert slot_bytes == [arrays] * alive(16)
         if traced:
-            assert len(handed_off) == 3 * 16
+            assert len(handed_off) == 3 * 16 * per_chunk
             assert all(base is handed_off[0] for base in handed_off)
-            assert handed_off[0].nbytes == 24 * simulate._CHUNK
+            assert handed_off[0].nbytes == 24 * simulate._SLICE
         assert many - few < ((alive(16) - alive(2)) * arrays + (workers - 1) * extra
                              + 64 * 1024)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_word_is_drawn_once_and_aggression_words_only_for_capped_runs(
+            self, monkeypatch, workers):
+        # Three chunks, the last one ending mid-slice.  Every run's estimate
+        # and decryption words are drawn, and its aggression word only if its
+        # demand is capped (kinds 0-2: not paid in full), so a batch draws
+        # 2n + capped words, each once.
+        n = 2 * simulate._CHUNK + simulate._SLICE + 5
+        lock = threading.Lock()
+        drawn = []
+        word_uniforms = simulate.word_uniforms
+
+        def counted(seed, first_word, runs, stride=3):
+            i = np.arange(runs) if isinstance(runs, int) else runs
+            with lock:
+                drawn.append(first_word + stride * i)
+            return word_uniforms(seed, first_word, runs, stride)
+
+        monkeypatch.setattr(simulate, "word_uniforms", counted)
+        kinds = []
+        run_batch(_config(n=n, seed=6), workers=workers,
+                  on_chunk=lambda chunk, first_run: kinds.append(chunk.kind.copy()))
+        words = np.sort(np.concatenate(drawn))
+        capped = np.flatnonzero(np.concatenate(kinds) <= 2)
+        runs = 3 * np.arange(n)
+        assert len(words) == 2 * n + len(capped)
+        assert np.array_equal(words, np.sort(np.concatenate([runs, runs + 2, 3 * capped + 1])))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_on_chunk_gets_slices_in_run_order(self, workers):
+        # Three chunks, the last one partial: on_chunk gets pieces of _SLICE
+        # runs, the last one of 5, at first_run 0, _SLICE, 2 * _SLICE, ...
+        n = 2 * simulate._CHUNK + simulate._SLICE + 5
+        pieces = []
+        run_batch(_config(n=n, seed=6), workers=workers,
+                  on_chunk=lambda chunk, first_run: pieces.append((first_run, len(chunk.kind))))
+        assert pieces == [(lo, min(simulate._SLICE, n - lo))
+                          for lo in range(0, n, simulate._SLICE)]
+
+    def test_hand_offs_are_views_of_one_slice_set(self):
+        # Every piece's demand, counteroffer and alpha are views of one
+        # 24-byte-a-run array of one slice's runs, allocated once per batch.
+        n = 2 * simulate._CHUNK + 5
+        bases = []
+
+        def on_chunk(chunk, first_run):
+            bases.extend(getattr(chunk, a).base for a in ("demand", "counteroffer", "alpha"))
+
+        run_batch(_config(n=n, seed=6), workers=3, on_chunk=on_chunk)
+        assert len(bases) == 3 * len(range(0, n, simulate._SLICE))
+        assert all(base is bases[0] for base in bases)
+        assert bases[0].nbytes == 24 * simulate._SLICE
 
     def test_one_chunk_allocates_under_1_mb_beyond_its_arrays(self):
         # Beside the chunk's three arrays (17 bytes a run) live only one
@@ -394,13 +448,13 @@ class TestRunBatch:
         playing, most, arrays = [0], [0], set()
         play = simulate.simulate_runs
 
-        def counted(u3, a, beta, sigma, x, cost, chunk):
+        def counted(draw, a, beta, sigma, x, cost, chunk):
             with lock:
                 playing[0] += 1
                 most[0] = max(most[0], playing[0])
                 arrays.add(id(chunk.kind.base))
             try:
-                play(u3, a, beta, sigma, x, cost, chunk)
+                play(draw, a, beta, sigma, x, cost, chunk)
             finally:
                 with lock:
                     playing[0] -= 1
@@ -420,26 +474,28 @@ class TestRunBatch:
 
     def test_slice_error_on_a_pool_thread_reaches_the_caller(self, monkeypatch):
         # A slice of chunk 1 fails on a worker thread: the error reaches the
-        # caller, chunk 1 is never handed out, and the pool joins its workers.
+        # caller, no slice of chunk 1 is handed out, and the pool joins its
+        # workers.  The failing slice is the one whose first run's estimate
+        # word is that of run 1024 + 256.
         monkeypatch.setattr(simulate, "_CHUNK", 1024)
         monkeypatch.setattr(simulate, "_SLICE", 256)
         cfg = _config(n=10_000)
-        failing = run_uniforms(cfg.seed, 1024 + 256, 256)
+        failing = run_uniforms(cfg.seed, 1024 + 256, 1)[0, 0]
         play = simulate.simulate_runs
         raised_on = []
 
-        def fail_once(u3, *args):
-            if np.array_equal(u3, failing):
+        def fail_once(draw, *args):
+            if draw(0, 1)[0] == failing:
                 raised_on.append(threading.current_thread())
                 raise RuntimeError("slice 1 of chunk 1 failed")
-            play(u3, *args)
+            play(draw, *args)
 
         monkeypatch.setattr(simulate, "simulate_runs", fail_once)
         baseline = threading.active_count()
         seen = []
         with pytest.raises(RuntimeError, match="slice 1 of chunk 1 failed"):
             run_batch(cfg, workers=3, on_chunk=lambda chunk, first_run: seen.append(first_run))
-        assert seen == [0]
+        assert seen == [0, 256, 512, 768]
         assert raised_on and raised_on[0] is not threading.main_thread()
         assert threading.active_count() == baseline
 

@@ -11,7 +11,7 @@ from ransomgame import (AttackerStrategy, DomainError, FixedValue, GameEnvironme
 from ransomgame._erfcx import _ERFCX_EDGES, _erfcx, _x_slope
 from ransomgame._quadrature import adaptive_quadrature
 from ransomgame.simulate import run_uniforms
-from ransomgame.stochastics import _open_uniforms, _ppf, uniform_blocks
+from ransomgame.stochastics import _open_uniforms, _ppf, uniform_blocks, word_uniforms
 from conftest import std_normal_cdf
 from test_kernel_bits import _reference_uniforms, _reference_words
 
@@ -404,6 +404,19 @@ class TestSeedSpec:
         words = range(3 * first_run, 3 * (first_run + n))
         want = _reference_uniforms(_reference_words(seed, words))
         assert run_uniforms(seed, first_run, n).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("first_run", [0, sys.maxsize // 8 - 1000])
+    def test_word_columns_read_words_3i_plus_c(self, first_run):
+        # The kernel's draws: column c of n runs, or of the runs of an index array.
+        seed = SeedSpec(5, 3)
+        n = 1000
+        index = np.flatnonzero(np.arange(n) % 7 < 3)
+        for c in range(3):
+            words = [3 * (first_run + i) + c for i in range(n)]
+            want = _reference_uniforms(_reference_words(seed, words))
+            assert word_uniforms(seed, 3 * first_run + c, n).tobytes() == want.tobytes()
+            assert word_uniforms(seed, 3 * first_run + c, index).tobytes() == \
+                want[index].tobytes()
 
     @pytest.mark.parametrize("first_run", [1, 2, 3, 65_535, 65_537])
     @pytest.mark.parametrize("n_runs", [1, 2, 3, 5, 4097])
